@@ -405,6 +405,17 @@ def cmd_review(args) -> int:
     return 0
 
 
+def _positive_int(text: str) -> int:
+    """argparse type for counts that must be at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="gazekit",
@@ -418,7 +429,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--fix-dir", help="directory of fixation CSV files, matched by stem")
     p.add_argument("--out", required=True, help="metrics table CSV to write")
     p.add_argument("--seed", type=int, default=0, help="seed for the shuffled-negatives AUC")
-    p.add_argument("--n-splits", type=int, default=100, help="negative resamplings per map")
+    p.add_argument("--n-splits", type=_positive_int, default=100, help="negative resamplings per map")
     p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("curate", help="select anchor/target frame pairs from a map corpus")
@@ -442,12 +453,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("grad-check", help="verify analytic gradients by finite differences")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--trials", type=int, default=100, help="random instances per gradient path")
+    p.add_argument("--trials", type=_positive_int, default=100, help="random instances per gradient path")
     p.add_argument("--corrupt", help=argparse.SUPPRESS)
     p.set_defaults(func=cmd_grad_check)
 
     p = sub.add_parser("fit-demo", help="gradient-descent a logit grid onto a target map")
-    p.add_argument("--grid", type=int, default=16, help="grid side length")
+    p.add_argument("--grid", type=_positive_int, default=16, help="grid side length")
     p.add_argument("--steps", type=int, default=500)
     p.add_argument("--lr", type=float, default=1.0, help="learning rate")
     p.add_argument("--hinge", action="store_true", help="add the blur-gap hinge to the loss")

@@ -12,6 +12,17 @@ The suite follows the usual saliency-benchmark conventions:
   fixated cells with a ">= threshold" decision rule, so a constant
   prediction scores exactly 0.5.
 
+The ROC sweep is the single-pass curve of Fawcett 2006 ("An introduction
+to ROC analysis", Alg. 1): each value set is sorted once, and one
+``searchsorted`` gives its count at or above every threshold. A curve
+costs O((P + N) log(P + N)) for P fixated and N negative cells, not
+O(T * (P + N)) for T thresholds, and its rates are exactly those of
+the threshold-by-threshold definition ``(values >= t).mean()``: the
+counts are the same integers, divided by the same size. AUC-Borji builds
+the thresholds and the true-positive curve once and sorts only each
+split's sampled negatives. The predictions must hold no NaN, which has
+no place in a ">=" ranking.
+
 Maps are scored exactly as given: nothing here blurs, recenters, or
 rescales its inputs first. NSS and the AUCs only use the ranking or
 affine position of raw values, so they accept bare value grids as well
@@ -123,18 +134,25 @@ def _trapezoid(xs: np.ndarray, ys: np.ndarray) -> float:
     return float(((xs[1:] - xs[:-1]) * (ys[1:] + ys[:-1]) * 0.5).sum())
 
 
+def _thresholds(pos: np.ndarray) -> np.ndarray:
+    # The distinct positive values, swept descending.
+    return np.unique(pos)[::-1]
+
+
+def _rate_curve(values: np.ndarray, thresholds: np.ndarray) -> np.ndarray:
+    # Share of ``values`` >= each threshold, closed with 0 and 1 before
+    # integration. The count n - searchsorted(..., "left") is exact.
+    n = values.size
+    if n:
+        rates = (n - np.searchsorted(np.sort(values), thresholds, side="left")) / n
+    else:
+        rates = np.zeros(thresholds.size)
+    return np.concatenate(([0.0], rates, [1.0]))
+
+
 def _roc_points(pos: np.ndarray, neg: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    # Thresholds are the distinct positive values, swept descending; the
-    # curve is closed with (0, 0) and (1, 1) before integration.
-    thresholds = np.unique(pos)[::-1]
-    tpr = [0.0]
-    fpr = [0.0]
-    for th in thresholds:
-        tpr.append(float((pos >= th).mean()))
-        fpr.append(float((neg >= th).mean()) if neg.size else 0.0)
-    tpr.append(1.0)
-    fpr.append(1.0)
-    return np.asarray(fpr), np.asarray(tpr)
+    thresholds = _thresholds(pos)
+    return _rate_curve(neg, thresholds), _rate_curve(pos, thresholds)
 
 
 def _split_by_fixation(pred, fix) -> tuple[np.ndarray, np.ndarray]:
@@ -146,6 +164,8 @@ def _split_by_fixation(pred, fix) -> tuple[np.ndarray, np.ndarray]:
         raise NoFixations("AUC needs at least one fixated cell")
     if mask.all():
         raise AllFixated("AUC needs at least one non-fixated cell")
+    if np.isnan(p).any():
+        raise ValueError("AUC needs a prediction without NaN values")
     return p[mask], p[~mask]
 
 
@@ -167,8 +187,9 @@ def auc_borji(pred, fix, n_splits: int = 100, seed: int = 0) -> float:
 
     Each of ``n_splits`` trials draws as many negatives as there are
     fixations, uniformly without replacement from the non-fixated cells
-    of a seeded generator, and the per-trial areas are averaged. Fixed
-    inputs and seed give a bit-identical result.
+    of a seeded generator, and the per-trial areas are averaged. The
+    thresholds and the true-positive curve are shared by every trial.
+    Fixed inputs and seed give a bit-identical result.
     """
     if n_splits < 1:
         raise ValueError("n_splits must be positive")
@@ -177,12 +198,13 @@ def auc_borji(pred, fix, n_splits: int = 100, seed: int = 0) -> float:
         raise InsufficientNegatives(
             f"need at least {pos.size} non-fixated cells, have {neg.size}"
         )
+    thresholds = _thresholds(pos)
+    tpr = _rate_curve(pos, thresholds)
     rng = np.random.default_rng(seed)
     areas = []
     for _ in range(n_splits):
         sample = rng.choice(neg, size=pos.size, replace=False)
-        fpr, tpr = _roc_points(pos, sample)
-        areas.append(_trapezoid(fpr, tpr))
+        areas.append(_trapezoid(_rate_curve(sample, thresholds), tpr))
     return float(np.mean(areas))
 
 

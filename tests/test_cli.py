@@ -526,3 +526,23 @@ class TestParserPlumbing:
         text = capsys.readouterr().out
         for name in ("evaluate", "curate", "caption-eval", "grad-check", "fit-demo", "report", "review"):
             assert name in text
+
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["evaluate", "--pred-dir", "p", "--gt-dir", "g", "--fix-dir", "f",
+              "--out", "m.csv", "--n-splits", "0"], "--n-splits"),
+            (["grad-check", "--trials", "0"], "--trials"),
+            (["fit-demo", "--grid", "-3", "--out", "fit.csv"], "--grid"),
+        ],
+    )
+    def test_counts_below_one_are_usage_errors(self, argv, flag, tmp_path, monkeypatch, capsys):
+        # SystemExit comes from argparse: no command runs, no file is read or written.
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert f"argument {flag}: must be at least 1" in err
+        assert "Traceback" not in err
+        assert list(tmp_path.iterdir()) == []

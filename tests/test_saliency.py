@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from conftest import map_pairs, random_map
 from gazekit import (
@@ -26,6 +26,7 @@ from gazekit import (
     score_maps,
     sim,
 )
+from gazekit.saliency import _roc_points, _trapezoid
 
 QUARTET = np.array([[0.4, 0.3], [0.2, 0.1]])
 
@@ -55,6 +56,101 @@ def auc_oracle(pred: np.ndarray, mask: np.ndarray) -> float:
     for (x0, y0), (x1, y1) in zip(points, points[1:]):
         area += (x1 - x0) * (y0 + y1) / 2.0
     return area
+
+
+def roc_points_oracle(pos: np.ndarray, neg: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The per-threshold ROC loop the sorted sweep replaced, kept verbatim."""
+    thresholds = np.unique(pos)[::-1]
+    tpr = [0.0]
+    fpr = [0.0]
+    for th in thresholds:
+        tpr.append(float((pos >= th).mean()))
+        fpr.append(float((neg >= th).mean()) if neg.size else 0.0)
+    tpr.append(1.0)
+    fpr.append(1.0)
+    return np.asarray(fpr), np.asarray(tpr)
+
+
+def auc_borji_oracle(pos: np.ndarray, neg: np.ndarray, n_splits: int, seed: int) -> float:
+    rng = np.random.default_rng(seed)
+    areas = []
+    for _ in range(n_splits):
+        sample = rng.choice(neg, size=pos.size, replace=False)
+        areas.append(_trapezoid(*roc_points_oracle(pos, sample)))
+    return float(np.mean(areas))
+
+
+ROC_VALUE_KINDS = ("random", "small_ints", "rounded", "signed_zeros", "constant", "pgm")
+
+
+def roc_values(kind: str, gen: np.random.Generator, n: int) -> np.ndarray:
+    """Prediction values of one kind, from continuous to heavily tied."""
+    if kind == "random":
+        return gen.uniform(-1.0, 1.0, size=n)
+    if kind == "small_ints":
+        return gen.integers(0, 4, size=n).astype(np.float64)
+    if kind == "rounded":
+        return np.round(gen.uniform(0.0, 1.0, size=n), 2)
+    if kind == "signed_zeros":
+        return gen.choice(np.array([-0.0, 0.0, 0.25]), size=n)
+    if kind == "constant":
+        return np.full(n, 0.125)
+    # 16-bit PGM samples as written by save_map, renormalized as by load_map.
+    raw = gen.uniform(0.0, 1.0, size=n)
+    samples = np.round(raw / raw.max() * 65535.0)
+    return samples / samples.sum()
+
+
+class TestSortedROCSweep:
+    """The sorted sweep against the per-threshold loop, bit for bit."""
+
+    @pytest.mark.parametrize("kind", ROC_VALUE_KINDS)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n_pos=st.integers(1, 40),
+        n_neg=st.integers(0, 60),
+    )
+    @example(seed=0, n_pos=1, n_neg=30)  # a single positive
+    @example(seed=1, n_pos=12, n_neg=0)  # no negatives
+    def test_roc_points_match_the_loop(self, kind, seed, n_pos, n_neg):
+        values = roc_values(kind, np.random.default_rng(seed), n_pos + n_neg)
+        pos, neg = values[:n_pos], values[n_pos:]
+        fpr, tpr = _roc_points(pos, neg)
+        fpr_ref, tpr_ref = roc_points_oracle(pos, neg)
+        assert np.array_equal(fpr, fpr_ref)
+        assert np.array_equal(tpr, tpr_ref)
+
+    @pytest.mark.parametrize("kind", ROC_VALUE_KINDS)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        side=st.integers(2, 9),
+        n_splits=st.integers(1, 100),
+        auc_seed=st.integers(0, 2**32 - 1),
+    )
+    @example(seed=2, side=6, n_splits=1, auc_seed=0)
+    @example(seed=3, side=6, n_splits=100, auc_seed=7)
+    def test_aucs_equal_the_oracle_area(self, kind, seed, side, n_splits, auc_seed):
+        gen = np.random.default_rng(seed)
+        pred = roc_values(kind, gen, side * side).reshape(side, side)
+        mask = np.zeros(side * side, dtype=bool)
+        n_pos = int(gen.integers(1, side * side // 2 + 1))
+        mask[gen.choice(side * side, size=n_pos, replace=False)] = True
+        mask = mask.reshape(side, side)
+        pos, neg = pred[mask], pred[~mask]
+        assert auc_judd(pred, mask) == _trapezoid(*roc_points_oracle(pos, neg))
+        assert auc_borji(pred, mask, n_splits=n_splits, seed=auc_seed) == auc_borji_oracle(
+            pos, neg, n_splits, auc_seed
+        )
+
+    def test_nan_prediction_is_rejected(self):
+        # NaN sorts last but fails every ">=", so the loop and the sorted
+        # sweep would disagree on it; neither AUC accepts it.
+        pred = np.array([[0.2, np.nan, 0.5, 0.1, np.nan]])
+        mask = np.array([[True, True, True, False, False]])
+        with pytest.raises(ValueError, match="NaN"):
+            auc_judd(pred, mask)
+        with pytest.raises(ValueError, match="NaN"):
+            auc_borji(pred, mask, n_splits=3)
 
 
 class TestCC:
