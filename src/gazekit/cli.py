@@ -169,14 +169,17 @@ def cmd_curate(args) -> int:
 
 
 def _read_lines(path) -> list[str]:
-    return Path(path).read_text(encoding="utf-8").splitlines()
+    try:
+        return Path(path).read_text(encoding="utf-8").splitlines()
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
 
 
 def cmd_caption_eval(args) -> int:
     try:
         candidates = _read_lines(args.candidates)
         references = _read_lines(args.references)
-    except OSError as exc:
+    except (OSError, ValueError) as exc:
         _diag(str(exc))
         return 2
     if len(candidates) != len(references):
@@ -187,7 +190,7 @@ def cmd_caption_eval(args) -> int:
     corpus_path = args.corpus if args.corpus else args.references
     try:
         corpus = [[line] for line in _read_lines(corpus_path)]
-    except OSError as exc:
+    except (OSError, ValueError) as exc:
         _diag(str(exc))
         return 2
 
@@ -447,7 +450,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--references", required=True, help="reference captions, line-aligned")
     p.add_argument("--corpus", help="corpus for document frequencies (default: references)")
     p.add_argument("--out", required=True, help="score CSV to write")
-    p.add_argument("--max-n", type=int, default=4, help="largest n-gram order")
+    p.add_argument("--max-n", type=_positive_int, default=4, help="largest n-gram order")
     p.add_argument("--per-field", action="store_true", help="score each caption field separately")
     p.set_defaults(func=cmd_caption_eval)
 

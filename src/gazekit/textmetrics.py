@@ -18,6 +18,12 @@ Conventions, pinned here because every one of them changes scores:
   references and orders, times 10. Document frequency counts each
   reference set once, IDF is ln(corpus size / df) with df clamped to at
   least 1, and no length penalty of any kind is applied.
+* ``max_n``, the largest n-gram order, must be at least 1.
+
+Cost: ``score_captions`` builds the document frequencies once per corpus
+(in per-field mode once per field corpus) and scores every candidate
+against them, so each candidate costs only its own and its references'
+n-grams. ``cider`` on its own builds them for its one call.
 """
 
 from __future__ import annotations
@@ -54,6 +60,11 @@ def tokenize(text: str) -> list[str]:
     return tokens
 
 
+def _check_max_n(max_n: int) -> None:
+    if max_n < 1:
+        raise ValueError(f"max_n must be at least 1, got {max_n}")
+
+
 def _ngrams(tokens, n: int) -> Counter:
     return Counter(tuple(tokens[i : i + n]) for i in range(len(tokens) - n + 1))
 
@@ -64,6 +75,7 @@ def bleu(candidate, references, max_n: int = 4) -> float:
     Arguments are token lists. An empty candidate scores 0 by
     convention. Equality with any reference scores exactly 1.
     """
+    _check_max_n(max_n)
     if not references:
         raise ValueError("bleu needs at least one reference")
     cand = list(candidate)
@@ -126,6 +138,10 @@ def _doc_frequencies(corpus, max_n: int) -> Counter:
     return df
 
 
+def _corpus_stats(corpus_tokens, max_n: int) -> tuple[Counter, int]:
+    return _doc_frequencies(corpus_tokens, max_n), len(corpus_tokens)
+
+
 def _tfidf(tokens, n: int, df: Counter, n_docs: int) -> dict:
     return {
         gram: count * math.log(n_docs / max(1, df[gram]))
@@ -142,27 +158,34 @@ def _cosine(a: dict, b: dict) -> float:
     return dot / (na * nb)
 
 
+def _cider(cand, refs, stats, max_n: int) -> float:
+    # The one CIDEr implementation; ``stats`` comes from ``_corpus_stats``,
+    # which the caller runs once per corpus.
+    df, n_docs = stats
+    if not n_docs:
+        raise EmptyCorpus("document frequencies need a non-empty corpus")
+    if not refs:
+        raise ValueError("cider needs at least one reference")
+    total = 0.0
+    for n in range(1, max_n + 1):
+        cand_vec = _tfidf(cand, n, df, n_docs)
+        total += sum(_cosine(cand_vec, _tfidf(r, n, df, n_docs)) for r in refs) / len(refs)
+    return 10.0 * total / max_n
+
+
 def cider(candidate, references, corpus, max_n: int = 4) -> float:
     """Base TF-IDF consensus score of a candidate against its references.
 
     ``corpus`` is the list of reference sets that defines document
     frequencies; it normally contains every reference set in the
     evaluation split. When the corpus has a single document, every IDF
-    is zero and so is the score. Token lists throughout.
+    is zero and so is the score. Token lists throughout. To score many
+    candidates against one corpus, use ``score_captions``, which builds
+    the document frequencies once.
     """
-    if not corpus:
-        raise EmptyCorpus("document frequencies need a non-empty corpus")
-    if not references:
-        raise ValueError("cider needs at least one reference")
+    _check_max_n(max_n)
     refs = [list(r) for r in references]
-    cand = list(candidate)
-    n_docs = len(corpus)
-    df = _doc_frequencies(corpus, max_n)
-    total = 0.0
-    for n in range(1, max_n + 1):
-        cand_vec = _tfidf(cand, n, df, n_docs)
-        total += sum(_cosine(cand_vec, _tfidf(r, n, df, n_docs)) for r in refs) / len(refs)
-    return 10.0 * total / max_n
+    return _cider(list(candidate), refs, _corpus_stats(corpus, max_n), max_n)
 
 
 @dataclass(frozen=True)
@@ -191,11 +214,13 @@ class CaptionSetReport:
     means: CaptionScore | None
 
 
-def _score_one(cand_tokens, ref_token_lists, corpus_tokens, max_n) -> CaptionScore:
+def _score_one(cand_tokens, ref_token_lists, stats, max_n) -> CaptionScore:
+    # bleu runs first, so an empty reference list raises its ValueError
+    # before an empty corpus raises EmptyCorpus.
     return CaptionScore(
         bleu=bleu(cand_tokens, ref_token_lists, max_n),
         rouge_l=max(rouge_l(cand_tokens, r) for r in ref_token_lists),
-        cider=cider(cand_tokens, ref_token_lists, corpus_tokens, max_n),
+        cider=_cider(cand_tokens, ref_token_lists, stats, max_n),
     )
 
 
@@ -226,11 +251,15 @@ def score_captions(pairs, corpus, max_n: int = 4, per_field: bool = False) -> Ca
     directly. In per-field mode both sides must parse as structured
     captions; the metrics are computed per field and macro-averaged, and
     rows that fail to parse are reported as data with their error. Means
-    are arithmetic over successfully scored rows.
+    are arithmetic over successfully scored rows. Document frequencies
+    are built once per corpus, and once per field corpus in per-field
+    mode.
     """
+    _check_max_n(max_n)
     rows: list[ScoredCaption] = []
     if per_field:
         corpora = _field_corpora(corpus)
+        stats = {label: _corpus_stats(corpora[label], max_n) for label in FIELD_LABELS}
         for index, (cand, refs) in enumerate(pairs):
             try:
                 cand_parsed = parse_caption(cand)
@@ -244,7 +273,7 @@ def score_captions(pairs, corpus, max_n: int = 4, per_field: bool = False) -> Ca
                     _score_one(
                         tokenize(getattr(cand_parsed, label)),
                         [tokenize(getattr(r, label)) for r in refs_parsed],
-                        corpora[label],
+                        stats[label],
                         max_n,
                     )
                 )
@@ -259,12 +288,12 @@ def score_captions(pairs, corpus, max_n: int = 4, per_field: bool = False) -> Ca
                 )
             )
     else:
-        corpus_tokens = [[tokenize(r) for r in ref_set] for ref_set in corpus]
+        stats = _corpus_stats([[tokenize(r) for r in ref_set] for ref_set in corpus], max_n)
         for index, (cand, refs) in enumerate(pairs):
             rows.append(
                 ScoredCaption(
                     index,
-                    _score_one(tokenize(cand), [tokenize(r) for r in refs], corpus_tokens, max_n),
+                    _score_one(tokenize(cand), [tokenize(r) for r in refs], stats, max_n),
                 )
             )
     scored = [r.score for r in rows if r.score is not None]

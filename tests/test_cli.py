@@ -293,6 +293,24 @@ class TestCaptionEval:
         rows = read_csv_rows(out)
         assert float(rows[1][3]) == pytest.approx(10.0)
 
+    @pytest.mark.parametrize("bad", ["candidates", "references", "corpus"])
+    def test_non_utf8_input_is_a_one_line_error(self, tmp_path, capsys, bad):
+        paths = {name: tmp_path / f"{name}.txt" for name in ("candidates", "references", "corpus")}
+        for path in paths.values():
+            path.write_text(self.SENTS[0] + "\n")
+        paths[bad].write_bytes(b"alpha beta\n\xff\xfe gamma\n")
+        out = tmp_path / "scores.csv"
+        code = main([
+            "caption-eval", "--candidates", str(paths["candidates"]),
+            "--references", str(paths["references"]), "--corpus", str(paths["corpus"]),
+            "--out", str(out),
+        ])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert f"{paths[bad]}: not UTF-8 text" in err
+        assert not out.exists()
+
 
 class TestGradCheck:
     def test_passes_and_prints_one_line_per_path(self, capsys):
@@ -534,6 +552,10 @@ class TestParserPlumbing:
               "--out", "m.csv", "--n-splits", "0"], "--n-splits"),
             (["grad-check", "--trials", "0"], "--trials"),
             (["fit-demo", "--grid", "-3", "--out", "fit.csv"], "--grid"),
+            (["caption-eval", "--candidates", "c.txt", "--references", "r.txt",
+              "--out", "s.csv", "--max-n", "0"], "--max-n"),
+            (["caption-eval", "--candidates", "c.txt", "--references", "r.txt",
+              "--out", "s.csv", "--max-n", "-1"], "--max-n"),
         ],
     )
     def test_counts_below_one_are_usage_errors(self, argv, flag, tmp_path, monkeypatch, capsys):

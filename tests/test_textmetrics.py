@@ -9,12 +9,24 @@ counts, per-order cosine).
 from __future__ import annotations
 
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from gazekit import EmptyCorpus, bleu, cider, rouge_l, score_captions, tokenize
+from gazekit import (
+    FIELD_LABELS,
+    CaptionError,
+    EmptyCorpus,
+    bleu,
+    cider,
+    parse_caption,
+    rouge_l,
+    score_captions,
+    tokenize,
+)
+from gazekit import textmetrics
 
 words = st.lists(st.sampled_from("a b c d e f g".split()), min_size=1, max_size=8)
 
@@ -263,3 +275,260 @@ class TestScoreCaptions:
     def test_per_field_needs_a_parsable_corpus(self):
         with pytest.raises(EmptyCorpus):
             score_captions([], [["not a caption"]], per_field=True)
+
+
+# --- CIDEr oracle -----------------------------------------------------------
+#
+# The per-candidate CIDEr that rebuilt the document frequencies on every
+# call, kept verbatim with its helpers. ``score_captions`` now builds them
+# once per corpus; these tests hold it to exact equality with this oracle.
+
+
+def _oracle_ngrams(tokens, n):
+    return Counter(tuple(tokens[i : i + n]) for i in range(len(tokens) - n + 1))
+
+
+def _oracle_doc_frequencies(corpus, max_n):
+    df = Counter()
+    for ref_set in corpus:
+        seen = set()
+        for ref in ref_set:
+            for n in range(1, max_n + 1):
+                seen.update(_oracle_ngrams(ref, n))
+        df.update(seen)
+    return df
+
+
+def _oracle_tfidf(tokens, n, df, n_docs):
+    return {
+        gram: count * math.log(n_docs / max(1, df[gram]))
+        for gram, count in _oracle_ngrams(tokens, n).items()
+    }
+
+
+def _oracle_cosine(a, b):
+    na = math.sqrt(sum(v * v for v in a.values()))
+    nb = math.sqrt(sum(v * v for v in b.values()))
+    if na == 0.0 or nb == 0.0:
+        return 0.0
+    dot = sum(v * b[g] for g, v in a.items() if g in b)
+    return dot / (na * nb)
+
+
+def cider_oracle(candidate, references, corpus, max_n=4):
+    if not corpus:
+        raise EmptyCorpus("document frequencies need a non-empty corpus")
+    if not references:
+        raise ValueError("cider needs at least one reference")
+    refs = [list(r) for r in references]
+    cand = list(candidate)
+    n_docs = len(corpus)
+    df = _oracle_doc_frequencies(corpus, max_n)
+    total = 0.0
+    for n in range(1, max_n + 1):
+        cand_vec = _oracle_tfidf(cand, n, df, n_docs)
+        total += sum(
+            _oracle_cosine(cand_vec, _oracle_tfidf(r, n, df, n_docs)) for r in refs
+        ) / len(refs)
+    return 10.0 * total / max_n
+
+
+def oracle_cider_column(pairs, corpus, max_n, per_field):
+    """The cider value ``score_captions`` must give each row (None if unscored)."""
+    if not per_field:
+        corpus_tokens = [[tokenize(r) for r in ref_set] for ref_set in corpus]
+        return [
+            cider_oracle(tokenize(cand), [tokenize(r) for r in refs], corpus_tokens, max_n)
+            for cand, refs in pairs
+        ]
+    corpora = {label: [] for label in FIELD_LABELS}
+    for ref_set in corpus:
+        parsed = []
+        for ref in ref_set:
+            try:
+                parsed.append(parse_caption(ref))
+            except CaptionError:
+                pass
+        if parsed:
+            for label in FIELD_LABELS:
+                corpora[label].append([tokenize(getattr(c, label)) for c in parsed])
+    column = []
+    for cand, refs in pairs:
+        try:
+            cand_parsed = parse_caption(cand)
+            refs_parsed = [parse_caption(r) for r in refs]
+        except CaptionError:
+            column.append(None)
+            continue
+        values = [
+            cider_oracle(
+                tokenize(getattr(cand_parsed, label)),
+                [tokenize(getattr(r, label)) for r in refs_parsed],
+                corpora[label],
+                max_n,
+            )
+            for label in FIELD_LABELS
+        ]
+        column.append(sum(values) / len(values))
+    return column
+
+
+# Few distinct words, so n-grams repeat within and across captions.
+# "--" and "..." tokenize to nothing, which gives empty token lists.
+VOCAB = ["a", "b", "c", "the", "car.", "Car", "--", "..."]
+token_lists = st.lists(st.sampled_from(["a", "b", "c", "d"]), max_size=7)
+texts = st.lists(st.sampled_from(VOCAB), max_size=6).map(" ".join)
+field_texts = st.lists(st.sampled_from(VOCAB), min_size=1, max_size=4).map(" ".join)
+
+
+@st.composite
+def caption_lines(draw):
+    """A four-field caption line, valid or broken in one of several ways."""
+    values = [draw(field_texts) for _ in FIELD_LABELS]
+    labels = ["Scene", "Current", "Next", "Why"]
+    kind = draw(st.sampled_from(["valid"] * 8 + ["missing", "swapped", "empty", "free"]))
+    if kind == "missing":
+        del labels[1], values[1]
+    elif kind == "swapped":
+        labels[0], labels[1] = labels[1], labels[0]
+    elif kind == "empty":
+        values[2] = " "
+    elif kind == "free":
+        return draw(texts)
+    return " | ".join(f"{label}: {value}" for label, value in zip(labels, values))
+
+
+def _parses(line):
+    try:
+        parse_caption(line)
+    except CaptionError:
+        return False
+    return True
+
+
+@st.composite
+def caption_cases(draw, per_field):
+    lines = caption_lines() if per_field else texts
+    ref_sets = st.lists(lines, min_size=1, max_size=3)
+    if per_field:
+        # At least one corpus row parses, or the corpus is rejected up front.
+        corpus = draw(st.lists(ref_sets, max_size=5))
+        corpus.append([draw(caption_lines().filter(_parses))])
+    else:
+        corpus = draw(st.lists(ref_sets, min_size=1, max_size=6))
+    corpus_lines = [line for ref_set in corpus for line in ref_set]
+    # References are drawn from the corpus or made up, so some are absent from it.
+    refs = st.lists(st.one_of(lines, st.sampled_from(corpus_lines)), min_size=1, max_size=3)
+    pairs = draw(st.lists(st.tuples(lines, refs), max_size=8))
+    return pairs, corpus, draw(st.integers(1, 5))
+
+
+class TestCiderOracle:
+    @given(case=caption_cases(per_field=False))
+    def test_score_captions_whole_string_equals_oracle(self, case):
+        pairs, corpus, max_n = case
+        report = score_captions(pairs, corpus, max_n=max_n)
+        got = [row.score.cider for row in report.rows]
+        assert got == oracle_cider_column(pairs, corpus, max_n, per_field=False)
+
+    @given(case=caption_cases(per_field=True))
+    def test_score_captions_per_field_equals_oracle(self, case):
+        pairs, corpus, max_n = case
+        report = score_captions(pairs, corpus, max_n=max_n, per_field=True)
+        got = [None if row.score is None else row.score.cider for row in report.rows]
+        assert got == oracle_cider_column(pairs, corpus, max_n, per_field=True)
+
+    @given(
+        cand=token_lists,
+        refs=st.lists(token_lists, min_size=1, max_size=3),
+        corpus=st.lists(st.lists(token_lists, min_size=1, max_size=3), min_size=1, max_size=5),
+        max_n=st.integers(1, 5),
+    )
+    def test_public_cider_equals_oracle(self, cand, refs, corpus, max_n):
+        assert cider(cand, refs, corpus, max_n) == cider_oracle(cand, refs, corpus, max_n)
+
+    def test_fixed_edge_cases_equal_oracle(self):
+        # Repeated tokens, an empty candidate and reference, a single-document
+        # corpus, and references that appear nowhere in the corpus.
+        corpus = [[["a", "a", "a", "b"]], [["b", "c"], []], [["c", "c", "d", "a"]]]
+        cases = [
+            (["a", "a", "a", "a"], [["a", "a", "b"]], corpus),
+            ([], [["a", "b"]], corpus),
+            (["a", "b"], [[]], corpus),
+            (["x", "y", "x"], [["x", "y"], ["y", "x", "y"]], corpus),
+            (["a", "b"], [["a", "b"]], [[["a", "b"]]]),
+        ]
+        for max_n in range(1, 6):
+            for cand, refs, corp in cases:
+                assert cider(cand, refs, corp, max_n) == cider_oracle(cand, refs, corp, max_n)
+
+
+class TestCorpusStatisticsAreBuiltOnce:
+    @pytest.fixture
+    def df_calls(self, monkeypatch):
+        calls = []
+        real = textmetrics._doc_frequencies
+
+        def counting(corpus, max_n):
+            calls.append(len(corpus))
+            return real(corpus, max_n)
+
+        monkeypatch.setattr(textmetrics, "_doc_frequencies", counting)
+        return calls
+
+    @pytest.mark.parametrize("n", [1, 10, 50])
+    def test_whole_string_builds_once(self, df_calls, n):
+        lines = [f"w{i} w{i % 7} shared words" for i in range(n)]
+        score_captions([(line, [line]) for line in lines], [[line] for line in lines])
+        assert df_calls == [n]
+
+    @pytest.mark.parametrize("n", [1, 10, 50])
+    def test_per_field_builds_once_per_field(self, df_calls, n):
+        lines = [f"Scene: s{i} | Current: c{i % 3} | Next: n{i} | Why: w{i % 5}" for i in range(n)]
+        score_captions(
+            [(line, [line]) for line in lines], [[line] for line in lines], per_field=True
+        )
+        assert df_calls == [n] * len(FIELD_LABELS)
+
+
+class TestExceptionPrecedence:
+    GOOD = "Scene: a1 | Current: b1 | Next: c1 | Why: d1"
+
+    def test_no_pairs_and_an_empty_corpus_raise_nothing(self):
+        report = score_captions([], [])
+        assert report.rows == () and report.means is None
+
+    @pytest.mark.parametrize("corpus", [[], [["a b"]]])
+    def test_empty_references_raise_the_bleu_error_first(self, corpus):
+        with pytest.raises(ValueError, match="bleu needs at least one reference"):
+            score_captions([("a b", [])], corpus)
+
+    def test_per_field_empty_references_raise_the_bleu_error(self):
+        with pytest.raises(ValueError, match="bleu needs at least one reference"):
+            score_captions([(self.GOOD, [])], [[self.GOOD]], per_field=True)
+
+    def test_pairs_with_an_empty_corpus_raise_empty_corpus(self):
+        with pytest.raises(EmptyCorpus):
+            score_captions([("a b", ["a b"])], [])
+
+    @pytest.mark.parametrize("pairs", [[], [(GOOD, [GOOD])]])
+    @pytest.mark.parametrize("corpus", [[], [["not a caption"]]])
+    def test_per_field_unparsable_corpus_raises_up_front(self, pairs, corpus):
+        with pytest.raises(EmptyCorpus):
+            score_captions(pairs, corpus, per_field=True)
+
+    def test_public_cider_checks_the_corpus_before_the_references(self):
+        with pytest.raises(EmptyCorpus):
+            cider(["a"], [], [])
+
+
+class TestMaxN:
+    @pytest.mark.parametrize("max_n", [0, -1])
+    def test_orders_below_one_are_rejected(self, max_n):
+        with pytest.raises(ValueError, match="max_n must be at least 1"):
+            bleu(["a"], [["a"]], max_n)
+        with pytest.raises(ValueError, match="max_n must be at least 1"):
+            cider(["a"], [["a"]], [[["a"]], [["b"]]], max_n)
+        for per_field in (False, True):
+            with pytest.raises(ValueError, match="max_n must be at least 1"):
+                score_captions([], [["a"]], max_n=max_n, per_field=per_field)
