@@ -15,13 +15,10 @@ with --hinge enabled is the quickest way to see the column drop to 0.
 from __future__ import annotations
 
 import argparse
-import csv
-import io
-from pathlib import Path
 
 import numpy as np
 
-from gazekit import GazeMap, fit_gaze_demo, normalize_to_simplex
+from gazekit import GazeMap, fit_gaze_demo, normalize_to_simplex, write_csv
 
 
 def build_target(kind: str, grid: int) -> GazeMap:
@@ -57,11 +54,7 @@ def main(argv=None) -> int:
             f"entropy {final.entropy:.4g}, monotone {monotone}"
         )
 
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(("lr", "final_loss", "final_entropy", "monotone"))
-    writer.writerows(rows)
-    Path(args.out).write_text(buf.getvalue(), encoding="utf-8", newline="")
+    write_csv(args.out, ("lr", "final_loss", "final_entropy", "monotone"), rows)
     return 0
 
 

@@ -9,262 +9,29 @@ formats behind the ``gazekit`` command-line tool.
 
 from __future__ import annotations
 
-from .alignment import (
-    DEFAULT_TEMPERATURE,
-    ProjectionHead,
-    align_path_loss,
-    align_path_weight_grad,
-    as_embedding_batch,
-    cosine_sim,
-    gaze_weighted_pool,
-    grad_info_nce,
-    info_nce,
-    pooled_embeddings,
-    project,
+from . import (
+    alignment, captions, curation, errors, gradcheck, grids,
+    manifests, mapio, objectives, radar, saliency, textmetrics,
 )
-from .captions import (
-    FIELD_LABELS,
-    CaptionRowReport,
-    CaptionValidationReport,
-    StructuredCaption,
-    parse_caption,
-    serialize_caption,
-    validate_manifest_captions,
-)
-from .curation import (
-    CurationManifest,
-    CurationParams,
-    FramePair,
-    GazeSequence,
-    curate_corpus,
-    curate_video,
-    find_anchors,
-    kl_curve,
-    select_target,
-)
-from .errors import (
-    AllFixated,
-    AllZeroGrid,
-    CaptionError,
-    DegenerateNorm,
-    DegenerateRange,
-    EmptyCorpus,
-    EmptyField,
-    GazeKitError,
-    InsufficientNegatives,
-    InvalidCharacter,
-    LengthMismatch,
-    MissingField,
-    NoFixations,
-    OrderViolation,
-    ShapeMismatch,
-    TooShort,
-    ZeroVariance,
-)
-from .gradcheck import (
-    TOLERANCE,
-    GradCheckReport,
-    central_difference,
-    relative_error,
-    run_gradient_checks,
-)
-from .grids import (
-    FeatureGrid,
-    FixationMap,
-    GazeMap,
-    LogitGrid,
-    area_weights,
-    entropy,
-    fixation_mask,
-    gaussian_blur,
-    gaussian_kernel_1d,
-    grid_values,
-    normalize_to_simplex,
-    resample_area,
-    spatial_softmax,
-)
-from .manifests import (
-    MANIFEST_HEADER,
-    MEAN_ROW_ID,
-    METRICS_HEADER,
-    manifest_rows,
-    read_manifest_rows,
-    read_metrics_table,
-    write_manifest,
-    write_manifest_rows,
-    write_metrics_table,
-)
-from .mapio import (
-    MAP_SUFFIXES,
-    is_map_file,
-    load_fixations,
-    load_grid,
-    load_map,
-    save_fixations,
-    save_map,
-)
-from .objectives import (
-    FitStep,
-    GazeLossBreakdown,
-    GazeLossConfig,
-    LossWeights,
-    TokenSequence,
-    fit_gaze_demo,
-    grad_loss_caption,
-    grad_loss_gaze,
-    grad_loss_kl,
-    loss_caption,
-    loss_gaze,
-    loss_kl,
-    total_loss,
-)
-from .radar import RADAR_AXES, render_radar
-from .saliency import (
-    DEFAULT_KL_FLOOR,
-    MetricReport,
-    auc_borji,
-    auc_judd,
-    cc,
-    kl_div,
-    nss,
-    radar_normalize,
-    score_maps,
-    sim,
-)
-from .textmetrics import (
-    CaptionScore,
-    CaptionSetReport,
-    ScoredCaption,
-    bleu,
-    cider,
-    rouge_l,
-    score_captions,
-    tokenize,
-)
+from .alignment import *  # noqa: F403
+from .captions import *  # noqa: F403
+from .curation import *  # noqa: F403
+from .errors import *  # noqa: F403
+from .gradcheck import *  # noqa: F403
+from .grids import *  # noqa: F403
+from .manifests import *  # noqa: F403
+from .mapio import *  # noqa: F403
+from .objectives import *  # noqa: F403
+from .radar import *  # noqa: F403
+from .saliency import *  # noqa: F403
+from .textmetrics import *  # noqa: F403
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "__version__",
-    # errors
-    "GazeKitError",
-    "AllZeroGrid",
-    "ZeroVariance",
-    "NoFixations",
-    "AllFixated",
-    "InsufficientNegatives",
-    "DegenerateRange",
-    "DegenerateNorm",
-    "ShapeMismatch",
-    "LengthMismatch",
-    "TooShort",
-    "EmptyCorpus",
-    "CaptionError",
-    "MissingField",
-    "OrderViolation",
-    "EmptyField",
-    "InvalidCharacter",
-    # grids
-    "GazeMap",
-    "FixationMap",
-    "LogitGrid",
-    "FeatureGrid",
-    "grid_values",
-    "fixation_mask",
-    "normalize_to_simplex",
-    "spatial_softmax",
-    "gaussian_kernel_1d",
-    "gaussian_blur",
-    "area_weights",
-    "resample_area",
-    "entropy",
-    # saliency metrics
-    "DEFAULT_KL_FLOOR",
-    "cc",
-    "kl_div",
-    "sim",
-    "nss",
-    "auc_judd",
-    "auc_borji",
-    "radar_normalize",
-    "MetricReport",
-    "score_maps",
-    # objectives
-    "GazeLossConfig",
-    "LossWeights",
-    "GazeLossBreakdown",
-    "TokenSequence",
-    "FitStep",
-    "loss_kl",
-    "grad_loss_kl",
-    "loss_gaze",
-    "grad_loss_gaze",
-    "loss_caption",
-    "grad_loss_caption",
-    "total_loss",
-    "fit_gaze_demo",
-    # alignment
-    "DEFAULT_TEMPERATURE",
-    "ProjectionHead",
-    "as_embedding_batch",
-    "gaze_weighted_pool",
-    "project",
-    "cosine_sim",
-    "info_nce",
-    "grad_info_nce",
-    "pooled_embeddings",
-    "align_path_loss",
-    "align_path_weight_grad",
-    # curation
-    "CurationParams",
-    "GazeSequence",
-    "FramePair",
-    "CurationManifest",
-    "kl_curve",
-    "find_anchors",
-    "select_target",
-    "curate_video",
-    "curate_corpus",
-    # captions
-    "FIELD_LABELS",
-    "StructuredCaption",
-    "parse_caption",
-    "serialize_caption",
-    "CaptionRowReport",
-    "CaptionValidationReport",
-    "validate_manifest_captions",
-    # text metrics
-    "tokenize",
-    "bleu",
-    "rouge_l",
-    "cider",
-    "CaptionScore",
-    "ScoredCaption",
-    "CaptionSetReport",
-    "score_captions",
-    # io
-    "MAP_SUFFIXES",
-    "is_map_file",
-    "load_grid",
-    "load_map",
-    "save_map",
-    "load_fixations",
-    "save_fixations",
-    "MANIFEST_HEADER",
-    "METRICS_HEADER",
-    "MEAN_ROW_ID",
-    "manifest_rows",
-    "write_manifest_rows",
-    "read_manifest_rows",
-    "write_manifest",
-    "write_metrics_table",
-    "read_metrics_table",
-    "RADAR_AXES",
-    "render_radar",
-    # gradient checking
-    "TOLERANCE",
-    "GradCheckReport",
-    "central_difference",
-    "relative_error",
-    "run_gradient_checks",
-]
+# Each name is listed once, in its module's __all__; the package
+# re-exports them all.
+_MODULES = (
+    errors, grids, saliency, objectives, alignment, curation,
+    captions, textmetrics, mapio, manifests, radar, gradcheck,
+)
+__all__ = ["__version__", *(name for module in _MODULES for name in module.__all__)]

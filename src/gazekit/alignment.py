@@ -29,9 +29,6 @@ __all__ = [
     "DEFAULT_TEMPERATURE",
     "ProjectionHead",
     "as_embedding_batch",
-    "gaze_weighted_pool",
-    "project",
-    "cosine_sim",
     "info_nce",
     "grad_info_nce",
     "pooled_embeddings",
@@ -95,42 +92,6 @@ def as_embedding_batch(batch) -> np.ndarray:
     if not np.all(np.isfinite(m)):
         raise ValueError("embeddings must be finite")
     return m
-
-
-def gaze_weighted_pool(features, weights) -> np.ndarray:
-    """Collapse (channels, h, w) features to one vector using cell weights.
-
-    Each output channel is the weight-weighted sum of that channel's
-    cells, which is linear in both arguments.
-    """
-    f = features.values if isinstance(features, FeatureGrid) else np.asarray(features, dtype=np.float64)
-    if f.ndim != 3:
-        raise ShapeMismatch("features must be a (channels, h, w) array")
-    w = grid_values(weights)
-    if f.shape[1:] != w.shape:
-        raise ShapeMismatch(f"feature cells {f.shape[1:]} do not match weights {w.shape}")
-    return np.tensordot(f, w, axes=((1, 2), (0, 1)))
-
-
-def project(head: ProjectionHead, vec) -> np.ndarray:
-    """Apply a projection head to one vector."""
-    v = np.asarray(vec, dtype=np.float64)
-    if v.shape != (head.in_dim,):
-        raise ShapeMismatch(f"vector of shape {v.shape} for head expecting ({head.in_dim},)")
-    return head.weight @ v + head.bias
-
-
-def cosine_sim(a, b) -> float:
-    """Cosine similarity; raises DegenerateNorm on a near-zero vector."""
-    va = np.asarray(a, dtype=np.float64).ravel()
-    vb = np.asarray(b, dtype=np.float64).ravel()
-    if va.shape != vb.shape:
-        raise ShapeMismatch("vectors must share a dimension")
-    na = float(np.linalg.norm(va))
-    nb = float(np.linalg.norm(vb))
-    if na < _NORM_FLOOR or nb < _NORM_FLOOR:
-        raise DegenerateNorm("cosine similarity is undefined near the zero vector")
-    return float(va @ vb / (na * nb))
 
 
 def _unit_rows(m: np.ndarray, label: str) -> tuple[np.ndarray, np.ndarray]:

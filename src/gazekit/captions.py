@@ -16,16 +16,13 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, fields
 
-from .errors import CaptionError, EmptyField, InvalidCharacter, MissingField, OrderViolation
+from .errors import EmptyField, InvalidCharacter, MissingField, OrderViolation
 
 __all__ = [
     "FIELD_LABELS",
     "StructuredCaption",
     "parse_caption",
     "serialize_caption",
-    "CaptionRowReport",
-    "CaptionValidationReport",
-    "validate_manifest_captions",
 ]
 
 #: Canonical field labels in their required order.
@@ -93,53 +90,3 @@ def serialize_caption(caption: StructuredCaption) -> str:
         f"Scene: {caption.scene} | Current: {caption.current}"
         f" | Next: {caption.next} | Why: {caption.why}"
     )
-
-
-@dataclass(frozen=True)
-class CaptionRowReport:
-    """Validation outcome for one manifest row."""
-
-    index: int
-    caption: str
-    error: str | None
-
-    @property
-    def valid(self) -> bool:
-        return self.error is None
-
-
-@dataclass(frozen=True)
-class CaptionValidationReport:
-    """Row-by-row caption check over a manifest, in the original order."""
-
-    rows: tuple[CaptionRowReport, ...]
-
-    @property
-    def total(self) -> int:
-        return len(self.rows)
-
-    @property
-    def valid(self) -> int:
-        return sum(1 for r in self.rows if r.valid)
-
-    @property
-    def invalid(self) -> int:
-        return self.total - self.valid
-
-
-def validate_manifest_captions(captions) -> CaptionValidationReport:
-    """Check each caption string, treating failures as data, not exceptions.
-
-    An empty caption column is allowed (the row simply has no caption
-    yet) and counts as valid. Row order and count are preserved.
-    """
-    rows = []
-    for index, caption in enumerate(captions):
-        error = None
-        if caption.strip():
-            try:
-                parse_caption(caption)
-            except CaptionError as exc:
-                error = f"{type(exc).__name__}: {exc}"
-        rows.append(CaptionRowReport(index=index, caption=caption, error=error))
-    return CaptionValidationReport(rows=tuple(rows))

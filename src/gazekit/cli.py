@@ -19,8 +19,6 @@ fixed formatting, no timestamps.
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import sys
 from pathlib import Path
 
@@ -28,7 +26,7 @@ import numpy as np
 
 from .captions import parse_caption, serialize_caption
 from .curation import CurationParams, GazeSequence, curate_corpus
-from .errors import CaptionError, EmptyCorpus, GazeKitError
+from .errors import CaptionError, GazeKitError
 from .gradcheck import TOLERANCE, run_gradient_checks
 from .grids import GazeMap, normalize_to_simplex
 from .manifests import (
@@ -38,12 +36,13 @@ from .manifests import (
     read_metrics_table,
     write_manifest,
     write_manifest_rows,
+    write_csv,
     write_metrics_table,
 )
 from .mapio import is_map_file, load_fixations, load_map
 from .objectives import fit_gaze_demo
 from .radar import RADAR_AXES, render_radar
-from .saliency import auc_borji, auc_judd, cc, kl_div, nss, sim
+from .saliency import score_maps
 from .textmetrics import score_captions
 
 __all__ = ["main", "build_parser"]
@@ -98,27 +97,7 @@ def cmd_evaluate(args) -> int:
             except (GazeKitError, ValueError, OSError) as exc:
                 problems.append(f"{name}: fixations: {exc}")
                 continue
-
-        cells: dict[str, float | str] = {}
-        metric_calls = [
-            ("cc", lambda: cc(pred, gt)),
-            ("kl", lambda: kl_div(gt, pred)),
-            ("sim", lambda: sim(pred, gt)),
-        ]
-        if fix is not None:
-            metric_calls += [
-                ("auc_j", lambda: auc_judd(pred, fix)),
-                ("auc_b", lambda: auc_borji(pred, fix, n_splits=args.n_splits, seed=args.seed)),
-                ("nss", lambda: nss(pred, fix)),
-            ]
-        else:
-            cells["auc_j"] = cells["auc_b"] = cells["nss"] = "skipped"
-        for metric, call in metric_calls:
-            try:
-                cells[metric] = float(call())
-            except GazeKitError as exc:
-                cells[metric] = type(exc).__name__
-        rows.append((name, cells))
+        rows.append((name, score_maps(pred, gt, fix, n_splits=args.n_splits, seed=args.seed)))
 
     if problems:
         for message in problems:
@@ -176,30 +155,18 @@ def _read_lines(path) -> list[str]:
 
 
 def cmd_caption_eval(args) -> int:
-    try:
-        candidates = _read_lines(args.candidates)
-        references = _read_lines(args.references)
-    except (OSError, ValueError) as exc:
-        _diag(str(exc))
-        return 2
+    candidates = _read_lines(args.candidates)
+    references = _read_lines(args.references)
     if len(candidates) != len(references):
         _diag(
             f"line counts differ: {len(candidates)} candidates, {len(references)} references"
         )
         return 2
     corpus_path = args.corpus if args.corpus else args.references
-    try:
-        corpus = [[line] for line in _read_lines(corpus_path)]
-    except (OSError, ValueError) as exc:
-        _diag(str(exc))
-        return 2
+    corpus = [[line] for line in _read_lines(corpus_path)]
 
     pairs = [(cand, [ref]) for cand, ref in zip(candidates, references)]
-    try:
-        report = score_captions(pairs, corpus, max_n=args.max_n, per_field=args.per_field)
-    except EmptyCorpus as exc:
-        _diag(str(exc))
-        return 2
+    report = score_captions(pairs, corpus, max_n=args.max_n, per_field=args.per_field)
 
     out_rows = []
     for row in report.rows:
@@ -227,17 +194,9 @@ def cmd_caption_eval(args) -> int:
                 "",
             ]
         )
-    _write_csv_rows(args.out, CAPTION_SCORE_HEADER, out_rows)
+    write_csv(args.out, CAPTION_SCORE_HEADER, out_rows)
     _diag("note: the cider column is the plain tf-idf consensus score")
     return 0
-
-
-def _write_csv_rows(path, header, rows) -> None:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    Path(path).write_text(buf.getvalue(), encoding="utf-8", newline="")
 
 
 def cmd_grad_check(args) -> int:
@@ -265,7 +224,7 @@ def cmd_fit_demo(args) -> int:
     rows = [
         [str(step.step), f"{step.loss:.17g}", f"{step.entropy:.17g}"] for step in trajectory
     ]
-    _write_csv_rows(args.out, ("step", "loss", "entropy"), rows)
+    write_csv(args.out, ("step", "loss", "entropy"), rows)
     print(f"final loss {trajectory[-1].loss:.9g} after {args.steps} steps")
     return 0
 
@@ -279,11 +238,7 @@ def cmd_report(args) -> int:
         return 2
     means = []
     for path in args.tables:
-        try:
-            _, mean_row = read_metrics_table(path)
-        except (ValueError, OSError) as exc:
-            _diag(str(exc))
-            return 2
+        _, mean_row = read_metrics_table(path)
         cells = {}
         for _, column, _ in RADAR_AXES:
             value = mean_row.get(column)
@@ -308,6 +263,35 @@ def _prompt(stream, text: str) -> str | None:
     return line.strip()
 
 
+def _ask_decision(stream, can_accept: bool) -> str | None:
+    """Prompt until the row is accepted, rejected or given a valid caption.
+
+    Returns "accept", "reject" or the edited caption in canonical form,
+    or None when input ends first.
+    """
+    choices = "[a]ccept / [r]eject / [e]dit" if can_accept else "[r]eject / [e]dit"
+    while True:
+        answer = _prompt(stream, f"{choices}? ")
+        if answer is None:
+            return None
+        answer = answer.lower()
+        if answer == "a" and can_accept:
+            return "accept"
+        if answer == "r":
+            return "reject"
+        if answer != "e":
+            print("unrecognized choice")
+            continue
+        while True:
+            text = _prompt(stream, "replacement caption: ")
+            if text is None:
+                return None
+            try:
+                return serialize_caption(parse_caption(text))
+            except CaptionError as exc:
+                print(f"not a valid caption ({type(exc).__name__}: {exc})")
+
+
 def _write_review(path, rows, decisions) -> None:
     out_rows = []
     for row, decision in zip(rows, decisions):
@@ -320,11 +304,7 @@ def _write_review(path, rows, decisions) -> None:
 
 
 def cmd_review(args) -> int:
-    try:
-        _, rows = read_manifest_rows(args.manifest)
-    except (ValueError, OSError) as exc:
-        _diag(str(exc))
-        return 2
+    _, rows = read_manifest_rows(args.manifest)
     out_path = Path(args.out)
 
     # Earlier decisions are matched back to input rows by their original
@@ -369,37 +349,12 @@ def cmd_review(args) -> int:
         if parse_error:
             print(f"caption does not parse ({parse_error}); it must be edited or rejected")
 
-        decision = None
-        while decision is None:
-            choices = "[r]eject / [e]dit" if parse_error else "[a]ccept / [r]eject / [e]dit"
-            answer = _prompt(stream, f"{choices}? ")
-            if answer is None:
-                _write_review(out_path, rows, decisions)
-                print()
-                print(f"input ended; {sum(d is not None for d in decisions)} of {len(rows)} rows decided")
-                return 0
-            answer = answer.lower()
-            if answer == "a" and parse_error is None:
-                decision = "accept"
-            elif answer == "r":
-                decision = "reject"
-            elif answer == "e":
-                while decision is None:
-                    text = _prompt(stream, "replacement caption: ")
-                    if text is None:
-                        _write_review(out_path, rows, decisions)
-                        print()
-                        print(
-                            f"input ended; {sum(d is not None for d in decisions)} "
-                            f"of {len(rows)} rows decided"
-                        )
-                        return 0
-                    try:
-                        decision = serialize_caption(parse_caption(text))
-                    except CaptionError as exc:
-                        print(f"not a valid caption ({type(exc).__name__}: {exc})")
-            else:
-                print("unrecognized choice")
+        decision = _ask_decision(stream, can_accept=parse_error is None)
+        if decision is None:
+            _write_review(out_path, rows, decisions)
+            print()
+            print(f"input ended; {sum(d is not None for d in decisions)} of {len(rows)} rows decided")
+            return 0
         decisions[index] = decision
         _write_review(out_path, rows, decisions)
 
@@ -485,7 +440,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    # The one boundary for input and I/O errors: exit 2 with a one-line
+    # reason. A check that fails inside grad-check returns 1 on its own.
+    try:
+        return args.func(args)
+    except (GazeKitError, ValueError, OSError) as exc:
+        _diag(" ".join(str(exc).splitlines()) or type(exc).__name__)
+        return 2
 
 
 if __name__ == "__main__":

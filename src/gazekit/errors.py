@@ -4,6 +4,26 @@ Class names double as the error labels the CLI writes into CSV cells,
 so renaming one is a file-format change, not a refactor.
 """
 
+__all__ = [
+    "GazeKitError",
+    "AllZeroGrid",
+    "ZeroVariance",
+    "NoFixations",
+    "AllFixated",
+    "InsufficientNegatives",
+    "DegenerateRange",
+    "DegenerateNorm",
+    "ShapeMismatch",
+    "LengthMismatch",
+    "TooShort",
+    "EmptyCorpus",
+    "CaptionError",
+    "MissingField",
+    "OrderViolation",
+    "EmptyField",
+    "InvalidCharacter",
+]
+
 
 class GazeKitError(Exception):
     """Base class for every toolkit-specific error."""

@@ -34,7 +34,6 @@ from .grids import gaussian_blur, normalize_to_simplex, spatial_softmax
 from .objectives import (
     GazeLossConfig,
     TokenSequence,
-    _blur_values,
     grad_loss_caption,
     grad_loss_gaze,
     loss_caption,
@@ -107,7 +106,7 @@ def _gaze_trial(rng) -> float:
         else:
             gt = gaussian_blur(spatial_softmax(logits * 3.0), cfg.blur_sigma)
         pred = spatial_softmax(logits)
-        arg = kl_div(gt, _blur_values(pred.values, cfg.blur_sigma)) - kl_div(gt, pred) + cfg.hinge_margin
+        arg = kl_div(gt, gaussian_blur(pred, cfg.blur_sigma)) - kl_div(gt, pred) + cfg.hinge_margin
         # The loss is kinked where the hinge argument crosses zero; a
         # straddling finite difference would measure the kink itself.
         if abs(arg) < _KINK_MARGIN:

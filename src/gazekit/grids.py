@@ -24,7 +24,6 @@ from .errors import AllZeroGrid
 __all__ = [
     "GazeMap",
     "FixationMap",
-    "LogitGrid",
     "FeatureGrid",
     "grid_values",
     "fixation_mask",
@@ -32,8 +31,6 @@ __all__ = [
     "spatial_softmax",
     "gaussian_kernel_1d",
     "gaussian_blur",
-    "area_weights",
-    "resample_area",
     "entropy",
 ]
 
@@ -104,21 +101,6 @@ class FixationMap:
 
 
 @dataclass(frozen=True, eq=False)
-class LogitGrid:
-    """Unnormalized real-valued scores on a grid, one logit per cell."""
-
-    values: np.ndarray
-
-    def __post_init__(self):
-        v = np.asarray(self.values, dtype=np.float64)
-        if v.ndim != 2 or v.size == 0:
-            raise ValueError("logit grid needs a non-empty 2-D grid")
-        if not np.all(np.isfinite(v)):
-            raise ValueError("logits must be finite")
-        object.__setattr__(self, "values", _frozen(v))
-
-
-@dataclass(frozen=True, eq=False)
 class FeatureGrid:
     """Channel-major feature stack over a grid, shaped (channels, h, w)."""
 
@@ -146,8 +128,8 @@ class FeatureGrid:
 
 
 def grid_values(grid) -> np.ndarray:
-    """Return the float64 cell values of a map, logit grid, or bare 2-D array."""
-    if isinstance(grid, (GazeMap, LogitGrid)):
+    """Return the float64 cell values of a map or bare 2-D array."""
+    if isinstance(grid, GazeMap):
         return grid.values
     v = np.asarray(grid, dtype=np.float64)
     if v.ndim != 2 or v.size == 0:
@@ -229,6 +211,14 @@ def _blur_matrix(n: int, sigma: float) -> np.ndarray:
     return m
 
 
+def _blur(v: np.ndarray, sigma: float) -> np.ndarray:
+    # The blur on a bare array, renormalized. The gaze loss calls this form
+    # so that its finite-difference loop builds no GazeMap per evaluation.
+    h, w = v.shape
+    out = _blur_matrix(h, float(sigma)) @ v @ _blur_matrix(w, float(sigma)).T
+    return out / out.sum()
+
+
 def gaussian_blur(gaze, sigma: float) -> GazeMap:
     """Separable Gaussian smoothing on the simplex.
 
@@ -238,42 +228,7 @@ def gaussian_blur(gaze, sigma: float) -> GazeMap:
     a fixed point, and the transform is linear in its input.
     """
     v = gaze.values if isinstance(gaze, GazeMap) else GazeMap(np.asarray(gaze)).values
-    h, w = v.shape
-    out = _blur_matrix(h, float(sigma)) @ v @ _blur_matrix(w, float(sigma)).T
-    return GazeMap(out / out.sum())
-
-
-@lru_cache(maxsize=None)
-def area_weights(n_src: int, n_dst: int) -> np.ndarray:
-    """Overlap weights for one axis of area resampling.
-
-    Entry [i, j] is the fraction of source cell j covered by destination
-    cell i when both axes span the same interval. Columns sum to 1: every
-    source cell hands its full mass to the destination row.
-    """
-    if n_src < 1 or n_dst < 1:
-        raise ValueError("cell counts must be positive")
-    m = np.zeros((n_dst, n_src))
-    for i in range(n_dst):
-        lo = i * n_src / n_dst
-        hi = (i + 1) * n_src / n_dst
-        for j in range(int(math.floor(lo)), min(int(math.ceil(hi)), n_src)):
-            m[i, j] = max(0.0, min(hi, j + 1.0) - max(lo, float(j)))
-    m.setflags(write=False)
-    return m
-
-
-def resample_area(gaze, out_w: int, out_h: int) -> GazeMap:
-    """Resize a gaze map by exact fractional cell overlap.
-
-    Each destination cell collects the overlap-weighted mass of the source
-    cells it covers, which handles non-divisible size changes in both
-    directions. The result is renormalized to the simplex.
-    """
-    v = gaze.values if isinstance(gaze, GazeMap) else GazeMap(np.asarray(gaze)).values
-    h, w = v.shape
-    raw = area_weights(h, int(out_h)) @ v @ area_weights(w, int(out_w)).T
-    return GazeMap(raw / raw.sum())
+    return GazeMap(_blur(v, sigma))
 
 
 def entropy(gaze) -> float:

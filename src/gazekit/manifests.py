@@ -25,6 +25,7 @@ __all__ = [
     "write_manifest",
     "write_metrics_table",
     "read_metrics_table",
+    "write_csv",
 ]
 
 MANIFEST_HEADER = (
@@ -49,7 +50,8 @@ def _fmt(value: float) -> str:
     return f"{value:.9g}"
 
 
-def _write_csv(path, header, rows) -> None:
+def write_csv(path, header, rows) -> None:
+    """Write a header row and data rows as CSV with LF line endings, UTF-8."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
@@ -86,21 +88,33 @@ def manifest_rows(manifest: CurationManifest, frame_paths=None) -> list[dict]:
 def write_manifest_rows(path, rows, extra_columns=()) -> None:
     """Write manifest row dicts, optionally with appended extra columns."""
     header = MANIFEST_HEADER + tuple(extra_columns)
-    _write_csv(path, header, [[row.get(col, "") for col in header] for row in rows])
+    write_csv(path, header, [[row.get(col, "") for col in header] for row in rows])
+
+
+def _read_csv(path, kind: str) -> tuple[list[str], list[list[str]]]:
+    # Header and data rows; every row must be as wide as the header.
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None:
+            raise ValueError(f"{path}: empty {kind} file")
+        rows = []
+        for row in reader:
+            if len(row) != len(header):
+                raise ValueError(
+                    f"{path}: line {reader.line_num} has {len(row)} fields, "
+                    f"the header has {len(header)}"
+                )
+            rows.append(row)
+    return header, rows
 
 
 def read_manifest_rows(path) -> tuple[list[str], list[dict]]:
     """Read a manifest (or reviewed manifest); returns (header, row dicts)."""
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ValueError(f"{path}: empty manifest file") from None
-        if tuple(header[: len(MANIFEST_HEADER)]) != MANIFEST_HEADER:
-            raise ValueError(f"{path}: unexpected manifest header {header}")
-        rows = [dict(zip(header, row)) for row in reader]
-    return header, rows
+    header, rows = _read_csv(path, "manifest")
+    if tuple(header[: len(MANIFEST_HEADER)]) != MANIFEST_HEADER:
+        raise ValueError(f"{path}: unexpected manifest header {header}")
+    return header, [dict(zip(header, row)) for row in rows]
 
 
 def write_manifest(path, manifest: CurationManifest, frame_paths=None) -> None:
@@ -133,7 +147,7 @@ def write_metrics_table(path, rows) -> None:
     for name in METRICS_HEADER[1:]:
         mean_line.append(_fmt(sums[name] / counts[name]) if counts[name] else "NA")
     out.append(mean_line)
-    _write_csv(path, METRICS_HEADER, out)
+    write_csv(path, METRICS_HEADER, out)
 
 
 def read_metrics_table(path) -> tuple[list[dict], dict]:
@@ -142,20 +156,18 @@ def read_metrics_table(path) -> tuple[list[dict], dict]:
     Numeric cells come back as floats, everything else as the original
     string.
     """
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        if tuple(header) != METRICS_HEADER:
-            raise ValueError(f"{path}: unexpected metrics header {header}")
-        parsed = []
-        for row in reader:
-            cells = {"id": row[0]}
-            for name, cell in zip(METRICS_HEADER[1:], row[1:]):
-                try:
-                    cells[name] = float(cell)
-                except ValueError:
-                    cells[name] = cell
-            parsed.append(cells)
+    header, rows = _read_csv(path, "metrics table")
+    if tuple(header) != METRICS_HEADER:
+        raise ValueError(f"{path}: unexpected metrics header {header}")
+    parsed = []
+    for row in rows:
+        cells = {"id": row[0]}
+        for name, cell in zip(METRICS_HEADER[1:], row[1:]):
+            try:
+                cells[name] = float(cell)
+            except ValueError:
+                cells[name] = cell
+        parsed.append(cells)
     if not parsed or parsed[-1]["id"] != MEAN_ROW_ID:
         raise ValueError(f"{path}: missing mean row")
     return parsed[:-1], parsed[-1]

@@ -22,7 +22,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import LengthMismatch
-from .grids import GazeMap, _blur_matrix, entropy, grid_values, spatial_softmax
+from .grids import GazeMap, _blur, _blur_matrix, entropy, grid_values, spatial_softmax
 from .saliency import DEFAULT_KL_FLOOR, kl_div
 
 __all__ = [
@@ -31,7 +31,6 @@ __all__ = [
     "LossWeights",
     "TokenSequence",
     "FitStep",
-    "loss_kl",
     "grad_loss_kl",
     "loss_gaze",
     "grad_loss_gaze",
@@ -103,15 +102,6 @@ class FitStep(NamedTuple):
     entropy: float
 
 
-def loss_kl(gt, pred, floor: float = DEFAULT_KL_FLOOR) -> float:
-    """Forward KL divergence term, identical to the evaluation metric.
-
-    Delegates to the single shared divergence so training and scoring
-    can never drift apart.
-    """
-    return kl_div(gt, pred, floor)
-
-
 def _kl_grad_wrt_pred(g: np.ndarray, p: np.ndarray, floor: float) -> np.ndarray:
     # Gradient of KL(g, clamp-renormalize(p)) with respect to p. Cells
     # sitting below the floor are flattened by the clamp and get zero
@@ -127,7 +117,7 @@ def _softmax_backprop(p: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 
 def grad_loss_kl(gt, logits, floor: float = DEFAULT_KL_FLOOR) -> np.ndarray:
-    """Gradient of loss_kl(gt, softmax(logits)) with respect to the logits."""
+    """Gradient of kl_div(gt, softmax(logits)) with respect to the logits."""
     g = grid_values(gt)
     p = spatial_softmax(logits).values
     return _softmax_backprop(p, _kl_grad_wrt_pred(g, p, floor))
@@ -141,17 +131,11 @@ def loss_gaze(gt, logits, cfg: GazeLossConfig = GazeLossConfig()) -> GazeLossBre
     divergence. Both divergences use the shared clamped KL.
     """
     pred = spatial_softmax(logits)
-    blurred = _blur_values(pred.values, cfg.blur_sigma)
+    blurred = _blur(pred.values, cfg.blur_sigma)
     raw_kl = kl_div(gt, pred)
     blur_kl = kl_div(gt, blurred)
     hinge = cfg.hinge_weight * max(0.0, blur_kl - raw_kl + cfg.hinge_margin)
     return GazeLossBreakdown(total=raw_kl + hinge, kl=raw_kl, hinge=hinge)
-
-
-def _blur_values(p: np.ndarray, sigma: float) -> np.ndarray:
-    h, w = p.shape
-    out = _blur_matrix(h, float(sigma)) @ p @ _blur_matrix(w, float(sigma)).T
-    return out / out.sum()
 
 
 def grad_loss_gaze(
@@ -166,28 +150,38 @@ def grad_loss_gaze(
     """
     g = grid_values(gt)
     p = spatial_softmax(logits).values
-    h, w = p.shape
-    mh = _blur_matrix(h, float(cfg.blur_sigma))
-    mw = _blur_matrix(w, float(cfg.blur_sigma))
-    b = mh @ p @ mw.T
-    b = b / b.sum()
+    b = _blur(p, cfg.blur_sigma)
 
     raw_kl = kl_div(g, p, floor)
     blur_kl = kl_div(g, b, floor)
 
     v = _kl_grad_wrt_pred(g, p, floor)
     if blur_kl - raw_kl + cfg.hinge_margin > 0.0:
+        # Pull the blurred copy's gradient back through the blur: the
+        # adjoint of M_h @ p @ M_w.T.
+        h, w = p.shape
+        mh = _blur_matrix(h, float(cfg.blur_sigma))
+        mw = _blur_matrix(w, float(cfg.blur_sigma))
         v_blur = mh.T @ _kl_grad_wrt_pred(g, b, floor) @ mw
         v = v + cfg.hinge_weight * (v_blur - v)
     return _softmax_backprop(p, v)
 
 
-def _step_logits(step_logits) -> np.ndarray:
+def _step_logits(step_logits, target: TokenSequence) -> np.ndarray:
+    # One vocabulary-sized logit row per target token, all finite.
     rows = np.asarray(step_logits, dtype=np.float64)
     if rows.ndim != 2:
         raise LengthMismatch("step logits must form a (steps, vocab) array")
     if not np.all(np.isfinite(rows)):
         raise ValueError("logits must be finite")
+    if rows.shape[0] != len(target.tokens):
+        raise LengthMismatch(
+            f"{rows.shape[0]} logit rows for {len(target.tokens)} target tokens"
+        )
+    if rows.shape[1] != target.vocab_size:
+        raise LengthMismatch(
+            f"logit rows of width {rows.shape[1]} for vocabulary {target.vocab_size}"
+        )
     return rows
 
 
@@ -198,15 +192,7 @@ def loss_caption(step_logits, target: TokenSequence) -> float:
     token. Computed with a max-shifted log-sum-exp, so large logits are
     safe.
     """
-    rows = _step_logits(step_logits)
-    if rows.shape[0] != len(target.tokens):
-        raise LengthMismatch(
-            f"{rows.shape[0]} logit rows for {len(target.tokens)} target tokens"
-        )
-    if rows.shape[1] != target.vocab_size:
-        raise LengthMismatch(
-            f"logit rows of width {rows.shape[1]} for vocabulary {target.vocab_size}"
-        )
+    rows = _step_logits(step_logits, target)
     shifted = rows - rows.max(axis=1, keepdims=True)
     lse = np.log(np.exp(shifted).sum(axis=1))
     picked = shifted[np.arange(rows.shape[0]), list(target.tokens)]
@@ -215,15 +201,7 @@ def loss_caption(step_logits, target: TokenSequence) -> float:
 
 def grad_loss_caption(step_logits, target: TokenSequence) -> np.ndarray:
     """Gradient of loss_caption: per-step softmax minus the target one-hot."""
-    rows = _step_logits(step_logits)
-    if rows.shape[0] != len(target.tokens):
-        raise LengthMismatch(
-            f"{rows.shape[0]} logit rows for {len(target.tokens)} target tokens"
-        )
-    if rows.shape[1] != target.vocab_size:
-        raise LengthMismatch(
-            f"logit rows of width {rows.shape[1]} for vocabulary {target.vocab_size}"
-        )
+    rows = _step_logits(step_logits, target)
     shifted = np.exp(rows - rows.max(axis=1, keepdims=True))
     grad = shifted / shifted.sum(axis=1, keepdims=True)
     grad[np.arange(rows.shape[0]), list(target.tokens)] -= 1.0

@@ -31,13 +31,12 @@ as normalized maps.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import (
     AllFixated,
     DegenerateRange,
+    GazeKitError,
     InsufficientNegatives,
     NoFixations,
     ShapeMismatch,
@@ -47,7 +46,6 @@ from .grids import fixation_mask, grid_values
 
 __all__ = [
     "DEFAULT_KL_FLOOR",
-    "MetricReport",
     "cc",
     "kl_div",
     "sim",
@@ -228,33 +226,31 @@ def radar_normalize(scores, invert: bool = False) -> list[float]:
     return out
 
 
-@dataclass(frozen=True)
-class MetricReport:
-    """One row of saliency scores for a prediction/ground-truth pair."""
+def score_maps(pred, gt, fix=None, n_splits: int = 100, seed: int = 0) -> dict[str, float | str]:
+    """Score one frame: the metric cells of its metrics-table row.
 
-    cc: float
-    kl: float
-    sim: float
-    auc_judd: float
-    auc_borji: float
-    nss: float
-
-    def __post_init__(self):
-        if self.kl < 0.0:
-            raise ValueError("kl must be nonnegative")
-        for name in ("sim", "auc_judd", "auc_borji"):
-            v = getattr(self, name)
-            if not -1e-9 <= v <= 1.0 + 1e-9:
-                raise ValueError(f"{name} must lie in [0, 1], got {v}")
-
-
-def score_maps(pred, gt, fix, n_splits: int = 100, seed: int = 0) -> MetricReport:
-    """Compute the full six-metric report for one frame."""
-    return MetricReport(
-        cc=cc(pred, gt),
-        kl=kl_div(gt, pred),
-        sim=sim(pred, gt),
-        auc_judd=auc_judd(pred, fix),
-        auc_borji=auc_borji(pred, fix, n_splits=n_splits, seed=seed),
-        nss=nss(pred, fix),
-    )
+    Keys are the metric columns of the metrics table, and the metrics run
+    in the order cc, kl, sim, auc_j, auc_b, nss. A metric that raises a
+    GazeKitError gets the exception's class name as its cell; with no
+    fixation map the three fixation metrics are "skipped".
+    """
+    calls = [
+        ("cc", lambda: cc(pred, gt)),
+        ("kl", lambda: kl_div(gt, pred)),
+        ("sim", lambda: sim(pred, gt)),
+    ]
+    cells: dict[str, float | str] = {}
+    if fix is None:
+        cells["auc_j"] = cells["auc_b"] = cells["nss"] = "skipped"
+    else:
+        calls += [
+            ("auc_j", lambda: auc_judd(pred, fix)),
+            ("auc_b", lambda: auc_borji(pred, fix, n_splits=n_splits, seed=seed)),
+            ("nss", lambda: nss(pred, fix)),
+        ]
+    for column, call in calls:
+        try:
+            cells[column] = float(call())
+        except GazeKitError as exc:
+            cells[column] = type(exc).__name__
+    return cells

@@ -22,21 +22,31 @@ from gazekit import (
     align_path_loss,
     align_path_weight_grad,
     central_difference,
-    cosine_sim,
-    gaze_weighted_pool,
     grad_info_nce,
     info_nce,
     normalize_to_simplex,
     pooled_embeddings,
-    project,
 )
+from gazekit.alignment import _unit_rows
+
+
+def project_one(head, features, weights) -> np.ndarray:
+    """Pool and project one item: pooled_embeddings on a batch of 1."""
+    return pooled_embeddings([features], [weights], head)[0]
+
+
+def pool_one(features, weights) -> np.ndarray:
+    """Pool one (channels, h, w) item through an identity head."""
+    channels = np.shape(getattr(features, "values", features))[0]
+    identity = ProjectionHead(weight=np.eye(channels), bias=np.zeros(channels))
+    return project_one(identity, features, weights)
 
 
 class TestPooling:
     def test_matches_double_sum(self, rng):
         f = rng.normal(0.0, 1.0, size=(4, 5, 5))
         w = normalize_to_simplex(rng.uniform(0.1, 1.0, size=(5, 5)))
-        pooled = gaze_weighted_pool(FeatureGrid(f), w)
+        pooled = pool_one(FeatureGrid(f), w)
         by_hand = np.zeros(4)
         for c in range(4):
             for i in range(5):
@@ -48,18 +58,18 @@ class TestPooling:
         f = rng.normal(0.0, 1.0, size=(3, 6, 6))
         uniform = normalize_to_simplex(np.ones((6, 6)))
         np.testing.assert_allclose(
-            gaze_weighted_pool(f, uniform), f.mean(axis=(1, 2)), rtol=0, atol=1e-12
+            pool_one(f, uniform), f.mean(axis=(1, 2)), rtol=0, atol=1e-12
         )
 
     def test_point_mass_selects_one_cell(self, rng):
         f = rng.normal(0.0, 1.0, size=(3, 4, 4))
         v = np.zeros((4, 4))
         v[1, 2] = 1.0
-        np.testing.assert_array_equal(gaze_weighted_pool(f, GazeMap(v)), f[:, 1, 2])
+        np.testing.assert_array_equal(pool_one(f, GazeMap(v)), f[:, 1, 2])
 
     def test_shape_guard(self, rng):
         with pytest.raises(ShapeMismatch):
-            gaze_weighted_pool(rng.normal(size=(3, 4, 4)), normalize_to_simplex(np.ones((5, 5))))
+            pool_one(rng.normal(size=(3, 4, 4)), normalize_to_simplex(np.ones((5, 5))))
 
 
 class TestProjection:
@@ -68,13 +78,15 @@ class TestProjection:
                                       [0.0, 1.0, 0.0, 3.0],
                                       [1.0, 1.0, 1.0, 1.0]],
                               bias=[0.5, -0.5, 0.0])
-        out = project(head, [1.0, 2.0, 3.0, 4.0])
+        # A single cell of weight 1 pools each channel to its own value.
+        features = np.array([1.0, 2.0, 3.0, 4.0]).reshape(4, 1, 1)
+        out = project_one(head, features, np.ones((1, 1)))
         np.testing.assert_allclose(out, [7.5, 13.5, 10.0], rtol=0, atol=1e-15)
 
     def test_identity_with_zero_bias(self, rng):
         head = ProjectionHead(weight=np.eye(5), bias=np.zeros(5))
         x = rng.normal(size=5)
-        np.testing.assert_array_equal(project(head, x), x)
+        np.testing.assert_array_equal(project_one(head, x.reshape(5, 1, 1), np.ones((1, 1))), x)
 
     def test_seeded_is_reproducible_and_bounded(self):
         a = ProjectionHead.seeded(9, 4, seed=7)
@@ -91,14 +103,22 @@ class TestProjection:
 
 
 class TestCosine:
+    """The cosine the contrastive loss scores with: products of unit rows."""
+
+    @staticmethod
+    def cosine(a, b) -> float:
+        (ua,), _ = _unit_rows(np.array([a], dtype=np.float64), "visual")
+        (ub,), _ = _unit_rows(np.array([b], dtype=np.float64), "text")
+        return float(ua @ ub)
+
     def test_axes(self):
-        assert cosine_sim([1.0, 0.0], [0.0, 2.0]) == 0.0
-        assert abs(cosine_sim([1.0, 1.0], [3.0, 3.0]) - 1.0) < 1e-12
-        assert abs(cosine_sim([1.0, 0.0], [-2.0, 0.0]) + 1.0) < 1e-12
+        assert self.cosine([1.0, 0.0], [0.0, 2.0]) == 0.0
+        assert abs(self.cosine([1.0, 1.0], [3.0, 3.0]) - 1.0) < 1e-12
+        assert abs(self.cosine([1.0, 0.0], [-2.0, 0.0]) + 1.0) < 1e-12
 
     def test_zero_vector_rejected(self):
         with pytest.raises(DegenerateNorm):
-            cosine_sim([0.0, 0.0], [1.0, 0.0])
+            self.cosine([0.0, 0.0], [1.0, 0.0])
 
 
 class TestInfoNCE:
@@ -198,7 +218,8 @@ class TestChainedPath:
         feats, weights, head, _ = self.make_batch(rng)
         rows = pooled_embeddings(feats, weights, head)
         for i in range(3):
-            expect = project(head, gaze_weighted_pool(feats[i], weights[i]))
+            pooled = np.tensordot(feats[i], weights[i], axes=((1, 2), (0, 1)))
+            expect = head.weight @ pooled + head.bias
             np.testing.assert_allclose(rows[i], expect, rtol=0, atol=1e-12)
 
     def test_weight_gradient_matches_finite_differences(self, rng):

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import io
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -13,8 +15,9 @@ from gazekit import (
     StructuredCaption,
     parse_caption,
     serialize_caption,
-    validate_manifest_captions,
+    write_manifest_rows,
 )
+from gazekit.cli import main
 
 CANONICAL = (
     "Scene: wet urban road | Current: lead vehicle"
@@ -106,22 +109,39 @@ class TestTotality:
 
 
 class TestManifestValidation:
-    def test_mixed_rows(self):
-        report = validate_manifest_captions(
-            [CANONICAL, "", "Scene: x | Current: y | Why: z", "   "]
-        )
-        assert report.total == 4
-        assert report.valid == 3  # blanks count as valid: no caption yet
-        assert report.invalid == 1
-        assert [r.index for r in report.rows] == [0, 1, 2, 3]
-        assert report.rows[2].error is not None
-        assert report.rows[2].error.startswith("MissingField")
+    """The manifest caption check, which review runs on every row it shows."""
 
-    def test_valid_plus_invalid_is_total(self):
+    @staticmethod
+    def review(tmp_path, monkeypatch, captions):
+        row = {"video_id": "v", "anchor": "4", "target": "8", "delta": "4",
+               "anchor_peak_kl": "1.5", "pair_kl": "2.5"}
+        manifest = tmp_path / "pairs.csv"
+        write_manifest_rows(manifest, [dict(row, caption=c) for c in captions])
+        monkeypatch.setattr("sys.stdin", io.StringIO("r\n" * len(captions)))
+        assert main(["review", str(manifest), "--out", str(tmp_path / "out.csv")]) == 0
+        return (tmp_path / "out.csv").read_text(encoding="utf-8")
+
+    def test_mixed_rows(self, tmp_path, monkeypatch, capsys):
+        self.review(tmp_path, monkeypatch, [CANONICAL, "", "Scene: x | Current: y | Why: z"])
+        shown = capsys.readouterr().out.split("row ")[1:]
+        assert [block.startswith(f"{i}/3") for i, block in enumerate(shown, 1)] == [True] * 3
+        assert "caption: (empty)" in shown[1]  # no caption yet is not an error
+        flagged = ["caption does not parse" in block for block in shown]
+        assert flagged == [False, False, True]
+        assert "(MissingField: " in shown[2]
+
+    def test_valid_plus_invalid_is_total(self, tmp_path, monkeypatch, capsys):
         captions = [CANONICAL, "broken", "", "Scene: a | Current: b | Next: c | Why: d"]
-        report = validate_manifest_captions(captions)
-        assert report.valid + report.invalid == report.total == len(captions)
+        written = self.review(tmp_path, monkeypatch, captions)
+        out = capsys.readouterr().out
+        assert out.count("caption does not parse") == 1
+        assert out.endswith("4 rows decided\n")
+        assert len(written.splitlines()) == 1 + len(captions)
 
-    def test_empty_manifest(self):
-        report = validate_manifest_captions([])
-        assert (report.total, report.valid, report.invalid) == (0, 0, 0)
+    def test_empty_manifest(self, tmp_path, monkeypatch, capsys):
+        written = self.review(tmp_path, monkeypatch, [])
+        assert capsys.readouterr().out == "0 rows decided\n"
+        assert written.splitlines() == [
+            "video_id,anchor,target,delta,anchor_peak_kl,pair_kl,"
+            "anchor_map_path,target_map_path,caption,decision"
+        ]

@@ -568,3 +568,58 @@ class TestParserPlumbing:
         assert f"argument {flag}: must be at least 1" in err
         assert "Traceback" not in err
         assert list(tmp_path.iterdir()) == []
+
+
+def _contract_inputs(root):
+    """One small valid input of every kind, under ``root``."""
+    root.mkdir()
+    gaze = peaked_map(np.random.default_rng(0), 6, (2, 3))
+    for sub in ("pred", "gt"):
+        write_map_dir(root / sub, {"f0": gaze})
+    (root / "fix").mkdir()
+    save_fixations(root / "fix" / "f0.csv", FixationMap(gaze.values == gaze.values.max()))
+    write_sequence_dir(root / "corpus", "vid0", two_segment_arrays(3, 3))
+    (root / "cand.txt").write_text("a red car\n", encoding="utf-8")
+    (root / "ref.txt").write_text("a red car stops\n", encoding="utf-8")
+    write_metrics_file(root / "table.csv", 0.5, 0.2)
+    (root / "empty.csv").write_text("", encoding="utf-8")
+    (root / "short_row.csv").write_text(
+        "video_id,anchor,target,delta,anchor_peak_kl,pair_kl,"
+        "anchor_map_path,target_map_path,caption\nv,4,8\n",
+        encoding="utf-8",
+    )
+
+
+#: (argv with {in} for the inputs and {out} for an output path) per case
+#: of bad input that must end in exit 2 with a one-line reason.
+CONTRACT_CASES = {
+    "report-empty-table": "report --tables {in}/empty.csv {in}/table.csv --labels a b --out {out}.svg",
+    "review-short-row": "review {in}/short_row.csv --out {out}.csv",
+    "evaluate-out-missing-dir": "evaluate --pred-dir {in}/pred --gt-dir {in}/gt --fix-dir {in}/fix"
+    " --out {missing}.csv",
+    "curate-out-missing-dir": "curate {in}/corpus --out {missing}.csv",
+    "fit-demo-out-missing-dir": "fit-demo --grid 2 --steps 1 --out {missing}.csv",
+    "caption-eval-out-missing-dir": "caption-eval --candidates {in}/cand.txt --references {in}/ref.txt"
+    " --out {missing}.csv",
+    "curate-delta-min-0": "curate {in}/corpus --delta-min 0 --out {out}.csv",
+    "curate-top-k-0": "curate {in}/corpus --top-k 0 --out {out}.csv",
+    "fit-demo-negative-steps": "fit-demo --grid 2 --steps -1 --out {out}.csv",
+    "grad-check-unknown-corrupt": "grad-check --trials 1 --corrupt bogus",
+}
+
+
+class TestExitCodeContract:
+    @pytest.mark.parametrize("case", sorted(CONTRACT_CASES))
+    def test_bad_input_exits_2_with_one_line(self, case, tmp_path, monkeypatch, capsys):
+        _contract_inputs(tmp_path / "in")
+        (tmp_path / "out").mkdir()
+        argv = CONTRACT_CASES[case].format(
+            **{"in": tmp_path / "in", "out": tmp_path / "out" / "result", "missing": tmp_path / "nowhere" / "result"}
+        ).split()
+        monkeypatch.setattr("sys.stdin", io.StringIO(""))
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert len(err.splitlines()) == 1 and err.endswith("\n")
+        assert list((tmp_path / "out").iterdir()) == []
+        assert not (tmp_path / "nowhere").exists()

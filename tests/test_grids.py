@@ -1,8 +1,7 @@
 """Grid types and map transforms against independent oracles.
 
 The blur oracle reimplements the reflected convolution as an explicit
-quadruple loop, and the resampling oracle computes rectangle overlaps
-directly, so both are independent of the matrix-based implementations.
+quadruple loop, so it is independent of the matrix-based implementation.
 """
 
 from __future__ import annotations
@@ -18,15 +17,13 @@ from gazekit import (
     AllZeroGrid,
     FixationMap,
     GazeMap,
-    LogitGrid,
     entropy,
     gaussian_blur,
     gaussian_kernel_1d,
     normalize_to_simplex,
-    resample_area,
     spatial_softmax,
 )
-from gazekit.grids import _blur_matrix, area_weights
+from gazekit.grids import _blur_matrix
 
 
 def fold(t: int, n: int) -> int:
@@ -50,27 +47,6 @@ def blur_oracle(values: np.ndarray, sigma: float) -> np.ndarray:
     return out / out.sum()
 
 
-def overlap_oracle(values: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
-    """Direct rectangle-overlap resampling, renormalized."""
-    in_h, in_w = values.shape
-    out = np.zeros((out_h, out_w))
-    for oi in range(out_h):
-        lo_i, hi_i = oi * in_h / out_h, (oi + 1) * in_h / out_h
-        for oj in range(out_w):
-            lo_j, hi_j = oj * in_w / out_w, (oj + 1) * in_w / out_w
-            acc = 0.0
-            for ii in range(in_h):
-                oy = min(hi_i, ii + 1.0) - max(lo_i, float(ii))
-                if oy <= 0.0:
-                    continue
-                for jj in range(in_w):
-                    ox = min(hi_j, jj + 1.0) - max(lo_j, float(jj))
-                    if ox > 0.0:
-                        acc += oy * ox * values[ii, jj]
-            out[oi, oj] = acc
-    return out / out.sum()
-
-
 class TestTypes:
     def test_gaze_map_must_sum_to_one(self):
         with pytest.raises(ValueError):
@@ -86,8 +62,9 @@ class TestTypes:
             m.values[0, 0] = 1.0
 
     def test_logit_grid_rejects_nan(self):
+        # Logit grids are bare arrays; the softmax that consumes them checks them.
         with pytest.raises(ValueError):
-            LogitGrid(np.array([[0.0, np.nan]]))
+            spatial_softmax(np.array([[0.0, np.nan]]))
 
     def test_fixation_map_coerces_to_bool(self):
         f = FixationMap(np.array([[0, 2], [1, 0]]))
@@ -212,42 +189,6 @@ class TestGaussianBlur:
         m = normalize_to_simplex(np.ones((3, 3)))
         with pytest.raises(ValueError):
             gaussian_blur(m, 0.0)
-
-
-class TestResampleArea:
-    def test_uniform_downsample_is_uniform(self):
-        m = normalize_to_simplex(np.ones((64, 64)))
-        out = resample_area(m, 24, 24)
-        assert (out.height, out.width) == (24, 24)
-        np.testing.assert_allclose(out.values, 1.0 / 576.0, rtol=0, atol=1e-12)
-
-    def test_nested_block_delta(self):
-        v = np.zeros((4, 4))
-        v[0, 0] = 1.0
-        out = resample_area(GazeMap(v), 2, 2)
-        np.testing.assert_array_equal(out.values, np.array([[1.0, 0.0], [0.0, 0.0]]))
-
-    def test_matches_rectangle_overlap_oracle(self, rng):
-        m = random_map(rng, 64, 64)
-        expected = overlap_oracle(m.values, 24, 24)
-        np.testing.assert_allclose(
-            resample_area(m, 24, 24).values, expected, rtol=0, atol=1e-10
-        )
-
-    def test_non_square_and_upsampling(self, rng):
-        for out_w, out_h in [(5, 3), (13, 7), (9, 11)]:
-            m = random_map(rng, 6, 8)
-            expected = overlap_oracle(m.values, out_h, out_w)
-            np.testing.assert_allclose(
-                resample_area(m, out_w, out_h).values, expected, rtol=0, atol=1e-10
-            )
-
-    @pytest.mark.parametrize("n_src,n_dst", [(64, 24), (24, 64), (7, 5), (3, 11)])
-    def test_weights_hand_full_source_mass_over(self, n_src, n_dst):
-        # Column sums of 1 mean resampling preserves mass before the
-        # final renormalization.
-        w = area_weights(n_src, n_dst)
-        np.testing.assert_allclose(w.sum(axis=0), 1.0, rtol=0, atol=1e-10)
 
 
 class TestEntropy:

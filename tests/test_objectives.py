@@ -30,11 +30,12 @@ from gazekit import (
     kl_div,
     loss_caption,
     loss_gaze,
-    loss_kl,
     normalize_to_simplex,
     spatial_softmax,
     total_loss,
 )
+from gazekit.grids import _blur_matrix
+from gazekit.objectives import GazeLossBreakdown, _kl_grad_wrt_pred, _softmax_backprop
 
 
 def test_defaults_carry_the_published_constants():
@@ -45,29 +46,92 @@ def test_defaults_carry_the_published_constants():
 
 
 class TestLossKL:
+    """The loss's KL term is the evaluation metric kl_div itself."""
+
     def test_identity(self, rng):
         m = random_map(rng, 6, 6, low=0.2)
-        assert abs(loss_kl(m, m)) < 1e-9
+        assert abs(kl_div(m, m)) < 1e-9
 
     def test_delta_versus_uniform(self):
         v = np.zeros((64, 64))
         v[5, 5] = 1.0
         uniform = normalize_to_simplex(np.ones((64, 64)))
-        assert abs(loss_kl(GazeMap(v), uniform) - math.log(4096.0)) < 1e-6
+        assert abs(kl_div(GazeMap(v), uniform) - math.log(4096.0)) < 1e-6
 
     def test_shares_the_metric_definition(self, rng):
         g = random_map(rng, 7, 5)
-        p = random_map(rng, 7, 5)
-        assert loss_kl(g, p) == kl_div(g, p)
+        z = rng.normal(0.0, 1.0, size=(7, 5))
+        assert loss_gaze(g, z).kl == kl_div(g, spatial_softmax(z))
 
     @given(seed=st.integers(0, 2**32 - 1), shift=st.floats(-30.0, 30.0))
     def test_invariant_to_logit_shift(self, seed, shift):
         gen = np.random.default_rng(seed)
         g = random_map(gen, 5, 5)
         z = gen.normal(0.0, 2.0, size=(5, 5))
-        a = loss_kl(g, spatial_softmax(z))
-        b = loss_kl(g, spatial_softmax(z + shift))
+        a = kl_div(g, spatial_softmax(z))
+        b = kl_div(g, spatial_softmax(z + shift))
         assert abs(a - b) < 1e-10
+
+
+def blur_values_oracle(p: np.ndarray, sigma: float) -> np.ndarray:
+    """The blur as the gaze loss once wrote it out for itself."""
+    h, w = p.shape
+    out = _blur_matrix(h, float(sigma)) @ p @ _blur_matrix(w, float(sigma)).T
+    return out / out.sum()
+
+
+def loss_gaze_oracle(gt, logits, cfg=GazeLossConfig()) -> GazeLossBreakdown:
+    pred = spatial_softmax(logits)
+    raw_kl = kl_div(gt, pred)
+    blur_kl = kl_div(gt, blur_values_oracle(pred.values, cfg.blur_sigma))
+    hinge = cfg.hinge_weight * max(0.0, blur_kl - raw_kl + cfg.hinge_margin)
+    return GazeLossBreakdown(total=raw_kl + hinge, kl=raw_kl, hinge=hinge)
+
+
+def grad_loss_gaze_oracle(gt, logits, cfg=GazeLossConfig(), floor=1e-8) -> np.ndarray:
+    g = gt.values
+    p = spatial_softmax(logits).values
+    h, w = p.shape
+    mh = _blur_matrix(h, float(cfg.blur_sigma))
+    mw = _blur_matrix(w, float(cfg.blur_sigma))
+    b = mh @ p @ mw.T
+    b = b / b.sum()
+    raw_kl = kl_div(g, p, floor)
+    blur_kl = kl_div(g, b, floor)
+    v = _kl_grad_wrt_pred(g, p, floor)
+    if blur_kl - raw_kl + cfg.hinge_margin > 0.0:
+        v_blur = mh.T @ _kl_grad_wrt_pred(g, b, floor) @ mw
+        v = v + cfg.hinge_weight * (v_blur - v)
+    return _softmax_backprop(p, v)
+
+
+class TestOneBlur:
+    """The blur lives in grids alone; each caller agrees with it bit for bit."""
+
+    configs = st.builds(
+        GazeLossConfig,
+        hinge_weight=st.floats(0.0, 1.0),
+        hinge_margin=st.floats(0.0, 0.2),
+        blur_sigma=st.floats(0.3, 2.5),
+    )
+
+    @given(pair=map_pairs(min_side=2, max_side=12), sigma=st.floats(0.3, 2.5))
+    def test_gaussian_blur(self, pair, sigma):
+        m, _ = pair
+        out = gaussian_blur(m, sigma).values
+        assert out.tobytes() == blur_values_oracle(m.values, sigma).tobytes()
+
+    @given(pair=map_pairs(min_side=2, max_side=12), seed=st.integers(0, 2**32 - 1), cfg=configs)
+    def test_loss_gaze(self, pair, seed, cfg):
+        gt, _ = pair
+        z = np.random.default_rng(seed).normal(0.0, 2.0, size=gt.values.shape)
+        assert loss_gaze(gt, z, cfg) == loss_gaze_oracle(gt, z, cfg)
+
+    @given(pair=map_pairs(min_side=2, max_side=12), seed=st.integers(0, 2**32 - 1), cfg=configs)
+    def test_grad_loss_gaze(self, pair, seed, cfg):
+        gt, _ = pair
+        z = np.random.default_rng(seed).normal(0.0, 2.0, size=gt.values.shape)
+        assert grad_loss_gaze(gt, z, cfg).tobytes() == grad_loss_gaze_oracle(gt, z, cfg).tobytes()
 
 
 class TestLossGaze:
@@ -175,6 +239,15 @@ class TestGradLossCaption:
     def test_uniform_logits_analytic(self):
         grad = grad_loss_caption(np.zeros((1, 4)), TokenSequence((2,), 4))
         np.testing.assert_allclose(grad, [[0.25, 0.25, -0.75, 0.25]], rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize("shape", [(2, 5), (3, 4), (3,)])
+    def test_rejects_the_shapes_the_loss_rejects(self, shape):
+        target = TokenSequence((1, 2, 3), 5)
+        with pytest.raises(LengthMismatch) as from_loss:
+            loss_caption(np.zeros(shape), target)
+        with pytest.raises(LengthMismatch) as from_grad:
+            grad_loss_caption(np.zeros(shape), target)
+        assert str(from_grad.value) == str(from_loss.value)
 
     def test_matches_finite_differences(self, rng):
         target = TokenSequence(tuple(rng.integers(0, 12, size=6)), 12)

@@ -11,8 +11,9 @@ from hypothesis import example, given, strategies as st
 from conftest import map_pairs, random_map
 from gazekit import (
     FixationMap,
+    GazeKitError,
     GazeMap,
-    MetricReport,
+    METRICS_HEADER,
     NoFixations,
     DegenerateRange,
     ZeroVariance,
@@ -351,6 +352,40 @@ class TestRadarNormalize:
             radar_normalize([2.0, 2.0, 2.0])
 
 
+def score_maps_oracle(pred, gt, fix, n_splits, seed) -> dict:
+    """The per-frame metric loop evaluate once ran inline."""
+    cells: dict = {}
+    metric_calls = [
+        ("cc", lambda: cc(pred, gt)),
+        ("kl", lambda: kl_div(gt, pred)),
+        ("sim", lambda: sim(pred, gt)),
+    ]
+    if fix is not None:
+        metric_calls += [
+            ("auc_j", lambda: auc_judd(pred, fix)),
+            ("auc_b", lambda: auc_borji(pred, fix, n_splits=n_splits, seed=seed)),
+            ("nss", lambda: nss(pred, fix)),
+        ]
+    else:
+        cells["auc_j"] = cells["auc_b"] = cells["nss"] = "skipped"
+    for metric, call in metric_calls:
+        try:
+            cells[metric] = float(call())
+        except GazeKitError as exc:
+            cells[metric] = type(exc).__name__
+    return cells
+
+
+def assert_same_cells(got: dict, want: dict):
+    assert list(got) == list(want)
+    for column, value in want.items():
+        assert type(got[column]) is type(value)
+        if isinstance(value, float):
+            assert got[column].hex() == value.hex()
+        else:
+            assert got[column] == value
+
+
 class TestScoreMaps:
     def test_assembles_component_metrics(self, rng):
         pred = random_map(rng, 8, 8)
@@ -358,16 +393,67 @@ class TestScoreMaps:
         mask = np.zeros((8, 8), dtype=bool)
         mask[1, 1] = mask[5, 6] = True
         fix = FixationMap(mask)
-        report = score_maps(pred, gt, fix, n_splits=20, seed=4)
-        assert report.cc == cc(pred, gt)
-        assert report.kl == kl_div(gt, pred)
-        assert report.sim == sim(pred, gt)
-        assert report.auc_judd == auc_judd(pred, fix)
-        assert report.auc_borji == auc_borji(pred, fix, n_splits=20, seed=4)
-        assert report.nss == nss(pred, fix)
+        cells = score_maps(pred, gt, fix, n_splits=20, seed=4)
+        assert tuple(cells) == METRICS_HEADER[1:]
+        assert cells["cc"] == cc(pred, gt)
+        assert cells["kl"] == kl_div(gt, pred)
+        assert cells["sim"] == sim(pred, gt)
+        assert cells["auc_j"] == auc_judd(pred, fix)
+        assert cells["auc_b"] == auc_borji(pred, fix, n_splits=20, seed=4)
+        assert cells["nss"] == nss(pred, fix)
 
-    def test_report_rejects_out_of_range_values(self):
-        with pytest.raises(ValueError):
-            MetricReport(cc=0.5, kl=-0.1, sim=0.5, auc_judd=0.5, auc_borji=0.5, nss=0.0)
-        with pytest.raises(ValueError):
-            MetricReport(cc=0.5, kl=0.1, sim=1.5, auc_judd=0.5, auc_borji=0.5, nss=0.0)
+    def test_without_fixations_three_cells_are_skipped(self, rng):
+        pred = random_map(rng, 5, 5)
+        gt = random_map(rng, 5, 5)
+        cells = score_maps(pred, gt)
+        assert set(cells) == set(METRICS_HEADER[1:])
+        assert [cells[c] for c in ("auc_j", "auc_b", "nss")] == ["skipped"] * 3
+
+    def test_errors_become_their_class_names(self, rng):
+        flat = normalize_to_simplex(np.ones((4, 4)))
+        gt = random_map(rng, 4, 4)
+        full = FixationMap(np.ones((4, 4), dtype=bool))
+        cells = score_maps(flat, gt, full, n_splits=3)
+        assert (cells["cc"], cells["auc_j"], cells["auc_b"], cells["nss"]) == (
+            "ZeroVariance", "AllFixated", "AllFixated", "ZeroVariance"
+        )
+        empty = FixationMap(np.zeros((4, 4), dtype=bool))
+        cells = score_maps(random_map(rng, 4, 4), gt, empty)
+        assert [cells[c] for c in ("auc_j", "auc_b", "nss")] == ["NoFixations"] * 3
+        most = np.ones(16, dtype=bool)
+        most[0] = False
+        cells = score_maps(random_map(rng, 4, 4), gt, FixationMap(most.reshape(4, 4)))
+        assert cells["auc_b"] == "InsufficientNegatives"
+
+    @example(side=4, data_seed=1, constant_pred=True, n_fix="all", n_splits=3, seed=0)
+    @example(side=4, data_seed=2, constant_pred=False, n_fix=0, n_splits=3, seed=0)
+    @example(side=4, data_seed=3, constant_pred=False, n_fix="most", n_splits=3, seed=0)
+    @example(side=4, data_seed=4, constant_pred=True, n_fix=None, n_splits=3, seed=0)
+    @given(
+        side=st.integers(2, 7),
+        data_seed=st.integers(0, 2**32 - 1),
+        constant_pred=st.booleans(),
+        n_fix=st.sampled_from([None, 0, 1, 2, 3, "half", "most", "all"]),
+        n_splits=st.integers(1, 12),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_the_evaluate_loop(self, side, data_seed, constant_pred, n_fix, n_splits, seed):
+        # Constant predictions and empty, crowded or full fixation maps
+        # drive every metric into its GazeKitError cell label.
+        gen = np.random.default_rng(data_seed)
+        cells_n = side * side
+        pred = (
+            normalize_to_simplex(np.ones((side, side)))
+            if constant_pred
+            else random_map(gen, side, side)
+        )
+        gt = random_map(gen, side, side)
+        fix = None
+        if n_fix is not None:
+            count = {"half": cells_n // 2, "most": cells_n - 1, "all": cells_n}.get(n_fix, n_fix)
+            mask = np.zeros(cells_n, dtype=bool)
+            mask[gen.choice(cells_n, size=min(count, cells_n), replace=False)] = True
+            fix = FixationMap(mask.reshape(side, side))
+        got = score_maps(pred, gt, fix, n_splits=n_splits, seed=seed)
+        want = score_maps_oracle(pred, gt, fix, n_splits, seed)
+        assert_same_cells(got, want)
