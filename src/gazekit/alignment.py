@@ -5,9 +5,7 @@ spatial cells with a gaze map, projected by an affine head into a shared
 embedding space, and scored against matching text embeddings with a
 temperature-scaled contrastive loss. The loss is one-directional: each
 visual embedding is the anchor and the matching text embedding is its
-positive against all other texts in the batch. A symmetric variant that
-averages the text-anchored direction in as well is available behind a
-flag and is never the default.
+positive against all other texts in the batch.
 
 Similarities are cosine, so the loss is invariant to rescaling any
 single embedding. Analytic gradients for the loss and for the full
@@ -23,12 +21,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateNorm, ShapeMismatch
-from .grids import FeatureGrid, grid_values
 
 __all__ = [
     "DEFAULT_TEMPERATURE",
     "ProjectionHead",
-    "as_embedding_batch",
     "info_nce",
     "grad_info_nce",
     "pooled_embeddings",
@@ -63,14 +59,6 @@ class ProjectionHead:
         object.__setattr__(self, "weight", w)
         object.__setattr__(self, "bias", b)
 
-    @property
-    def in_dim(self) -> int:
-        return self.weight.shape[1]
-
-    @property
-    def out_dim(self) -> int:
-        return self.weight.shape[0]
-
     @classmethod
     def seeded(cls, in_dim: int, out_dim: int = 256, seed: int = 0) -> "ProjectionHead":
         """Reproducible random head: uniform in [-k, k], k = 1/sqrt(in_dim)."""
@@ -84,16 +72,6 @@ class ProjectionHead:
         )
 
 
-def as_embedding_batch(batch) -> np.ndarray:
-    """Validate and return a (batch, dim) float64 embedding matrix."""
-    m = np.asarray(batch, dtype=np.float64)
-    if m.ndim != 2 or m.shape[0] < 1 or m.shape[1] < 1:
-        raise ShapeMismatch("embeddings must form a non-empty (batch, dim) matrix")
-    if not np.all(np.isfinite(m)):
-        raise ValueError("embeddings must be finite")
-    return m
-
-
 def _unit_rows(m: np.ndarray, label: str) -> tuple[np.ndarray, np.ndarray]:
     norms = np.linalg.norm(m, axis=1)
     if norms.min() < _NORM_FLOOR:
@@ -101,14 +79,26 @@ def _unit_rows(m: np.ndarray, label: str) -> tuple[np.ndarray, np.ndarray]:
     return m / norms[:, None], norms
 
 
-def _one_direction(scores: np.ndarray) -> float:
-    # Mean over rows of logsumexp(row) - diagonal, max-shifted for stability.
-    shift = scores.max(axis=1, keepdims=True)
-    lse = np.log(np.exp(scores - shift).sum(axis=1)) + shift[:, 0]
-    return float((lse - np.diag(scores)).mean())
+def _unit_pairs(u_vis, u_txt, tau: float):
+    # The prologue both the loss and its gradient share: check tau and the
+    # two batches, then normalize every row. Returns (vh, vn, th, tn).
+    if not tau > 0.0:
+        raise ValueError("tau must be positive")
+    v = np.asarray(u_vis, dtype=np.float64)
+    t = np.asarray(u_txt, dtype=np.float64)
+    for m in (v, t):
+        if m.ndim != 2 or m.shape[0] < 1 or m.shape[1] < 1:
+            raise ShapeMismatch("embeddings must form a non-empty (batch, dim) matrix")
+        if not np.all(np.isfinite(m)):
+            raise ValueError("embeddings must be finite")
+    if v.shape != t.shape:
+        raise ShapeMismatch(f"batch shapes differ: {v.shape} vs {t.shape}")
+    vh, vn = _unit_rows(v, "visual")
+    th, tn = _unit_rows(t, "text")
+    return vh, vn, th, tn
 
 
-def info_nce(u_vis, u_txt, tau: float = DEFAULT_TEMPERATURE, symmetric: bool = False) -> float:
+def info_nce(u_vis, u_txt, tau: float = DEFAULT_TEMPERATURE) -> float:
     """Contrastive batch loss over matched visual/text embedding rows.
 
     Row i of each batch is a matched pair. With visual anchors, the loss
@@ -116,19 +106,12 @@ def info_nce(u_vis, u_txt, tau: float = DEFAULT_TEMPERATURE, symmetric: bool = F
     texts, at temperature ``tau``. Always nonnegative, and exactly zero
     for a single-item batch.
     """
-    if not tau > 0.0:
-        raise ValueError("tau must be positive")
-    v = as_embedding_batch(u_vis)
-    t = as_embedding_batch(u_txt)
-    if v.shape != t.shape:
-        raise ShapeMismatch(f"batch shapes differ: {v.shape} vs {t.shape}")
-    vh, _ = _unit_rows(v, "visual")
-    th, _ = _unit_rows(t, "text")
+    vh, _, th, _ = _unit_pairs(u_vis, u_txt, tau)
     scores = (vh @ th.T) / tau
-    loss = _one_direction(scores)
-    if symmetric:
-        loss = 0.5 * (loss + _one_direction(scores.T))
-    return loss
+    # Mean over rows of logsumexp(row) - diagonal, max-shifted for stability.
+    shift = scores.max(axis=1, keepdims=True)
+    lse = np.log(np.exp(scores - shift).sum(axis=1)) + shift[:, 0]
+    return float((lse - np.diag(scores)).mean())
 
 
 def grad_info_nce(
@@ -140,15 +123,8 @@ def grad_info_nce(
     cosine normalization, so each row's gradient is orthogonal to that
     row: rescaling an embedding does not change the loss.
     """
-    if not tau > 0.0:
-        raise ValueError("tau must be positive")
-    v = as_embedding_batch(u_vis)
-    t = as_embedding_batch(u_txt)
-    if v.shape != t.shape:
-        raise ShapeMismatch(f"batch shapes differ: {v.shape} vs {t.shape}")
-    b = v.shape[0]
-    vh, vn = _unit_rows(v, "visual")
-    th, tn = _unit_rows(t, "text")
+    vh, vn, th, tn = _unit_pairs(u_vis, u_txt, tau)
+    b = vh.shape[0]
     cos = vh @ th.T
     scores = cos / tau
     shift = scores.max(axis=1, keepdims=True)
@@ -165,28 +141,24 @@ def grad_info_nce(
     return grad_v, grad_t
 
 
-def _feature_batch(features) -> np.ndarray:
-    if isinstance(features, np.ndarray):
-        f = np.asarray(features, dtype=np.float64)
-        if f.ndim != 4:
-            raise ShapeMismatch("features must be a (batch, channels, h, w) array")
-        return f
-    rows = [g.values if isinstance(g, FeatureGrid) else np.asarray(g, dtype=np.float64) for g in features]
-    return np.stack(rows)
-
-
-def _weight_batch(weights) -> np.ndarray:
-    if isinstance(weights, np.ndarray) and weights.ndim == 3:
-        return np.asarray(weights, dtype=np.float64)
-    return np.stack([grid_values(w) for w in weights])
+def _pool_batch(features, weights) -> tuple[np.ndarray, np.ndarray]:
+    # A (b, c, h, w) feature array and the (b, h, w) weights that pool it.
+    f = np.asarray(features, dtype=np.float64)
+    w = np.asarray(weights, dtype=np.float64)
+    if f.ndim != 4 or w.ndim != 3 or f.shape[0] != w.shape[0] or f.shape[2:] != w.shape[1:]:
+        raise ShapeMismatch(
+            f"features {f.shape} and weights {w.shape} must be (b, c, h, w) and (b, h, w)"
+        )
+    return f, w
 
 
 def pooled_embeddings(features, weights, head: ProjectionHead) -> np.ndarray:
-    """Pool and project a batch: one shared-space embedding row per item."""
-    f = _feature_batch(features)
-    w = _weight_batch(weights)
-    if f.shape[0] != w.shape[0] or f.shape[2:] != w.shape[1:]:
-        raise ShapeMismatch(f"feature batch {f.shape} does not match weights {w.shape}")
+    """Pool and project a batch: one shared-space embedding row per item.
+
+    ``features`` is a (batch, channels, h, w) array and ``weights`` the
+    (batch, h, w) gaze weights that pool it.
+    """
+    f, w = _pool_batch(features, weights)
     pooled = np.einsum("bchw,bhw->bc", f, w)
     return pooled @ head.weight.T + head.bias
 
@@ -204,8 +176,7 @@ def align_path_weight_grad(
     Returns a (batch, h, w) array: the chain rule applied through the
     projection head and the pooling sum for each item.
     """
-    f = _feature_batch(features)
-    w = _weight_batch(weights)
+    f, w = _pool_batch(features, weights)
     u_vis = pooled_embeddings(f, w, head)
     grad_vis, _ = grad_info_nce(u_vis, u_txt, tau)
     back = grad_vis @ head.weight

@@ -19,6 +19,7 @@ fixed formatting, no timestamps.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
 
@@ -206,7 +207,7 @@ def cmd_grad_check(args) -> int:
         status = "pass" if report.passed else "FAIL"
         print(
             f"{report.name}: max relative error {report.max_rel_error:.3e} "
-            f"over {report.trials} trials, tolerance {report.tolerance:.0e}: {status}"
+            f"over {report.trials} trials, tolerance {TOLERANCE:.0e}: {status}"
         )
         all_passed = all_passed and report.passed
     return 0 if all_passed else 1
@@ -242,8 +243,9 @@ def cmd_report(args) -> int:
         cells = {}
         for _, column, _ in RADAR_AXES:
             value = mean_row.get(column)
-            if not isinstance(value, float):
-                _diag(f"{path}: mean of column {column} is not numeric ({value!r})")
+            if not isinstance(value, float) or not math.isfinite(value):
+                what = "finite" if isinstance(value, float) else "numeric"
+                _diag(f"{path}: mean of column {column} is not {what} ({value!r})")
                 return 2
             cells[column] = value
         means.append(cells)
@@ -338,14 +340,15 @@ def cmd_review(args) -> int:
             f"anchor {row['anchor']} target {row['target']} delta {row['delta']} "
             f"pair_kl {row['pair_kl']}"
         )
+        # A caption that is empty after stripping whitespace is no caption yet.
         caption = row.get("caption", "")
         parse_error = None
-        if caption:
+        if caption.strip():
             try:
                 parse_caption(caption)
             except CaptionError as exc:
                 parse_error = f"{type(exc).__name__}: {exc}"
-        print(f"caption: {caption if caption else '(empty)'}")
+        print(f"caption: {caption if caption.strip() else '(empty)'}")
         if parse_error:
             print(f"caption does not parse ({parse_error}); it must be edited or rejected")
 

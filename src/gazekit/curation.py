@@ -16,6 +16,7 @@ same pairs in the same order.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .errors import TooShort
@@ -56,6 +57,8 @@ class CurationParams:
             raise ValueError("top_k must be at least 1")
         if self.peak_floor < 0.0:
             raise ValueError("peak_floor must be nonnegative")
+        if not math.isfinite(self.peak_floor):
+            raise ValueError(f"peak_floor must be finite, got {self.peak_floor}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -103,10 +106,6 @@ class CurationManifest:
 
     pairs: tuple[FramePair, ...]
     video_counts: tuple[tuple[str, int], ...]
-
-    @property
-    def total(self) -> int:
-        return len(self.pairs)
 
 
 def kl_curve(seq: GazeSequence) -> list[float]:

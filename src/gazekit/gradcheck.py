@@ -41,7 +41,7 @@ from .objectives import (
 )
 from .saliency import kl_div
 
-__all__ = ["TOLERANCE", "GradCheckReport", "central_difference", "relative_error", "run_gradient_checks"]
+__all__ = ["TOLERANCE", "GradCheckReport", "central_difference", "run_gradient_checks"]
 
 #: Largest acceptable relative error between analytic and numeric gradients.
 TOLERANCE = 1e-4
@@ -57,31 +57,30 @@ class GradCheckReport:
     name: str
     trials: int
     max_rel_error: float
-    tolerance: float
 
     @property
     def passed(self) -> bool:
-        return self.max_rel_error < self.tolerance
+        return self.max_rel_error < TOLERANCE
 
 
-def central_difference(fn, x: np.ndarray, step: float = _FD_STEP) -> np.ndarray:
+def central_difference(fn, x: np.ndarray) -> np.ndarray:
     """Central finite-difference gradient of a scalar function of an array."""
     grad = np.zeros_like(x, dtype=np.float64)
     flat = grad.ravel()
     base = x.astype(np.float64).copy()
     for i in range(base.size):
         orig = base.flat[i]
-        base.flat[i] = orig + step
+        base.flat[i] = orig + _FD_STEP
         hi = fn(base)
-        base.flat[i] = orig - step
+        base.flat[i] = orig - _FD_STEP
         lo = fn(base)
         base.flat[i] = orig
-        flat[i] = (hi - lo) / (2.0 * step)
+        flat[i] = (hi - lo) / (2.0 * _FD_STEP)
     return grad
 
 
-def relative_error(analytic: np.ndarray, numeric: np.ndarray) -> float:
-    """Max component difference relative to the numeric gradient's scale."""
+def _relative_error(analytic: np.ndarray, numeric: np.ndarray) -> float:
+    # Max component difference relative to the numeric gradient's scale.
     scale = max(float(np.abs(numeric).max()), 1e-12)
     return float(np.abs(analytic - numeric).max()) / scale
 
@@ -113,7 +112,7 @@ def _gaze_trial(rng) -> float:
             continue
         analytic = grad_loss_gaze(gt, logits, cfg)
         numeric = central_difference(lambda z: loss_gaze(gt, z, cfg).total, logits)
-        return relative_error(analytic, numeric)
+        return _relative_error(analytic, numeric)
     raise RuntimeError("could not draw a gaze instance away from the hinge kink")
 
 
@@ -124,7 +123,7 @@ def _caption_trial(rng) -> float:
     logits = rng.normal(0.0, 2.0, size=(steps, vocab))
     analytic = grad_loss_caption(logits, target)
     numeric = central_difference(lambda z: loss_caption(z, target), logits)
-    return relative_error(analytic, numeric)
+    return _relative_error(analytic, numeric)
 
 
 def _infonce_trial(rng) -> float:
@@ -142,7 +141,7 @@ def _infonce_trial(rng) -> float:
         return info_nce(v, t, tau)
 
     numeric = central_difference(fn, np.concatenate([u_vis.ravel(), u_txt.ravel()]))
-    return relative_error(analytic, numeric)
+    return _relative_error(analytic, numeric)
 
 
 def _chained_trial(rng) -> float:
@@ -160,7 +159,7 @@ def _chained_trial(rng) -> float:
         lambda flat: align_path_loss(features, flat.reshape(b, h, w), head, u_txt, tau),
         weights,
     )
-    return relative_error(analytic, numeric)
+    return _relative_error(analytic, numeric)
 
 
 _TRIALS = {
@@ -172,7 +171,7 @@ _TRIALS = {
 
 
 def run_gradient_checks(
-    seed: int = 0, trials: int = 100, tolerance: float = TOLERANCE, corrupt: str | None = None
+    seed: int = 0, trials: int = 100, corrupt: str | None = None
 ) -> list[GradCheckReport]:
     """Run every gradient path ``trials`` times; deterministic per seed."""
     if corrupt is not None and corrupt not in _TRIALS:
@@ -185,7 +184,5 @@ def run_gradient_checks(
             worst = max(worst, trial(rng))
         if corrupt == name:
             worst += 1.0
-        reports.append(
-            GradCheckReport(name=name, trials=trials, max_rel_error=worst, tolerance=tolerance)
-        )
+        reports.append(GradCheckReport(name=name, trials=trials, max_rel_error=worst))
     return reports

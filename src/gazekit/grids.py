@@ -24,12 +24,10 @@ from .errors import AllZeroGrid
 __all__ = [
     "GazeMap",
     "FixationMap",
-    "FeatureGrid",
     "grid_values",
     "fixation_mask",
     "normalize_to_simplex",
     "spatial_softmax",
-    "gaussian_kernel_1d",
     "gaussian_blur",
     "entropy",
 ]
@@ -87,45 +85,6 @@ class FixationMap:
             raise ValueError("fixation map needs a non-empty 2-D grid")
         object.__setattr__(self, "fixated", _frozen(f != 0, dtype=bool))
 
-    @property
-    def height(self) -> int:
-        return self.fixated.shape[0]
-
-    @property
-    def width(self) -> int:
-        return self.fixated.shape[1]
-
-    @property
-    def count(self) -> int:
-        return int(self.fixated.sum())
-
-
-@dataclass(frozen=True, eq=False)
-class FeatureGrid:
-    """Channel-major feature stack over a grid, shaped (channels, h, w)."""
-
-    values: np.ndarray
-
-    def __post_init__(self):
-        v = np.asarray(self.values, dtype=np.float64)
-        if v.ndim != 3 or v.size == 0:
-            raise ValueError("feature grid needs a non-empty (channels, h, w) array")
-        if not np.all(np.isfinite(v)):
-            raise ValueError("features must be finite")
-        object.__setattr__(self, "values", _frozen(v))
-
-    @property
-    def channels(self) -> int:
-        return self.values.shape[0]
-
-    @property
-    def height(self) -> int:
-        return self.values.shape[1]
-
-    @property
-    def width(self) -> int:
-        return self.values.shape[2]
-
 
 def grid_values(grid) -> np.ndarray:
     """Return the float64 cell values of a map or bare 2-D array."""
@@ -178,8 +137,8 @@ def spatial_softmax(logits) -> GazeMap:
 
 
 @lru_cache(maxsize=None)
-def gaussian_kernel_1d(sigma: float) -> np.ndarray:
-    """Normalized Gaussian taps at integer offsets in [-r, r], r = ceil(3 sigma)."""
+def _gaussian_kernel_1d(sigma: float) -> np.ndarray:
+    # Normalized Gaussian taps at integer offsets in [-r, r], r = ceil(3 sigma).
     if not (sigma > 0.0 and math.isfinite(sigma)):
         raise ValueError("sigma must be positive and finite")
     radius = math.ceil(3.0 * sigma)
@@ -201,7 +160,7 @@ def _blur_matrix(n: int, sigma: float) -> np.ndarray:
     # One-axis blur operator. Out-of-range taps fold back in by symmetric
     # reflection, which keeps the matrix doubly stochastic: rows and columns
     # both sum to 1, so mass is conserved and the uniform map is fixed.
-    w = gaussian_kernel_1d(sigma)
+    w = _gaussian_kernel_1d(sigma)
     radius = len(w) // 2
     m = np.zeros((n, n))
     idx = np.arange(n)

@@ -19,7 +19,6 @@ __all__ = [
     "MANIFEST_HEADER",
     "METRICS_HEADER",
     "MEAN_ROW_ID",
-    "manifest_rows",
     "write_manifest_rows",
     "read_manifest_rows",
     "write_manifest",
@@ -59,32 +58,6 @@ def write_csv(path, header, rows) -> None:
     Path(path).write_text(buf.getvalue(), encoding="utf-8", newline="")
 
 
-def manifest_rows(manifest: CurationManifest, frame_paths=None) -> list[dict]:
-    """Flatten a curation result into manifest row dicts.
-
-    ``frame_paths`` optionally maps video_id to that video's ordered
-    frame file paths, filling the anchor and target path columns.
-    Captions start empty; review adds them later.
-    """
-    rows = []
-    for pair in manifest.pairs:
-        paths = (frame_paths or {}).get(pair.video_id)
-        rows.append(
-            {
-                "video_id": pair.video_id,
-                "anchor": str(pair.anchor),
-                "target": str(pair.target),
-                "delta": str(pair.delta),
-                "anchor_peak_kl": _fmt(pair.anchor_peak_kl),
-                "pair_kl": _fmt(pair.pair_kl),
-                "anchor_map_path": str(paths[pair.anchor]) if paths else "",
-                "target_map_path": str(paths[pair.target]) if paths else "",
-                "caption": "",
-            }
-        )
-    return rows
-
-
 def write_manifest_rows(path, rows, extra_columns=()) -> None:
     """Write manifest row dicts, optionally with appended extra columns."""
     header = MANIFEST_HEADER + tuple(extra_columns)
@@ -93,8 +66,12 @@ def write_manifest_rows(path, rows, extra_columns=()) -> None:
 
 def _read_csv(path, kind: str) -> tuple[list[str], list[list[str]]]:
     # Header and data rows; every row must be as wide as the header.
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
+    try:
+        text = Path(path).read_bytes().decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
+    reader = csv.reader(io.StringIO(text, newline=""))
+    try:
         header = next(reader, None)
         if header is None:
             raise ValueError(f"{path}: empty {kind} file")
@@ -106,6 +83,8 @@ def _read_csv(path, kind: str) -> tuple[list[str], list[list[str]]]:
                     f"the header has {len(header)}"
                 )
             rows.append(row)
+    except csv.Error as exc:  # such as a field over csv.field_size_limit()
+        raise ValueError(f"{path}: line {reader.line_num}: {exc}") from None
     return header, rows
 
 
@@ -117,9 +96,30 @@ def read_manifest_rows(path) -> tuple[list[str], list[dict]]:
     return header, [dict(zip(header, row)) for row in rows]
 
 
-def write_manifest(path, manifest: CurationManifest, frame_paths=None) -> None:
-    """Write a curation result as a manifest CSV."""
-    write_manifest_rows(path, manifest_rows(manifest, frame_paths))
+def write_manifest(path, manifest: CurationManifest, frame_paths) -> None:
+    """Write a curation result as a manifest CSV.
+
+    ``frame_paths`` maps each video_id to that video's ordered frame file
+    paths, which fill the anchor and target path columns. Captions start
+    empty; review adds them later.
+    """
+    rows = []
+    for pair in manifest.pairs:
+        paths = frame_paths[pair.video_id]
+        rows.append(
+            [
+                pair.video_id,
+                str(pair.anchor),
+                str(pair.target),
+                str(pair.delta),
+                _fmt(pair.anchor_peak_kl),
+                _fmt(pair.pair_kl),
+                str(paths[pair.anchor]),
+                str(paths[pair.target]),
+                "",
+            ]
+        )
+    write_csv(path, MANIFEST_HEADER, rows)
 
 
 def write_metrics_table(path, rows) -> None:

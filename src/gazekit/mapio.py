@@ -23,7 +23,6 @@ import numpy as np
 from .grids import FixationMap, GazeMap, normalize_to_simplex
 
 __all__ = [
-    "MAP_SUFFIXES",
     "is_map_file",
     "load_grid",
     "load_map",
@@ -32,14 +31,13 @@ __all__ = [
     "save_fixations",
 ]
 
-#: File suffixes recognized as map files.
-MAP_SUFFIXES = (".pgm", ".csv")
+_MAP_SUFFIXES = (".pgm", ".csv")
 
 _PGM_MAXVAL = 65535
 
 
 def is_map_file(path) -> bool:
-    return Path(path).suffix.lower() in MAP_SUFFIXES
+    return Path(path).suffix.lower() in _MAP_SUFFIXES
 
 
 def _read_pgm16(path: Path) -> np.ndarray:
@@ -117,7 +115,7 @@ def load_grid(path) -> np.ndarray:
         return _read_pgm16(p)
     if suffix == ".csv":
         return _read_csv_grid(p)
-    raise ValueError(f"{p}: unrecognized map suffix (expected one of {MAP_SUFFIXES})")
+    raise ValueError(f"{p}: unrecognized map suffix (expected one of {_MAP_SUFFIXES})")
 
 
 def load_map(path) -> GazeMap:
@@ -134,7 +132,7 @@ def save_map(path, gaze: GazeMap) -> None:
     elif suffix == ".csv":
         _write_csv_grid(p, gaze.values)
     else:
-        raise ValueError(f"{p}: unrecognized map suffix (expected one of {MAP_SUFFIXES})")
+        raise ValueError(f"{p}: unrecognized map suffix (expected one of {_MAP_SUFFIXES})")
 
 
 def load_fixations(path) -> FixationMap:

@@ -102,13 +102,13 @@ class FitStep(NamedTuple):
     entropy: float
 
 
-def _kl_grad_wrt_pred(g: np.ndarray, p: np.ndarray, floor: float) -> np.ndarray:
+def _kl_grad_wrt_pred(g: np.ndarray, p: np.ndarray) -> np.ndarray:
     # Gradient of KL(g, clamp-renormalize(p)) with respect to p. Cells
     # sitting below the floor are flattened by the clamp and get zero
     # gradient; the renormalization contributes the 1/Z term.
-    clamped = np.maximum(p, floor)
+    clamped = np.maximum(p, DEFAULT_KL_FLOOR)
     z = clamped.sum()
-    return np.where(p >= floor, 1.0 / z - g / clamped, 0.0)
+    return np.where(p >= DEFAULT_KL_FLOOR, 1.0 / z - g / clamped, 0.0)
 
 
 def _softmax_backprop(p: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -116,11 +116,11 @@ def _softmax_backprop(p: np.ndarray, v: np.ndarray) -> np.ndarray:
     return p * (v - (v * p).sum())
 
 
-def grad_loss_kl(gt, logits, floor: float = DEFAULT_KL_FLOOR) -> np.ndarray:
+def grad_loss_kl(gt, logits) -> np.ndarray:
     """Gradient of kl_div(gt, softmax(logits)) with respect to the logits."""
     g = grid_values(gt)
     p = spatial_softmax(logits).values
-    return _softmax_backprop(p, _kl_grad_wrt_pred(g, p, floor))
+    return _softmax_backprop(p, _kl_grad_wrt_pred(g, p))
 
 
 def loss_gaze(gt, logits, cfg: GazeLossConfig = GazeLossConfig()) -> GazeLossBreakdown:
@@ -138,9 +138,7 @@ def loss_gaze(gt, logits, cfg: GazeLossConfig = GazeLossConfig()) -> GazeLossBre
     return GazeLossBreakdown(total=raw_kl + hinge, kl=raw_kl, hinge=hinge)
 
 
-def grad_loss_gaze(
-    gt, logits, cfg: GazeLossConfig = GazeLossConfig(), floor: float = DEFAULT_KL_FLOOR
-) -> np.ndarray:
+def grad_loss_gaze(gt, logits, cfg: GazeLossConfig = GazeLossConfig()) -> np.ndarray:
     """Analytic gradient of loss_gaze with respect to every logit.
 
     Matches central finite differences away from the hinge kink; at the
@@ -152,17 +150,17 @@ def grad_loss_gaze(
     p = spatial_softmax(logits).values
     b = _blur(p, cfg.blur_sigma)
 
-    raw_kl = kl_div(g, p, floor)
-    blur_kl = kl_div(g, b, floor)
+    raw_kl = kl_div(g, p)
+    blur_kl = kl_div(g, b)
 
-    v = _kl_grad_wrt_pred(g, p, floor)
+    v = _kl_grad_wrt_pred(g, p)
     if blur_kl - raw_kl + cfg.hinge_margin > 0.0:
         # Pull the blurred copy's gradient back through the blur: the
         # adjoint of M_h @ p @ M_w.T.
         h, w = p.shape
         mh = _blur_matrix(h, float(cfg.blur_sigma))
         mw = _blur_matrix(w, float(cfg.blur_sigma))
-        v_blur = mh.T @ _kl_grad_wrt_pred(g, b, floor) @ mw
+        v_blur = mh.T @ _kl_grad_wrt_pred(g, b) @ mw
         v = v + cfg.hinge_weight * (v_blur - v)
     return _softmax_backprop(p, v)
 
@@ -219,19 +217,16 @@ def total_loss(
 
 
 def fit_gaze_demo(
-    gt: GazeMap,
-    steps: int,
-    learning_rate: float,
-    cfg: GazeLossConfig = GazeLossConfig(),
-    use_hinge: bool = False,
+    gt: GazeMap, steps: int, learning_rate: float, use_hinge: bool = False
 ) -> list[FitStep]:
     """Fit logits to a target map by plain gradient descent.
 
     Logits start at zero (a uniform prediction) and take ``steps``
     updates. One record is appended per visited point, including the
     starting point, so the result has ``steps + 1`` rows and the last
-    row reflects every update. With ``use_hinge`` false the loss is the
-    bare KL term. Fully deterministic: no randomness is involved.
+    row reflects every update. With ``use_hinge`` the loss is
+    ``loss_gaze`` at the default ``GazeLossConfig``; without it, the bare
+    KL term. Fully deterministic: no randomness is involved.
     """
     if steps < 0:
         raise ValueError("steps must be nonnegative")
@@ -240,8 +235,8 @@ def fit_gaze_demo(
     for step in range(steps + 1):
         pred = spatial_softmax(z)
         if use_hinge:
-            loss = loss_gaze(gt, z, cfg).total
-            grad = grad_loss_gaze(gt, z, cfg)
+            loss = loss_gaze(gt, z).total
+            grad = grad_loss_gaze(gt, z)
         else:
             loss = kl_div(gt, pred)
             grad = grad_loss_kl(gt, z)

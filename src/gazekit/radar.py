@@ -16,7 +16,6 @@ from __future__ import annotations
 import math
 
 from .errors import DegenerateRange
-from .saliency import radar_normalize
 
 __all__ = ["RADAR_AXES", "render_radar"]
 
@@ -37,6 +36,16 @@ _CY = 270.0
 _RADIUS = 190.0
 _WIDTH = 640
 _HEIGHT = 540
+
+
+def _normalize_axis(values: list[float], invert: bool) -> list[float]:
+    # Min-max normalize one axis's scores to [0, 1]; inversion maps the
+    # minimum to 1, which is how smaller-is-better metrics are plotted.
+    lo, hi = min(values), max(values)
+    if hi == lo:
+        raise DegenerateRange("all scores are equal")
+    out = [(v - lo) / (hi - lo) for v in values]
+    return [1.0 - v for v in out] if invert else out
 
 
 def _axis_angle(index: int) -> float:
@@ -77,7 +86,7 @@ def render_radar(labels, means) -> tuple[str, list[str]]:
     for axis_label, column, invert in RADAR_AXES:
         values = [float(m[column]) for m in means]
         try:
-            normalized.append(radar_normalize(values, invert=invert))
+            normalized.append(_normalize_axis(values, invert))
         except DegenerateRange:
             normalized.append([0.5] * len(means))
             degenerate.append(axis_label)

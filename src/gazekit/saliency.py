@@ -35,7 +35,6 @@ import numpy as np
 
 from .errors import (
     AllFixated,
-    DegenerateRange,
     GazeKitError,
     InsufficientNegatives,
     NoFixations,
@@ -52,7 +51,6 @@ __all__ = [
     "nss",
     "auc_judd",
     "auc_borji",
-    "radar_normalize",
     "score_maps",
 ]
 
@@ -85,17 +83,17 @@ def cc(pred, gt) -> float:
     return float((dp * dg).mean() / (sp * sg))
 
 
-def kl_div(gt, pred, floor: float = DEFAULT_KL_FLOOR) -> float:
+def kl_div(gt, pred) -> float:
     """Forward KL divergence of ``pred`` from ``gt`` in nats.
 
-    The prediction is clamped below at ``floor`` and renormalized, which
-    keeps the result finite when the prediction has empty cells. Cells
-    where the ground truth is zero contribute nothing. This is the one
-    canonical divergence shared by evaluation, training losses, and
-    dataset curation.
+    The prediction is clamped below at ``DEFAULT_KL_FLOOR`` and
+    renormalized, which keeps the result finite when the prediction has
+    empty cells. Cells where the ground truth is zero contribute nothing.
+    This is the one canonical divergence shared by evaluation, training
+    losses, and dataset curation.
     """
     g, p = _paired_values(gt, pred)
-    clamped = np.maximum(p, floor)
+    clamped = np.maximum(p, DEFAULT_KL_FLOOR)
     q = clamped / clamped.sum()
     mask = g > 0.0
     gs = g[mask]
@@ -204,26 +202,6 @@ def auc_borji(pred, fix, n_splits: int = 100, seed: int = 0) -> float:
         sample = rng.choice(neg, size=pos.size, replace=False)
         areas.append(_trapezoid(_rate_curve(sample, thresholds), tpr))
     return float(np.mean(areas))
-
-
-def radar_normalize(scores, invert: bool = False) -> list[float]:
-    """Min-max normalize a score list to [0, 1], optionally inverted.
-
-    Inversion maps the minimum to 1 and the maximum to 0, which is how
-    smaller-is-better metrics are plotted on a radar chart. Raises
-    DegenerateRange when all scores are equal.
-    """
-    values = [float(s) for s in scores]
-    if len(values) < 2:
-        raise ValueError("normalization needs at least two scores")
-    lo, hi = min(values), max(values)
-    if hi == lo:
-        raise DegenerateRange("all scores are equal")
-    span = hi - lo
-    out = [(v - lo) / span for v in values]
-    if invert:
-        out = [1.0 - v for v in out]
-    return out
 
 
 def score_maps(pred, gt, fix=None, n_splits: int = 100, seed: int = 0) -> dict[str, float | str]:

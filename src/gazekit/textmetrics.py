@@ -48,6 +48,7 @@ __all__ = [
 ]
 
 _STRIP = string.punctuation
+_BETA = 1.2  # ROUGE-L's recall weight
 
 
 def tokenize(text: str) -> list[str]:
@@ -112,7 +113,7 @@ def _lcs_length(a, b) -> int:
     return prev[-1]
 
 
-def rouge_l(candidate, reference, beta: float = 1.2) -> float:
+def rouge_l(candidate, reference) -> float:
     """LCS-based F-score of a candidate against a single reference."""
     cand = list(candidate)
     ref = list(reference)
@@ -123,7 +124,7 @@ def rouge_l(candidate, reference, beta: float = 1.2) -> float:
         return 0.0
     precision = lcs / len(cand)
     recall = lcs / len(ref)
-    b2 = beta * beta
+    b2 = _BETA * _BETA
     return (1.0 + b2) * precision * recall / (recall + b2 * precision)
 
 

@@ -15,7 +15,6 @@ from hypothesis import given, strategies as st
 
 from gazekit import (
     DegenerateNorm,
-    FeatureGrid,
     GazeMap,
     ProjectionHead,
     ShapeMismatch,
@@ -23,6 +22,7 @@ from gazekit import (
     align_path_weight_grad,
     central_difference,
     grad_info_nce,
+    grid_values,
     info_nce,
     normalize_to_simplex,
     pooled_embeddings,
@@ -31,13 +31,13 @@ from gazekit.alignment import _unit_rows
 
 
 def project_one(head, features, weights) -> np.ndarray:
-    """Pool and project one item: pooled_embeddings on a batch of 1."""
-    return pooled_embeddings([features], [weights], head)[0]
+    """Pool and project one (channels, h, w) item: a batch of 1."""
+    return pooled_embeddings(features[None], grid_values(weights)[None], head)[0]
 
 
 def pool_one(features, weights) -> np.ndarray:
     """Pool one (channels, h, w) item through an identity head."""
-    channels = np.shape(getattr(features, "values", features))[0]
+    channels = features.shape[0]
     identity = ProjectionHead(weight=np.eye(channels), bias=np.zeros(channels))
     return project_one(identity, features, weights)
 
@@ -46,7 +46,7 @@ class TestPooling:
     def test_matches_double_sum(self, rng):
         f = rng.normal(0.0, 1.0, size=(4, 5, 5))
         w = normalize_to_simplex(rng.uniform(0.1, 1.0, size=(5, 5)))
-        pooled = pool_one(FeatureGrid(f), w)
+        pooled = pool_one(f, w)
         by_hand = np.zeros(4)
         for c in range(4):
             for i in range(5):
@@ -95,7 +95,7 @@ class TestProjection:
         np.testing.assert_array_equal(a.bias, b.bias)
         k = 1.0 / math.sqrt(9.0)
         assert np.abs(a.weight).max() <= k and np.abs(a.bias).max() <= k
-        assert (a.in_dim, a.out_dim) == (9, 4)
+        assert a.weight.shape == (4, 9) and a.bias.shape == (4,)
 
     def test_bias_shape_guard(self):
         with pytest.raises(ShapeMismatch):
@@ -159,12 +159,6 @@ class TestInfoNCE:
         t = gen.normal(size=(5, 4))
         perm = gen.permutation(5)
         assert abs(info_nce(v, t, 0.2) - info_nce(v[perm], t[perm], 0.2)) < 1e-9
-
-    def test_symmetric_averages_both_anchors(self, rng):
-        v = rng.normal(size=(4, 6))
-        t = rng.normal(size=(4, 6))
-        both = 0.5 * (info_nce(v, t, 0.2) + info_nce(t, v, 0.2))
-        assert abs(info_nce(v, t, 0.2, symmetric=True) - both) < 1e-12
 
     def test_nonnegative(self, rng):
         for _ in range(20):

@@ -15,6 +15,7 @@ import pytest
 
 from conftest import random_map
 from gazekit import (
+    MANIFEST_HEADER,
     GazeMap,
     load_map,
     normalize_to_simplex,
@@ -417,6 +418,23 @@ class TestReport:
         assert code == 2
         assert "auc_j" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+    def test_non_finite_mean_is_rejected(self, tmp_path, capsys, cell):
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        a.write_text(
+            "id,cc,kl,sim,auc_j,auc_b,nss\n"
+            "f0,0.5,0.2,0.5,0.7,0.6,1\n"
+            f"mean,0.5,{cell},0.5,0.7,0.6,1\n",
+            encoding="utf-8",
+        )
+        write_metrics_file(b, cc=0.6, kl=0.4)
+        out = tmp_path / "r.svg"
+        code = main(["report", "--tables", str(a), str(b), "--labels", "a", "b", "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.splitlines() == [f"{a}: mean of column kl is not finite ({float(cell)!r})"]
+        assert not out.exists()
+
     def test_byte_identical_reruns(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         write_metrics_file(a, cc=0.3, kl=1.0)
@@ -486,6 +504,23 @@ class TestReview:
         assert "unrecognized choice" in captured
         _, reviewed = read_rows(out)
         assert reviewed[0]["decision"] == "reject"
+
+    @pytest.mark.parametrize("blank", ["", "   "], ids=["empty", "spaces"])
+    def test_blank_caption_is_no_caption_yet(self, tmp_path, monkeypatch, capsys, blank):
+        from gazekit import read_manifest_rows as read_rows, write_manifest_rows
+
+        manifest = curated_manifest(tmp_path, rows=1)
+        _, rows = read_rows(manifest)
+        rows[0]["caption"] = blank
+        write_manifest_rows(manifest, rows)
+        out = tmp_path / "reviewed.csv"
+        assert self.run_review(monkeypatch, manifest, out, "a\n") == 0
+        captured = capsys.readouterr().out
+        assert "caption: (empty)" in captured
+        assert "caption does not parse" not in captured
+        _, reviewed = read_rows(out)
+        assert reviewed[0]["decision"] == "accept"
+        assert reviewed[0]["caption"] == blank
 
     def test_end_of_input_saves_progress(self, tmp_path, monkeypatch, capsys):
         manifest = curated_manifest(tmp_path)
@@ -583,6 +618,13 @@ def _contract_inputs(root):
     (root / "ref.txt").write_text("a red car stops\n", encoding="utf-8")
     write_metrics_file(root / "table.csv", 0.5, 0.2)
     (root / "empty.csv").write_text("", encoding="utf-8")
+    (root / "nan_mean.csv").write_text(
+        "id,cc,kl,sim,auc_j,auc_b,nss\nf0,0.5,0.2,0.5,0.7,0.6,1\nmean,nan,0.2,0.5,0.7,0.6,1\n",
+        encoding="utf-8",
+    )
+    (root / "huge_field.csv").write_text(
+        ",".join(MANIFEST_HEADER) + "\nv,4,8,4,1.5,2.5,,," + "x" * 200_000 + "\n", encoding="utf-8"
+    )
     (root / "short_row.csv").write_text(
         "video_id,anchor,target,delta,anchor_peak_kl,pair_kl,"
         "anchor_map_path,target_map_path,caption\nv,4,8\n",
@@ -594,7 +636,9 @@ def _contract_inputs(root):
 #: of bad input that must end in exit 2 with a one-line reason.
 CONTRACT_CASES = {
     "report-empty-table": "report --tables {in}/empty.csv {in}/table.csv --labels a b --out {out}.svg",
+    "report-nan-mean": "report --tables {in}/nan_mean.csv {in}/table.csv --labels a b --out {out}.svg",
     "review-short-row": "review {in}/short_row.csv --out {out}.csv",
+    "review-huge-field": "review {in}/huge_field.csv --out {out}.csv",
     "evaluate-out-missing-dir": "evaluate --pred-dir {in}/pred --gt-dir {in}/gt --fix-dir {in}/fix"
     " --out {missing}.csv",
     "curate-out-missing-dir": "curate {in}/corpus --out {missing}.csv",
@@ -603,6 +647,8 @@ CONTRACT_CASES = {
     " --out {missing}.csv",
     "curate-delta-min-0": "curate {in}/corpus --delta-min 0 --out {out}.csv",
     "curate-top-k-0": "curate {in}/corpus --top-k 0 --out {out}.csv",
+    "curate-peak-floor-nan": "curate {in}/corpus --peak-floor nan --out {out}.csv",
+    "curate-peak-floor-inf": "curate {in}/corpus --peak-floor inf --out {out}.csv",
     "fit-demo-negative-steps": "fit-demo --grid 2 --steps -1 --out {out}.csv",
     "grad-check-unknown-corrupt": "grad-check --trials 1 --corrupt bogus",
 }

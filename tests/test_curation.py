@@ -223,7 +223,7 @@ class TestCurateCorpus:
             [seq_of(long_a, "a"), seq_of(short, "b"), seq_of(long_b, "c")]
         )
         assert manifest.video_counts == (("a", 1), ("b", 0), ("c", 1))
-        assert manifest.total == 2
+        assert len(manifest.pairs) == 2
         assert [p.video_id for p in manifest.pairs] == ["a", "c"]
         assert manifest.pairs[1].anchor == 19
 

@@ -24,7 +24,6 @@ from gazekit import (
     load_fixations,
     load_grid,
     load_map,
-    manifest_rows,
     read_manifest_rows,
     read_metrics_table,
     render_radar,
@@ -45,6 +44,11 @@ def make_pair(video, anchor, target, peak=1.5, pair_kl=2.5):
         anchor_peak_kl=peak,
         pair_kl=pair_kl,
     )
+
+
+def frame_paths(*videos, frames=50):
+    """Ordered frame file paths per video, as curate lists them."""
+    return {v: [f"{v}/f{i}.pgm" for i in range(frames)] for v in videos}
 
 
 class TestPGM16:
@@ -150,7 +154,7 @@ class TestManifestIO:
             video_counts=(("va", 1), ("vb", 1)),
         )
         path = tmp_path / "pairs.csv"
-        write_manifest(path, manifest)
+        write_manifest(path, manifest, frame_paths("va", "vb"))
         header, rows = read_manifest_rows(path)
         assert tuple(header) == MANIFEST_HEADER
         assert [r["video_id"] for r in rows] == ["va", "vb"]
@@ -159,17 +163,22 @@ class TestManifestIO:
         assert rows[1]["pair_kl"] == "1.25"
         assert all(r["caption"] == "" for r in rows)
 
-    def test_frame_paths_fill_the_path_columns(self):
+    def test_frame_paths_fill_the_path_columns(self, tmp_path):
         manifest = CurationManifest(pairs=(make_pair("v", 1, 4),), video_counts=(("v", 1),))
-        paths = {"v": [f"v/f{i}.pgm" for i in range(6)]}
-        rows = manifest_rows(manifest, frame_paths=paths)
+        path = tmp_path / "pairs.csv"
+        write_manifest(path, manifest, frame_paths("v", frames=6))
+        _, rows = read_manifest_rows(path)
         assert rows[0]["anchor_map_path"] == "v/f1.pgm"
         assert rows[0]["target_map_path"] == "v/f4.pgm"
 
     def test_extra_columns_append_after_the_base_header(self, tmp_path):
-        rows = manifest_rows(
-            CurationManifest(pairs=(make_pair("v", 1, 4),), video_counts=(("v", 1),))
+        path = tmp_path / "pairs.csv"
+        write_manifest(
+            path,
+            CurationManifest(pairs=(make_pair("v", 1, 4),), video_counts=(("v", 1),)),
+            frame_paths("v"),
         )
+        _, rows = read_manifest_rows(path)
         rows[0]["decision"] = "accept"
         path = tmp_path / "reviewed.csv"
         write_manifest_rows(path, rows, extra_columns=("decision",))
@@ -183,11 +192,19 @@ class TestManifestIO:
         with pytest.raises(ValueError, match="header"):
             read_manifest_rows(path)
 
+    @pytest.mark.parametrize("reader", [read_manifest_rows, read_metrics_table])
+    def test_non_utf8_file_is_named(self, tmp_path, reader):
+        path = tmp_path / "bad.csv"
+        path.write_bytes(b"id,cc\n\xff,1\n")
+        with pytest.raises(ValueError, match=r"bad\.csv: not UTF-8 text \(invalid start byte at byte 6\)"):
+            reader(path)
+
     def test_lf_only_bytes(self, tmp_path):
         path = tmp_path / "pairs.csv"
         write_manifest(
             path,
             CurationManifest(pairs=(make_pair("v", 1, 4),), video_counts=(("v", 1),)),
+            frame_paths("v"),
         )
         raw = path.read_bytes()
         assert b"\r" not in raw

@@ -23,7 +23,6 @@ from gazekit import (
     central_difference,
     fit_gaze_demo,
     gaussian_blur,
-    gaussian_kernel_1d,
     grad_loss_caption,
     grad_loss_gaze,
     grad_loss_kl,
@@ -34,7 +33,7 @@ from gazekit import (
     spatial_softmax,
     total_loss,
 )
-from gazekit.grids import _blur_matrix
+from gazekit.grids import _blur_matrix, _gaussian_kernel_1d
 from gazekit.objectives import GazeLossBreakdown, _kl_grad_wrt_pred, _softmax_backprop
 
 
@@ -88,7 +87,7 @@ def loss_gaze_oracle(gt, logits, cfg=GazeLossConfig()) -> GazeLossBreakdown:
     return GazeLossBreakdown(total=raw_kl + hinge, kl=raw_kl, hinge=hinge)
 
 
-def grad_loss_gaze_oracle(gt, logits, cfg=GazeLossConfig(), floor=1e-8) -> np.ndarray:
+def grad_loss_gaze_oracle(gt, logits, cfg=GazeLossConfig()) -> np.ndarray:
     g = gt.values
     p = spatial_softmax(logits).values
     h, w = p.shape
@@ -96,11 +95,11 @@ def grad_loss_gaze_oracle(gt, logits, cfg=GazeLossConfig(), floor=1e-8) -> np.nd
     mw = _blur_matrix(w, float(cfg.blur_sigma))
     b = mh @ p @ mw.T
     b = b / b.sum()
-    raw_kl = kl_div(g, p, floor)
-    blur_kl = kl_div(g, b, floor)
-    v = _kl_grad_wrt_pred(g, p, floor)
+    raw_kl = kl_div(g, p)
+    blur_kl = kl_div(g, b)
+    v = _kl_grad_wrt_pred(g, p)
     if blur_kl - raw_kl + cfg.hinge_margin > 0.0:
-        v_blur = mh.T @ _kl_grad_wrt_pred(g, b, floor) @ mw
+        v_blur = mh.T @ _kl_grad_wrt_pred(g, b) @ mw
         v = v + cfg.hinge_weight * (v_blur - v)
     return _softmax_backprop(p, v)
 
@@ -153,7 +152,7 @@ class TestLossGaze:
         v[4, 4] = 1.0
         gt = GazeMap(v)
 
-        w = gaussian_kernel_1d(1.0)
+        w = _gaussian_kernel_1d(1.0)
         r = len(w) // 2
         blurred = np.zeros((9, 9))
         for a in range(-r, r + 1):

@@ -23,10 +23,10 @@ from gazekit import (
     kl_div,
     normalize_to_simplex,
     nss,
-    radar_normalize,
     score_maps,
     sim,
 )
+from gazekit.radar import _normalize_axis
 from gazekit.saliency import _roc_points, _trapezoid
 
 QUARTET = np.array([[0.4, 0.3], [0.2, 0.1]])
@@ -341,15 +341,17 @@ class TestAUCBorji:
 
 
 class TestRadarNormalize:
+    """The min-max normalization of one metric across models, private to the radar."""
+
     def test_plain(self):
-        assert radar_normalize([1.0, 3.0, 5.0]) == [0.0, 0.5, 1.0]
+        assert _normalize_axis([1.0, 3.0, 5.0], False) == [0.0, 0.5, 1.0]
 
     def test_inverted(self):
-        assert radar_normalize([1.0, 3.0, 5.0], invert=True) == [1.0, 0.5, 0.0]
+        assert _normalize_axis([1.0, 3.0, 5.0], True) == [1.0, 0.5, 0.0]
 
     def test_degenerate(self):
         with pytest.raises(DegenerateRange):
-            radar_normalize([2.0, 2.0, 2.0])
+            _normalize_axis([2.0, 2.0, 2.0], False)
 
 
 def score_maps_oracle(pred, gt, fix, n_splits, seed) -> dict:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import ast
 import importlib
+import inspect
 import pkgutil
 from pathlib import Path
 
@@ -46,3 +47,23 @@ def test_every_traced_function_exists():
         module = importlib.import_module(f"gazekit.{layer}")
         for function in functions:
             assert callable(getattr(module, function, None)), f"gazekit.{layer}.{function}"
+
+
+#: Settings that only ever took one value, now module constants.
+FIXED = {
+    "saliency.kl_div": "floor",
+    "objectives.grad_loss_kl": "floor",
+    "objectives.grad_loss_gaze": "floor",
+    "objectives.fit_gaze_demo": "cfg",
+    "alignment.info_nce": "symmetric",
+    "textmetrics.rouge_l": "beta",
+    "gradcheck.central_difference": "step",
+    "gradcheck.run_gradient_checks": "tolerance",
+}
+
+
+def test_fixed_settings_are_not_parameters():
+    for qualified, parameter in FIXED.items():
+        module, _, function = qualified.partition(".")
+        fn = getattr(importlib.import_module(f"gazekit.{module}"), function)
+        assert parameter not in inspect.signature(fn).parameters, qualified

@@ -138,11 +138,10 @@ class TestBleu:
 class TestRougeL:
     def test_three_quarter_fixture(self):
         # LCS 3 with both lengths 4 makes precision equal recall, so the
-        # F-score is 0.75 for any beta.
+        # F-score is 0.75 whatever beta weighs recall by.
         cand = ["a", "b", "c", "d"]
         ref = ["a", "c", "d", "e"]
         assert abs(rouge_l(cand, ref) - 0.75) < 1e-12
-        assert rouge_l(cand, ref, beta=2.0) == pytest.approx(rouge_l(cand, ref, beta=1.2))
 
     def test_identity_and_disjoint(self):
         cand = ["x", "y", "z"]
@@ -156,8 +155,9 @@ class TestRougeL:
         b = 1.2
         expect = (1 + b * b) * 0.5 * 1.0 / (1.0 + b * b * 0.5)
         assert rouge_l(cand, ref) == pytest.approx(expect)
-        # Recall is perfect here, so raising beta raises the score.
-        assert rouge_l(cand, ref, beta=2.0) > rouge_l(cand, ref, beta=1.2)
+        # Recall is perfect here, so weighing it above precision scores
+        # higher than the plain F1 harmonic mean of 0.5 and 1.
+        assert rouge_l(cand, ref) > 2 * 0.5 * 1.0 / (0.5 + 1.0)
 
     def test_longer_common_subsequence_scores_higher(self):
         ref = ["a", "b", "c", "d"]
