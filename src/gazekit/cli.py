@@ -127,7 +127,7 @@ def cmd_curate(args) -> int:
     frame_paths: dict[str, list[str]] = {}
     skipped = []
     for vdir in video_dirs:
-        files = sorted((f for f in vdir.iterdir() if f.is_file() and is_map_file(f)))
+        files = list(_map_files(vdir).values())
         if not files:
             skipped.append(f"{vdir.name}: no map files, skipped")
             continue
@@ -163,38 +163,19 @@ def cmd_caption_eval(args) -> int:
             f"line counts differ: {len(candidates)} candidates, {len(references)} references"
         )
         return 2
-    corpus_path = args.corpus if args.corpus else args.references
-    corpus = [[line] for line in _read_lines(corpus_path)]
+    corpus_lines = _read_lines(args.corpus) if args.corpus else references
+    corpus = [[line] for line in corpus_lines]
 
     pairs = [(cand, [ref]) for cand, ref in zip(candidates, references)]
     report = score_captions(pairs, corpus, max_n=args.max_n, per_field=args.per_field)
 
-    out_rows = []
-    for row in report.rows:
-        if row.score is None:
-            out_rows.append([str(row.index + 1), "", "", "", row.error])
-        else:
-            out_rows.append(
-                [
-                    str(row.index + 1),
-                    f"{row.score.bleu:.9g}",
-                    f"{row.score.rouge_l:.9g}",
-                    f"{row.score.cider:.9g}",
-                    "",
-                ]
-            )
-    if report.means is None:
-        out_rows.append([MEAN_ROW_ID, "NA", "NA", "NA", ""])
-    else:
-        out_rows.append(
-            [
-                MEAN_ROW_ID,
-                f"{report.means.bleu:.9g}",
-                f"{report.means.rouge_l:.9g}",
-                f"{report.means.cider:.9g}",
-                "",
-            ]
-        )
+    def cells(score, missing: str) -> list[str]:
+        if score is None:
+            return [missing] * 3
+        return [f"{value:.9g}" for value in (score.bleu, score.rouge_l, score.cider)]
+
+    out_rows = [[str(row.index + 1), *cells(row.score, ""), row.error or ""] for row in report.rows]
+    out_rows.append([MEAN_ROW_ID, *cells(report.means, "NA"), ""])
     write_csv(args.out, CAPTION_SCORE_HEADER, out_rows)
     _diag("note: the cider column is the plain tf-idf consensus score")
     return 0

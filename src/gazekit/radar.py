@@ -44,6 +44,10 @@ def _normalize_axis(values: list[float], invert: bool) -> list[float]:
     lo, hi = min(values), max(values)
     if hi == lo:
         raise DegenerateRange("all scores are equal")
+    if math.isinf(hi - lo):
+        # Finite scores whose span overflows: halving every value keeps
+        # each ratio and brings the span back into range.
+        values, lo, hi = [v / 2 for v in values], lo / 2, hi / 2
     out = [(v - lo) / (hi - lo) for v in values]
     return [1.0 - v for v in out] if invert else out
 

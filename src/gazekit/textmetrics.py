@@ -20,10 +20,12 @@ Conventions, pinned here because every one of them changes scores:
   least 1, and no length penalty of any kind is applied.
 * ``max_n``, the largest n-gram order, must be at least 1.
 
-Cost: ``score_captions`` builds the document frequencies once per corpus
-(in per-field mode once per field corpus) and scores every candidate
-against them, so each candidate costs only its own and its references'
-n-grams. ``cider`` on its own builds them for its one call.
+Cost: ``score_captions`` has one scoring loop. Each caption splits into
+units, the whole string in whole-string mode or its four fields in
+per-field mode, and every unit is scored the same way against document
+frequencies built once per unit corpus (one corpus, or one per field).
+So each candidate costs only its own and its references' n-grams.
+``cider`` on its own builds the frequencies for its one call.
 """
 
 from __future__ import annotations
@@ -128,7 +130,8 @@ def rouge_l(candidate, reference) -> float:
     return (1.0 + b2) * precision * recall / (recall + b2 * precision)
 
 
-def _doc_frequencies(corpus, max_n: int) -> Counter:
+def _doc_frequencies(corpus, max_n: int) -> tuple[Counter, int]:
+    # Document frequencies and the corpus size: what ``_cider`` scores against.
     df = Counter()
     for ref_set in corpus:
         seen = set()
@@ -136,11 +139,7 @@ def _doc_frequencies(corpus, max_n: int) -> Counter:
             for n in range(1, max_n + 1):
                 seen.update(_ngrams(ref, n))
         df.update(seen)
-    return df
-
-
-def _corpus_stats(corpus_tokens, max_n: int) -> tuple[Counter, int]:
-    return _doc_frequencies(corpus_tokens, max_n), len(corpus_tokens)
+    return df, len(corpus)
 
 
 def _tfidf(tokens, n: int, df: Counter, n_docs: int) -> dict:
@@ -160,7 +159,7 @@ def _cosine(a: dict, b: dict) -> float:
 
 
 def _cider(cand, refs, stats, max_n: int) -> float:
-    # The one CIDEr implementation; ``stats`` comes from ``_corpus_stats``,
+    # The one CIDEr implementation; ``stats`` comes from ``_doc_frequencies``,
     # which the caller runs once per corpus.
     df, n_docs = stats
     if not n_docs:
@@ -186,7 +185,7 @@ def cider(candidate, references, corpus, max_n: int = 4) -> float:
     """
     _check_max_n(max_n)
     refs = [list(r) for r in references]
-    return _cider(list(candidate), refs, _corpus_stats(corpus, max_n), max_n)
+    return _cider(list(candidate), refs, _doc_frequencies(corpus, max_n), max_n)
 
 
 @dataclass(frozen=True)
@@ -215,30 +214,34 @@ class CaptionSetReport:
     means: CaptionScore | None
 
 
-def _score_one(cand_tokens, ref_token_lists, stats, max_n) -> CaptionScore:
-    # bleu runs first, so an empty reference list raises its ValueError
-    # before an empty corpus raises EmptyCorpus.
+def _mean(scores) -> CaptionScore:
     return CaptionScore(
-        bleu=bleu(cand_tokens, ref_token_lists, max_n),
-        rouge_l=max(rouge_l(cand_tokens, r) for r in ref_token_lists),
-        cider=_cider(cand_tokens, ref_token_lists, stats, max_n),
+        bleu=sum(s.bleu for s in scores) / len(scores),
+        rouge_l=sum(s.rouge_l for s in scores) / len(scores),
+        cider=sum(s.cider for s in scores) / len(scores),
     )
 
 
-def _field_corpora(corpus):
-    corpora = {label: [] for label in FIELD_LABELS}
+def _fields(text: str) -> list[str]:
+    caption = parse_caption(text)
+    return [getattr(caption, label) for label in FIELD_LABELS]
+
+
+def _field_corpora(corpus) -> list[list]:
+    # One tokenized corpus per field, from the reference sets that parse.
+    corpora = [[] for _ in FIELD_LABELS]
     for ref_set in corpus:
         parsed = []
         for ref in ref_set:
             try:
-                parsed.append(parse_caption(ref))
+                parsed.append(_fields(ref))
             except CaptionError:
                 continue
         if not parsed:
             continue
-        for label in FIELD_LABELS:
-            corpora[label].append([tokenize(getattr(c, label)) for c in parsed])
-    if not corpora[FIELD_LABELS[0]]:
+        for field, field_corpus in enumerate(corpora):
+            field_corpus.append([tokenize(fields[field]) for fields in parsed])
+    if not corpora[0]:
         raise EmptyCorpus("no corpus rows parse as structured captions")
     return corpora
 
@@ -248,61 +251,43 @@ def score_captions(pairs, corpus, max_n: int = 4, per_field: bool = False) -> Ca
 
     ``pairs`` is a sequence of (candidate, list-of-references) strings
     and ``corpus`` a list of reference-set string lists for document
-    frequencies. In whole-string mode each pair is tokenized and scored
-    directly. In per-field mode both sides must parse as structured
-    captions; the metrics are computed per field and macro-averaged, and
-    rows that fail to parse are reported as data with their error. Means
-    are arithmetic over successfully scored rows. Document frequencies
-    are built once per corpus, and once per field corpus in per-field
-    mode.
+    frequencies. Every caption splits into units that are scored alike:
+    in whole-string mode the one unit is the whole string, in per-field
+    mode the units are the four fields, and both sides must parse as
+    structured captions. A row's score is the mean over its units (the
+    per-field macro average), and rows that fail to parse are reported
+    as data with their error. Means are arithmetic over successfully
+    scored rows. Document frequencies are built once per unit corpus:
+    once in whole-string mode, once per field in per-field mode.
     """
     _check_max_n(max_n)
-    rows: list[ScoredCaption] = []
     if per_field:
-        corpora = _field_corpora(corpus)
-        stats = {label: _corpus_stats(corpora[label], max_n) for label in FIELD_LABELS}
-        for index, (cand, refs) in enumerate(pairs):
-            try:
-                cand_parsed = parse_caption(cand)
-                refs_parsed = [parse_caption(r) for r in refs]
-            except CaptionError as exc:
-                rows.append(ScoredCaption(index, None, f"{type(exc).__name__}: {exc}"))
-                continue
-            field_scores = []
-            for label in FIELD_LABELS:
-                field_scores.append(
-                    _score_one(
-                        tokenize(getattr(cand_parsed, label)),
-                        [tokenize(getattr(r, label)) for r in refs_parsed],
-                        stats[label],
-                        max_n,
-                    )
-                )
-            rows.append(
-                ScoredCaption(
-                    index,
-                    CaptionScore(
-                        bleu=sum(s.bleu for s in field_scores) / len(field_scores),
-                        rouge_l=sum(s.rouge_l for s in field_scores) / len(field_scores),
-                        cider=sum(s.cider for s in field_scores) / len(field_scores),
-                    ),
-                )
-            )
+        split, corpora = _fields, _field_corpora(corpus)
     else:
-        stats = _corpus_stats([[tokenize(r) for r in ref_set] for ref_set in corpus], max_n)
-        for index, (cand, refs) in enumerate(pairs):
-            rows.append(
-                ScoredCaption(
-                    index,
-                    _score_one(tokenize(cand), [tokenize(r) for r in refs], stats, max_n),
+        split, corpora = (lambda text: [text]), [[[tokenize(r) for r in ref_set] for ref_set in corpus]]
+    stats = [_doc_frequencies(unit_corpus, max_n) for unit_corpus in corpora]
+
+    rows: list[ScoredCaption] = []
+    for index, (cand, refs) in enumerate(pairs):
+        try:
+            cand_units = split(cand)
+            refs_units = [split(r) for r in refs]
+        except CaptionError as exc:
+            rows.append(ScoredCaption(index, None, f"{type(exc).__name__}: {exc}"))
+            continue
+        unit_scores = []
+        for unit, unit_stats in enumerate(stats):
+            cand_tokens = tokenize(cand_units[unit])
+            ref_tokens = [tokenize(r[unit]) for r in refs_units]
+            # bleu runs first, so an empty reference list raises its
+            # ValueError before an empty corpus raises EmptyCorpus.
+            unit_scores.append(
+                CaptionScore(
+                    bleu=bleu(cand_tokens, ref_tokens, max_n),
+                    rouge_l=max(rouge_l(cand_tokens, r) for r in ref_tokens),
+                    cider=_cider(cand_tokens, ref_tokens, unit_stats, max_n),
                 )
             )
+        rows.append(ScoredCaption(index, _mean(unit_scores)))
     scored = [r.score for r in rows if r.score is not None]
-    means = None
-    if scored:
-        means = CaptionScore(
-            bleu=sum(s.bleu for s in scored) / len(scored),
-            rouge_l=sum(s.rouge_l for s in scored) / len(scored),
-            cider=sum(s.cider for s in scored) / len(scored),
-        )
-    return CaptionSetReport(rows=tuple(rows), means=means)
+    return CaptionSetReport(rows=tuple(rows), means=_mean(scored) if scored else None)

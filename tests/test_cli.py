@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import csv
 import io
+import re
 
 import numpy as np
 import pytest
@@ -294,6 +295,51 @@ class TestCaptionEval:
         rows = read_csv_rows(out)
         assert float(rows[1][3]) == pytest.approx(10.0)
 
+    def run_caption_eval(self, tmp_path, cand_lines, ref_lines, *flags):
+        cand, refs = tmp_path / "cand.txt", tmp_path / "refs.txt"
+        cand.write_text("".join(line + "\n" for line in cand_lines), encoding="utf-8")
+        refs.write_text("".join(line + "\n" for line in ref_lines), encoding="utf-8")
+        out = tmp_path / "scores.csv"
+        argv = ["caption-eval", "--candidates", str(cand), "--references", str(refs), "--out", str(out)]
+        assert main(argv + list(flags)) == 0
+        return out.read_bytes()
+
+    def test_per_field_with_no_parsable_row_writes_error_cells_and_na_means(self, tmp_path):
+        refs = [
+            "Scene: a1 | Current: b1 | Next: c1 | Why: d1",
+            "Scene: a2 | Current: b2 | Next: c2 | Why: d2",
+        ]
+        got = self.run_caption_eval(
+            tmp_path, ["not a caption", "Scene: a | Current: b"], refs, "--per-field"
+        )
+        assert got == (
+            b"id,bleu,rouge_l,cider,error\n"
+            b"1,,,,MissingField: missing field: scene\n"
+            b"2,,,,MissingField: missing field: next\n"
+            b"mean,NA,NA,NA,\n"
+        )
+
+    def test_empty_inputs_write_only_the_na_mean_row(self, tmp_path):
+        got = self.run_caption_eval(tmp_path, [], [])
+        assert got == b"id,bleu,rouge_l,cider,error\nmean,NA,NA,NA,\n"
+
+    @pytest.mark.parametrize("per_field", [[], ["--per-field"]])
+    def test_corpus_defaults_to_the_references(self, tmp_path, per_field):
+        cands = [
+            "Scene: red car | Current: it stops | Next: it turns | Why: a light",
+            "Scene: a dog | Current: it runs | Next: it waits | Why: traffic",
+        ]
+        refs = [
+            "Scene: a red car | Current: it brakes | Next: it turns left | Why: a red light",
+            "Scene: a dog | Current: it crosses | Next: it waits | Why: a car",
+        ]
+        default = self.run_caption_eval(tmp_path, cands, refs, *per_field)
+        explicit = self.run_caption_eval(
+            tmp_path, cands, refs, *per_field, "--corpus", str(tmp_path / "refs.txt")
+        )
+        assert default == explicit
+        assert default.count(b"\n") == 4
+
     @pytest.mark.parametrize("bad", ["candidates", "references", "corpus"])
     def test_non_utf8_input_is_a_one_line_error(self, tmp_path, capsys, bad):
         paths = {name: tmp_path / f"{name}.txt" for name in ("candidates", "references", "corpus")}
@@ -404,6 +450,17 @@ class TestReport:
         write_metrics_file(b, cc=0.6, kl=0.4)
         code = main(["report", "--tables", str(a), str(b), "--labels", "only-one", "--out", str(tmp_path / "r.svg")])
         assert code == 2
+
+    def test_finite_means_whose_span_overflows(self, tmp_path):
+        # 1e308 - (-1e308) is inf in floats, yet both means are finite.
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        write_metrics_file(a, cc=1e308, kl=0.5)
+        write_metrics_file(b, cc=-1e308, kl=0.4)
+        out = tmp_path / "radar.svg"
+        code = main(["report", "--tables", str(a), str(b), "--labels", "a", "b", "--out", str(out)])
+        assert code == 0
+        # Word boundaries, because "dominant-baseline" contains "nan".
+        assert not re.search(r"\b(nan|inf)\b", out.read_text(encoding="utf-8"))
 
     def test_non_numeric_mean_is_rejected(self, tmp_path, capsys):
         from gazekit import write_metrics_table

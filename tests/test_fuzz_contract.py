@@ -47,6 +47,13 @@ def build_inputs(root: Path) -> None:
     row = {"video_id": "v", "anchor": "1", "target": "3", "delta": "2",
            "anchor_peak_kl": "1.5", "pair_kl": "2.5", "caption": ""}
     write_manifest_rows(root / "pairs.csv", [row, dict(row, anchor="2", delta="1")])
+    captions = [
+        "Scene: a red car | Current: it brakes | Next: it turns left | Why: a red light",
+        "Scene: a dog | Current: it crosses | Next: it waits | Why: a car, then a bus",
+        "Scene: rain | Current: wipers on | Next: slow down | Why: wet road",
+    ]
+    for name, lines in (("cand.txt", [captions[1], captions[0]]), ("ref.txt", captions[:2]), ("corpus.txt", captions)):
+        (root / name).write_text("".join(line + "\n" for line in lines), encoding="utf-8")
 
 
 #: Per command: the files a corruption may hit, the argv, and whether an
@@ -64,6 +71,17 @@ COMMANDS = {
     ),
     "report": (["a.csv", "b.csv"], "report --tables {in}/a.csv {in}/b.csv --labels a b --out {out}", True),
     "review": (["pairs.csv"], "review {in}/pairs.csv --out {out}", True),
+    "caption-eval": (
+        ["cand.txt", "ref.txt", "corpus.txt"],
+        "caption-eval --candidates {in}/cand.txt --references {in}/ref.txt --corpus {in}/corpus.txt --out {out}",
+        True,
+    ),
+    "caption-eval-per-field": (
+        ["cand.txt", "ref.txt", "corpus.txt"],
+        "caption-eval --candidates {in}/cand.txt --references {in}/ref.txt --corpus {in}/corpus.txt"
+        " --per-field --out {out}",
+        True,
+    ),
 }
 
 _TOKENS = re.compile(rb"([,\n ])")

@@ -353,6 +353,10 @@ class TestRadarNormalize:
         with pytest.raises(DegenerateRange):
             _normalize_axis([2.0, 2.0, 2.0], False)
 
+    def test_span_that_overflows(self):
+        assert _normalize_axis([1e308, 0.0, -1e308], False) == [1.0, 0.5, 0.0]
+        assert _normalize_axis([1e308, -1e308], True) == [0.0, 1.0]
+
 
 def score_maps_oracle(pred, gt, fix, n_splits, seed) -> dict:
     """The per-frame metric loop evaluate once ran inline."""

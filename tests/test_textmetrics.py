@@ -27,6 +27,7 @@ from gazekit import (
     tokenize,
 )
 from gazekit import textmetrics
+from gazekit.textmetrics import CaptionScore, CaptionSetReport, ScoredCaption, _check_max_n, _cider
 
 words = st.lists(st.sampled_from("a b c d e f g".split()), min_size=1, max_size=8)
 
@@ -461,6 +462,127 @@ class TestCiderOracle:
         for max_n in range(1, 6):
             for cand, refs, corp in cases:
                 assert cider(cand, refs, corp, max_n) == cider_oracle(cand, refs, corp, max_n)
+
+
+# --- score_captions oracle ---------------------------------------------------
+#
+# ``score_captions`` as it was with one pair loop per mode, kept verbatim
+# with its helpers except for the oracle names. The statistics come from
+# the document-frequency oracle above. The one-loop version must return
+# an equal report: every score, error and mean.
+
+
+def _oracle_corpus_stats(corpus_tokens, max_n):
+    return _oracle_doc_frequencies(corpus_tokens, max_n), len(corpus_tokens)
+
+
+def _oracle_score_one(cand_tokens, ref_token_lists, stats, max_n) -> CaptionScore:
+    # bleu runs first, so an empty reference list raises its ValueError
+    # before an empty corpus raises EmptyCorpus.
+    return CaptionScore(
+        bleu=bleu(cand_tokens, ref_token_lists, max_n),
+        rouge_l=max(rouge_l(cand_tokens, r) for r in ref_token_lists),
+        cider=_cider(cand_tokens, ref_token_lists, stats, max_n),
+    )
+
+
+def _oracle_field_corpora(corpus):
+    corpora = {label: [] for label in FIELD_LABELS}
+    for ref_set in corpus:
+        parsed = []
+        for ref in ref_set:
+            try:
+                parsed.append(parse_caption(ref))
+            except CaptionError:
+                continue
+        if not parsed:
+            continue
+        for label in FIELD_LABELS:
+            corpora[label].append([tokenize(getattr(c, label)) for c in parsed])
+    if not corpora[FIELD_LABELS[0]]:
+        raise EmptyCorpus("no corpus rows parse as structured captions")
+    return corpora
+
+
+def score_captions_oracle(pairs, corpus, max_n: int = 4, per_field: bool = False) -> CaptionSetReport:
+    """Score (candidate, references) string pairs against a shared corpus.
+
+    ``pairs`` is a sequence of (candidate, list-of-references) strings
+    and ``corpus`` a list of reference-set string lists for document
+    frequencies. In whole-string mode each pair is tokenized and scored
+    directly. In per-field mode both sides must parse as structured
+    captions; the metrics are computed per field and macro-averaged, and
+    rows that fail to parse are reported as data with their error. Means
+    are arithmetic over successfully scored rows. Document frequencies
+    are built once per corpus, and once per field corpus in per-field
+    mode.
+    """
+    _check_max_n(max_n)
+    rows: list[ScoredCaption] = []
+    if per_field:
+        corpora = _oracle_field_corpora(corpus)
+        stats = {label: _oracle_corpus_stats(corpora[label], max_n) for label in FIELD_LABELS}
+        for index, (cand, refs) in enumerate(pairs):
+            try:
+                cand_parsed = parse_caption(cand)
+                refs_parsed = [parse_caption(r) for r in refs]
+            except CaptionError as exc:
+                rows.append(ScoredCaption(index, None, f"{type(exc).__name__}: {exc}"))
+                continue
+            field_scores = []
+            for label in FIELD_LABELS:
+                field_scores.append(
+                    _oracle_score_one(
+                        tokenize(getattr(cand_parsed, label)),
+                        [tokenize(getattr(r, label)) for r in refs_parsed],
+                        stats[label],
+                        max_n,
+                    )
+                )
+            rows.append(
+                ScoredCaption(
+                    index,
+                    CaptionScore(
+                        bleu=sum(s.bleu for s in field_scores) / len(field_scores),
+                        rouge_l=sum(s.rouge_l for s in field_scores) / len(field_scores),
+                        cider=sum(s.cider for s in field_scores) / len(field_scores),
+                    ),
+                )
+            )
+    else:
+        stats = _oracle_corpus_stats([[tokenize(r) for r in ref_set] for ref_set in corpus], max_n)
+        for index, (cand, refs) in enumerate(pairs):
+            rows.append(
+                ScoredCaption(
+                    index,
+                    _oracle_score_one(tokenize(cand), [tokenize(r) for r in refs], stats, max_n),
+                )
+            )
+    scored = [r.score for r in rows if r.score is not None]
+    means = None
+    if scored:
+        means = CaptionScore(
+            bleu=sum(s.bleu for s in scored) / len(scored),
+            rouge_l=sum(s.rouge_l for s in scored) / len(scored),
+            cider=sum(s.cider for s in scored) / len(scored),
+        )
+    return CaptionSetReport(rows=tuple(rows), means=means)
+
+
+class TestScoreCaptionsOracle:
+    @given(case=caption_cases(per_field=False))
+    def test_whole_string_report_equals_oracle(self, case):
+        pairs, corpus, max_n = case
+        assert score_captions(pairs, corpus, max_n=max_n) == score_captions_oracle(
+            pairs, corpus, max_n=max_n
+        )
+
+    @given(case=caption_cases(per_field=True))
+    def test_per_field_report_equals_oracle(self, case):
+        pairs, corpus, max_n = case
+        assert score_captions(pairs, corpus, max_n=max_n, per_field=True) == score_captions_oracle(
+            pairs, corpus, max_n=max_n, per_field=True
+        )
 
 
 class TestCorpusStatisticsAreBuiltOnce:
