@@ -182,7 +182,7 @@ def cmd_caption_eval(args) -> int:
 
 
 def cmd_grad_check(args) -> int:
-    reports = run_gradient_checks(seed=args.seed, trials=args.trials, corrupt=args.corrupt)
+    reports = run_gradient_checks(seed=args.seed, trials=args.trials)
     all_passed = True
     for report in reports:
         status = "pass" if report.passed else "FAIL"
@@ -396,7 +396,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("grad-check", help="verify analytic gradients by finite differences")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--trials", type=_positive_int, default=100, help="random instances per gradient path")
-    p.add_argument("--corrupt", help=argparse.SUPPRESS)
     p.set_defaults(func=cmd_grad_check)
 
     p = sub.add_parser("fit-demo", help="gradient-descent a logit grid onto a target map")

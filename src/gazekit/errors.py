@@ -11,7 +11,6 @@ __all__ = [
     "NoFixations",
     "AllFixated",
     "InsufficientNegatives",
-    "DegenerateRange",
     "DegenerateNorm",
     "ShapeMismatch",
     "LengthMismatch",
@@ -47,10 +46,6 @@ class AllFixated(GazeKitError):
 
 class InsufficientNegatives(GazeKitError):
     """Fewer non-fixated cells than fixations, so negatives cannot be sampled."""
-
-
-class DegenerateRange(GazeKitError):
-    """Min-max normalization was asked for on an all-equal score list."""
 
 
 class DegenerateNorm(GazeKitError):

@@ -31,7 +31,6 @@ __all__ = [
     "LossWeights",
     "TokenSequence",
     "FitStep",
-    "grad_loss_kl",
     "loss_gaze",
     "grad_loss_gaze",
     "loss_caption",
@@ -114,13 +113,6 @@ def _kl_grad_wrt_pred(g: np.ndarray, p: np.ndarray) -> np.ndarray:
 def _softmax_backprop(p: np.ndarray, v: np.ndarray) -> np.ndarray:
     # Pull a gradient in probability space back through the softmax.
     return p * (v - (v * p).sum())
-
-
-def grad_loss_kl(gt, logits) -> np.ndarray:
-    """Gradient of kl_div(gt, softmax(logits)) with respect to the logits."""
-    g = grid_values(gt)
-    p = spatial_softmax(logits).values
-    return _softmax_backprop(p, _kl_grad_wrt_pred(g, p))
 
 
 def loss_gaze(gt, logits, cfg: GazeLossConfig = GazeLossConfig()) -> GazeLossBreakdown:
@@ -224,23 +216,25 @@ def fit_gaze_demo(
     Logits start at zero (a uniform prediction) and take ``steps``
     updates. One record is appended per visited point, including the
     starting point, so the result has ``steps + 1`` rows and the last
-    row reflects every update. With ``use_hinge`` the loss is
-    ``loss_gaze`` at the default ``GazeLossConfig``; without it, the bare
-    KL term. Fully deterministic: no randomness is involved.
+    row reflects every update. The loss is ``loss_gaze``: at the default
+    ``GazeLossConfig`` with ``use_hinge``, and at hinge weight 0 (the
+    bare KL term, bit for bit) without it. A non-finite learning rate is
+    refused. Fully deterministic: no randomness is involved.
     """
     if steps < 0:
         raise ValueError("steps must be nonnegative")
+    if not math.isfinite(learning_rate):
+        raise ValueError(f"learning rate must be finite, got {learning_rate}")
+    cfg = GazeLossConfig() if use_hinge else GazeLossConfig(hinge_weight=0.0)
     z = np.zeros_like(gt.values)
     trajectory: list[FitStep] = []
-    for step in range(steps + 1):
-        pred = spatial_softmax(z)
-        if use_hinge:
-            loss = loss_gaze(gt, z).total
-            grad = grad_loss_gaze(gt, z)
-        else:
-            loss = kl_div(gt, pred)
-            grad = grad_loss_kl(gt, z)
-        trajectory.append(FitStep(step=step, loss=loss, entropy=entropy(pred)))
-        if step < steps:
-            z = z - learning_rate * grad
+    # A huge rate can push a logit's softmax shift past the float range;
+    # its exp is then exactly 0, and a logit that overflows to inf is
+    # refused by spatial_softmax on the next step.
+    with np.errstate(over="ignore"):
+        for step in range(steps + 1):
+            loss = loss_gaze(gt, z, cfg).total
+            trajectory.append(FitStep(step=step, loss=loss, entropy=entropy(spatial_softmax(z))))
+            if step < steps:
+                z = z - learning_rate * grad_loss_gaze(gt, z, cfg)
     return trajectory

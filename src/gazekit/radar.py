@@ -15,8 +15,6 @@ from __future__ import annotations
 
 import math
 
-from .errors import DegenerateRange
-
 __all__ = ["RADAR_AXES", "render_radar"]
 
 #: (display label, metrics-table column, invert) per axis, clockwise from the top.
@@ -38,12 +36,13 @@ _WIDTH = 640
 _HEIGHT = 540
 
 
-def _normalize_axis(values: list[float], invert: bool) -> list[float]:
+def _normalize_axis(values: list[float], invert: bool) -> list[float] | None:
     # Min-max normalize one axis's scores to [0, 1]; inversion maps the
     # minimum to 1, which is how smaller-is-better metrics are plotted.
+    # All-equal scores have no range to normalize by: None.
     lo, hi = min(values), max(values)
     if hi == lo:
-        raise DegenerateRange("all scores are equal")
+        return None
     if math.isinf(hi - lo):
         # Finite scores whose span overflows: halving every value keeps
         # each ratio and brings the span back into range.
@@ -88,12 +87,11 @@ def render_radar(labels, means) -> tuple[str, list[str]]:
     normalized = []  # one list per axis, one value per model
     degenerate = []
     for axis_label, column, invert in RADAR_AXES:
-        values = [float(m[column]) for m in means]
-        try:
-            normalized.append(_normalize_axis(values, invert))
-        except DegenerateRange:
-            normalized.append([0.5] * len(means))
+        scaled = _normalize_axis([float(m[column]) for m in means], invert)
+        if scaled is None:
+            scaled = [0.5] * len(means)
             degenerate.append(axis_label)
+        normalized.append(scaled)
 
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_WIDTH}" height="{_HEIGHT}" '

@@ -26,6 +26,7 @@ from gazekit import (
     save_map,
     FixationMap,
 )
+from gazekit import gradcheck
 from gazekit.cli import main
 
 
@@ -368,8 +369,15 @@ class TestGradCheck:
         assert [line.split(":")[0] for line in lines] == ["gaze", "caption", "infonce", "chained"]
         assert all("max relative error" in line and line.endswith("pass") for line in lines)
 
-    def test_corrupt_hook_fails(self, capsys):
-        code = main(["grad-check", "--trials", "5", "--corrupt", "infonce"])
+    def test_wrong_gradient_fails(self, capsys, monkeypatch):
+        right = gradcheck._TRIALS["infonce"]
+
+        def wrong(rng):
+            loss, point, analytic = right(rng)
+            return loss, point, analytic + 1.0
+
+        monkeypatch.setitem(gradcheck._TRIALS, "infonce", wrong)
+        code = main(["grad-check", "--trials", "5"])
         assert code == 1
         lines = capsys.readouterr().out.strip().splitlines()
         failing = [line for line in lines if line.endswith("FAIL")]
@@ -707,7 +715,7 @@ CONTRACT_CASES = {
     "curate-peak-floor-nan": "curate {in}/corpus --peak-floor nan --out {out}.csv",
     "curate-peak-floor-inf": "curate {in}/corpus --peak-floor inf --out {out}.csv",
     "fit-demo-negative-steps": "fit-demo --grid 2 --steps -1 --out {out}.csv",
-    "grad-check-unknown-corrupt": "grad-check --trials 1 --corrupt bogus",
+    "fit-demo-lr-inf": "fit-demo --grid 1 --steps 1 --lr inf --out {out}.csv",
 }
 
 

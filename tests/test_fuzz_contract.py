@@ -1,10 +1,14 @@
-"""The exit-code contract under corrupted input files.
+"""The exit-code contract under corrupted input files and fuzzed flags.
 
 Each example copies one small valid input set, corrupts one of its files
 and runs a command on it in-process. Whatever the corruption, the command
 returns 0 or 2 and writes no traceback. Where the README promises it, an
 exit 2 leaves no output file behind, and a radar chart that is written
 holds no NaN coordinate.
+
+``fit-demo`` and ``grad-check`` read no input file, so their flags are
+fuzzed instead: any value either runs, is refused by argparse with a
+usage error, or ends in exit 2 with one line and no output file.
 """
 
 from __future__ import annotations
@@ -19,7 +23,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from conftest import random_map
 from gazekit import FixationMap, save_fixations, save_map, write_manifest_rows, write_metrics_table
@@ -147,3 +151,50 @@ def test_corrupted_input_exits_0_or_2(valid_inputs, command, target, how):
             assert not out.exists()
         if command == "report" and code == 0:
             assert not re.search(r"\b(nan|inf)\b", out.read_text(encoding="utf-8"))
+
+
+def run_flags(argv: list[str]) -> tuple[int, str, bool]:
+    """Run the CLI in-process: (exit code, stderr, whether argparse refused argv)."""
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        try:
+            return main(argv), stderr.getvalue(), False
+        except SystemExit as exc:
+            return exc.code, stderr.getvalue(), True
+
+
+def assert_flag_contract(code: int, err: str, usage: bool, codes) -> None:
+    assert code in codes, err
+    assert "Traceback" not in err
+    if code == 2 and not usage:
+        assert len(err.splitlines()) == 1 and err.endswith("\n"), err
+
+
+_FLOAT_MAX = 1.7976931348623157e308
+
+# Values are passed as --flag=VALUE: with a space, argparse reads a value
+# such as -inf or -1e308 as an option of its own.
+@settings(max_examples=60)
+@given(
+    grid=st.integers(-1, 6),
+    steps=st.integers(-1, 8),
+    lr=st.one_of(st.floats(), st.sampled_from([_FLOAT_MAX, -_FLOAT_MAX, 5e-324])),
+    target=st.sampled_from(["delta", "uniform"]),
+    hinge=st.booleans(),
+)
+@example(grid=2, steps=3, lr=-_FLOAT_MAX, target="delta", hinge=False)
+@example(grid=1, steps=1, lr=float("inf"), target="delta", hinge=False)
+def test_fit_demo_flags_keep_the_contract(grid, steps, lr, target, hinge):
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "fit.csv"
+        argv = ["fit-demo", f"--grid={grid}", f"--steps={steps}", f"--lr={lr!r}", f"--target={target}", f"--out={out}"]
+        code, err, usage = run_flags(argv + ["--hinge"] * hinge)
+        assert_flag_contract(code, err, usage, (0, 2))
+        assert out.exists() == (code == 0)
+
+
+@settings(max_examples=60)
+@given(seed=st.integers(-3, 2**70), trials=st.integers(-1, 2))
+def test_grad_check_flags_keep_the_contract(seed, trials):
+    code, err, usage = run_flags(["grad-check", f"--seed={seed}", f"--trials={trials}"])
+    assert_flag_contract(code, err, usage, (0, 1, 2))

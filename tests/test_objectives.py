@@ -15,17 +15,19 @@ from hypothesis import given, strategies as st
 
 from conftest import map_pairs, random_map
 from gazekit import (
+    FitStep,
     GazeLossConfig,
     GazeMap,
     LengthMismatch,
     LossWeights,
     TokenSequence,
     central_difference,
+    entropy,
     fit_gaze_demo,
     gaussian_blur,
     grad_loss_caption,
     grad_loss_gaze,
-    grad_loss_kl,
+    grid_values,
     kl_div,
     loss_caption,
     loss_gaze,
@@ -35,6 +37,35 @@ from gazekit import (
 )
 from gazekit.grids import _blur_matrix, _gaussian_kernel_1d
 from gazekit.objectives import GazeLossBreakdown, _kl_grad_wrt_pred, _softmax_backprop
+
+
+def grad_loss_kl(gt, logits) -> np.ndarray:
+    """Gradient of kl_div(gt, softmax(logits)) with respect to the logits.
+
+    The oracle for the gaze gradient whenever the hinge contributes
+    nothing, at weight 0 or on the inactive branch.
+    """
+    g = grid_values(gt)
+    p = spatial_softmax(logits).values
+    return _softmax_backprop(p, _kl_grad_wrt_pred(g, p))
+
+
+def fit_gaze_demo_two_branch(gt, steps, learning_rate, use_hinge=False):
+    """The demo fit with a separate bare-KL branch, kept as the oracle."""
+    z = np.zeros_like(gt.values)
+    trajectory = []
+    for step in range(steps + 1):
+        pred = spatial_softmax(z)
+        if use_hinge:
+            loss = loss_gaze(gt, z).total
+            grad = grad_loss_gaze(gt, z)
+        else:
+            loss = kl_div(gt, pred)
+            grad = grad_loss_kl(gt, z)
+        trajectory.append(FitStep(step=step, loss=loss, entropy=entropy(pred)))
+        if step < steps:
+            z = z - learning_rate * grad
+    return trajectory
 
 
 def test_defaults_carry_the_published_constants():
@@ -312,3 +343,31 @@ class TestFitGazeDemo:
         assert steps[-1].loss < 0.05
         # Entropy of the prediction falls as mass concentrates.
         assert steps[-1].entropy < steps[0].entropy
+
+    @pytest.mark.parametrize("use_hinge", [False, True])
+    @pytest.mark.parametrize("target", ["delta", "uniform", "random"])
+    def test_matches_the_two_branch_fit_bit_for_bit(self, target, use_hinge):
+        if target == "delta":
+            v = np.zeros((7, 7))
+            v[3, 3] = 1.0
+            gt = GazeMap(v)
+        elif target == "uniform":
+            gt = normalize_to_simplex(np.ones((7, 7)))
+        else:
+            gt = random_map(np.random.default_rng(5), 7, 7)
+        for rate in (-5.0, 0.03, 0.5, 1.0, 3.0):
+            expected = fit_gaze_demo_two_branch(gt, 25, rate, use_hinge)
+            assert fit_gaze_demo(gt, 25, rate, use_hinge) == expected, rate
+
+    @pytest.mark.parametrize("rate", [math.inf, -math.inf, math.nan])
+    def test_refuses_a_non_finite_rate(self, rate):
+        with pytest.raises(ValueError, match="learning rate must be finite"):
+            fit_gaze_demo(normalize_to_simplex(np.ones((2, 2))), 1, rate)
+
+    def test_rate_near_the_float_maximum_warns_nothing(self):
+        v = np.zeros((2, 2))
+        v[1, 1] = 1.0
+        # Warnings are errors in this suite; the shift inside the softmax
+        # overflows to -inf here, whose exp is exactly 0.
+        steps = fit_gaze_demo(GazeMap(v), 3, -1.7976931348623157e308)
+        assert len(steps) == 4

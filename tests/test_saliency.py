@@ -15,7 +15,6 @@ from gazekit import (
     GazeMap,
     METRICS_HEADER,
     NoFixations,
-    DegenerateRange,
     ZeroVariance,
     auc_borji,
     auc_judd,
@@ -350,8 +349,7 @@ class TestRadarNormalize:
         assert _normalize_axis([1.0, 3.0, 5.0], True) == [1.0, 0.5, 0.0]
 
     def test_degenerate(self):
-        with pytest.raises(DegenerateRange):
-            _normalize_axis([2.0, 2.0, 2.0], False)
+        assert _normalize_axis([2.0, 2.0, 2.0], False) is None
 
     def test_span_that_overflows(self):
         assert _normalize_axis([1e308, 0.0, -1e308], False) == [1.0, 0.5, 0.0]

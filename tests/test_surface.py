@@ -49,21 +49,22 @@ def test_every_traced_function_exists():
             assert callable(getattr(module, function, None)), f"gazekit.{layer}.{function}"
 
 
-#: Settings that only ever took one value, now module constants.
-FIXED = {
-    "saliency.kl_div": "floor",
-    "objectives.grad_loss_kl": "floor",
-    "objectives.grad_loss_gaze": "floor",
-    "objectives.fit_gaze_demo": "cfg",
-    "alignment.info_nce": "symmetric",
-    "textmetrics.rouge_l": "beta",
-    "gradcheck.central_difference": "step",
-    "gradcheck.run_gradient_checks": "tolerance",
-}
+#: Settings that only ever took one value, now module constants, and
+#: test-only knobs that are gone.
+FIXED = (
+    ("saliency.kl_div", "floor"),
+    ("objectives.grad_loss_gaze", "floor"),
+    ("objectives.fit_gaze_demo", "cfg"),
+    ("alignment.info_nce", "symmetric"),
+    ("textmetrics.rouge_l", "beta"),
+    ("gradcheck.central_difference", "step"),
+    ("gradcheck.run_gradient_checks", "tolerance"),
+    ("gradcheck.run_gradient_checks", "corrupt"),
+)
 
 
 def test_fixed_settings_are_not_parameters():
-    for qualified, parameter in FIXED.items():
+    for qualified, parameter in FIXED:
         module, _, function = qualified.partition(".")
         fn = getattr(importlib.import_module(f"gazekit.{module}"), function)
         assert parameter not in inspect.signature(fn).parameters, qualified
