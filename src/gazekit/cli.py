@@ -123,23 +123,26 @@ def cmd_curate(args) -> int:
         _diag(f"cannot list {root}: {exc}")
         return 2
 
-    sequences = []
     frame_paths: dict[str, list[str]] = {}
     skipped = []
-    for vdir in video_dirs:
-        files = list(_map_files(vdir).values())
-        if not files:
-            skipped.append(f"{vdir.name}: no map files, skipped")
-            continue
-        try:
-            seq = GazeSequence(vdir.name, tuple(load_map(f) for f in files))
-        except (GazeKitError, ValueError, OSError) as exc:
-            skipped.append(f"{vdir.name}: {exc}, skipped")
-            continue
-        sequences.append(seq)
-        frame_paths[vdir.name] = [str(f.relative_to(root)) for f in files]
 
-    manifest = curate_corpus(sequences, params)
+    def sequences():
+        # Read each video only when curate_corpus asks for it, so the
+        # corpus is never in memory as a whole.
+        for vdir in video_dirs:
+            files = list(_map_files(vdir).values())
+            if not files:
+                skipped.append(f"{vdir.name}: no map files, skipped")
+                continue
+            try:
+                seq = GazeSequence(vdir.name, tuple(load_map(f) for f in files))
+            except (GazeKitError, ValueError, OSError) as exc:
+                skipped.append(f"{vdir.name}: {exc}, skipped")
+                continue
+            frame_paths[vdir.name] = [str(f.relative_to(root)) for f in files]
+            yield seq
+
+    manifest = curate_corpus(sequences(), params)
     write_manifest(args.out, manifest, frame_paths)
     for video_id, count in manifest.video_counts:
         print(f"{video_id}: {count}")
@@ -347,15 +350,19 @@ def cmd_review(args) -> int:
     return 0
 
 
-def _positive_int(text: str) -> int:
-    """argparse type for counts that must be at least 1."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
-    return value
+def _int_at_least(minimum: int):
+    """argparse type for integers no smaller than ``minimum``."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be at least {minimum}, got {value}")
+        return value
+
+    return parse
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -370,8 +377,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--gt-dir", required=True, help="directory of ground-truth maps")
     p.add_argument("--fix-dir", help="directory of fixation CSV files, matched by stem")
     p.add_argument("--out", required=True, help="metrics table CSV to write")
-    p.add_argument("--seed", type=int, default=0, help="seed for the shuffled-negatives AUC")
-    p.add_argument("--n-splits", type=_positive_int, default=100, help="negative resamplings per map")
+    p.add_argument("--seed", type=_int_at_least(0), default=0, help="seed for the shuffled-negatives AUC")
+    p.add_argument("--n-splits", type=_int_at_least(1), default=100, help="negative resamplings per map")
     p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("curate", help="select anchor/target frame pairs from a map corpus")
@@ -389,17 +396,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--references", required=True, help="reference captions, line-aligned")
     p.add_argument("--corpus", help="corpus for document frequencies (default: references)")
     p.add_argument("--out", required=True, help="score CSV to write")
-    p.add_argument("--max-n", type=_positive_int, default=4, help="largest n-gram order")
+    p.add_argument("--max-n", type=_int_at_least(1), default=4, help="largest n-gram order")
     p.add_argument("--per-field", action="store_true", help="score each caption field separately")
     p.set_defaults(func=cmd_caption_eval)
 
     p = sub.add_parser("grad-check", help="verify analytic gradients by finite differences")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--trials", type=_positive_int, default=100, help="random instances per gradient path")
+    p.add_argument("--seed", type=_int_at_least(0), default=0)
+    p.add_argument("--trials", type=_int_at_least(1), default=100, help="random instances per gradient path")
     p.set_defaults(func=cmd_grad_check)
 
     p = sub.add_parser("fit-demo", help="gradient-descent a logit grid onto a target map")
-    p.add_argument("--grid", type=_positive_int, default=16, help="grid side length")
+    p.add_argument("--grid", type=_int_at_least(1), default=16, help="grid side length")
     p.add_argument("--steps", type=int, default=500)
     p.add_argument("--lr", type=float, default=1.0, help="learning rate")
     p.add_argument("--hinge", action="store_true", help="add the blur-gap hinge to the loss")

@@ -10,6 +10,15 @@ ranked by that divergence, thinned so the kept anchors stay at least
 delta_max frames apart, truncated to the per-video budget, and returned
 in anchor order. Videos shorter than min_frames yield nothing.
 
+Each frame's KL terms are prepared once per video: ``curate_video``
+builds one table of every frame's ground-truth side (positive-cell
+mask, values and logs) and prediction side (the log of the floored,
+renormalized map), and every curve step and target candidate only
+combines two entries of it. The scores are those of ``kl_div``, bit for
+bit. The table lives only as long as one ``curate_video`` call, and
+``curate_corpus`` curates each sequence before it takes the next, so a
+corpus streamed in is never in memory as a whole.
+
 Everything is deterministic: rerunning on the same sequences gives the
 same pairs in the same order.
 """
@@ -21,7 +30,7 @@ from dataclasses import dataclass
 
 from .errors import TooShort
 from .grids import GazeMap
-from .saliency import kl_div
+from .saliency import _kl_from_sides, _kl_gt_side, _kl_pred_side
 
 __all__ = [
     "CurationParams",
@@ -112,7 +121,16 @@ def kl_curve(seq: GazeSequence) -> list[float]:
     """Per-step divergence: entry t compares frames t and t+1."""
     if len(seq) < 2:
         raise TooShort("a divergence curve needs at least two frames")
-    return [kl_div(seq.maps[t], seq.maps[t + 1]) for t in range(len(seq) - 1)]
+    return _curve(_kl_table(seq))
+
+
+def _kl_table(seq: GazeSequence) -> list[tuple]:
+    # Per frame: its kl_div sides as ground truth and as prediction.
+    return [(_kl_gt_side(m.values), _kl_pred_side(m.values)) for m in seq.maps]
+
+
+def _curve(table) -> list[float]:
+    return [_kl_from_sides(table[t][0], table[t + 1][1]) for t in range(len(table) - 1)]
 
 
 def find_anchors(curve, peak_floor: float = 0.0) -> list[int]:
@@ -139,12 +157,17 @@ def select_target(
     """
     if not 0 <= anchor < len(seq):
         raise ValueError(f"anchor {anchor} outside sequence of {len(seq)} frames")
+    return _best_target(_kl_table(seq), anchor, params)
+
+
+def _best_target(table, anchor: int, params: CurationParams) -> tuple[int, float] | None:
+    gt_side = table[anchor][0]
     best: tuple[int, float] | None = None
     for delta in range(params.delta_min, params.delta_max + 1):
         target = anchor + delta
-        if target >= len(seq):
+        if target >= len(table):
             break
-        score = kl_div(seq.maps[anchor], seq.maps[target])
+        score = _kl_from_sides(gt_side, table[target][1])
         if best is None or score > best[1]:
             best = (target, score)
     return best
@@ -154,10 +177,11 @@ def curate_video(seq: GazeSequence, params: CurationParams = CurationParams()) -
     """Run the full per-video selection, returning pairs in anchor order."""
     if len(seq) < params.min_frames:
         return []
-    curve = kl_curve(seq)
+    table = _kl_table(seq)
+    curve = _curve(table)
     candidates: list[FramePair] = []
     for anchor in find_anchors(curve, params.peak_floor):
-        found = select_target(seq, anchor, params)
+        found = _best_target(table, anchor, params)
         if found is None:
             continue
         target, pair_kl = found

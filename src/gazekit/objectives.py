@@ -7,10 +7,11 @@ Gaussian-blurred copy of the prediction and the raw prediction:
     loss = KL(gt, pred) + hinge_weight * max(0, KL(gt, blur(pred)) - KL(gt, pred) + hinge_margin)
 
 The hinge activates when blurring increases the divergence by more than
-the margin. All gradients here are analytic and are validated against
-central finite differences by the gradient-check suite; at the hinge
-kink the subgradient 0 is used (the hinge contributes only when its
-argument is strictly positive).
+the margin. At hinge weight 0 the blurred copy is never computed: the
+hinge is 0 and the gradient is the bare KL term's. All gradients here
+are analytic and are validated against central finite differences by
+the gradient-check suite; at the hinge kink the subgradient 0 is used
+(the hinge contributes only when its argument is strictly positive).
 """
 
 from __future__ import annotations
@@ -123,10 +124,11 @@ def loss_gaze(gt, logits, cfg: GazeLossConfig = GazeLossConfig()) -> GazeLossBre
     divergence. Both divergences use the shared clamped KL.
     """
     pred = spatial_softmax(logits)
-    blurred = _blur(pred.values, cfg.blur_sigma)
     raw_kl = kl_div(gt, pred)
-    blur_kl = kl_div(gt, blurred)
-    hinge = cfg.hinge_weight * max(0.0, blur_kl - raw_kl + cfg.hinge_margin)
+    hinge = 0.0
+    if cfg.hinge_weight > 0.0:
+        blur_kl = kl_div(gt, _blur(pred.values, cfg.blur_sigma))
+        hinge = cfg.hinge_weight * max(0.0, blur_kl - raw_kl + cfg.hinge_margin)
     return GazeLossBreakdown(total=raw_kl + hinge, kl=raw_kl, hinge=hinge)
 
 
@@ -140,20 +142,18 @@ def grad_loss_gaze(gt, logits, cfg: GazeLossConfig = GazeLossConfig()) -> np.nda
     """
     g = grid_values(gt)
     p = spatial_softmax(logits).values
-    b = _blur(p, cfg.blur_sigma)
-
-    raw_kl = kl_div(g, p)
-    blur_kl = kl_div(g, b)
-
+    raw_kl = kl_div(g, p)  # also refuses mismatched shapes at hinge weight 0
     v = _kl_grad_wrt_pred(g, p)
-    if blur_kl - raw_kl + cfg.hinge_margin > 0.0:
-        # Pull the blurred copy's gradient back through the blur: the
-        # adjoint of M_h @ p @ M_w.T.
-        h, w = p.shape
-        mh = _blur_matrix(h, float(cfg.blur_sigma))
-        mw = _blur_matrix(w, float(cfg.blur_sigma))
-        v_blur = mh.T @ _kl_grad_wrt_pred(g, b) @ mw
-        v = v + cfg.hinge_weight * (v_blur - v)
+    if cfg.hinge_weight > 0.0:
+        b = _blur(p, cfg.blur_sigma)
+        if kl_div(g, b) - raw_kl + cfg.hinge_margin > 0.0:
+            # Pull the blurred copy's gradient back through the blur: the
+            # adjoint of M_h @ p @ M_w.T.
+            h, w = p.shape
+            mh = _blur_matrix(h, float(cfg.blur_sigma))
+            mw = _blur_matrix(w, float(cfg.blur_sigma))
+            v_blur = mh.T @ _kl_grad_wrt_pred(g, b) @ mw
+            v = v + cfg.hinge_weight * (v_blur - v)
     return _softmax_backprop(p, v)
 
 

@@ -93,11 +93,37 @@ def kl_div(gt, pred) -> float:
     losses, and dataset curation.
     """
     g, p = _paired_values(gt, pred)
+    return _kl_from_sides(_kl_gt_side(g), _kl_pred_side(p))
+
+
+# kl_div in three parts, so a caller that scores one map against many
+# can prepare each map's side once. The pair step reduces the same
+# masked 1-D array as a single call, so every result is bit-identical:
+# log(q)[mask] equals log(q[mask]) element for element, and the sum's
+# pairwise tree depends only on that array.
+
+
+def _kl_gt_side(g: np.ndarray) -> tuple[np.ndarray | slice, np.ndarray, np.ndarray]:
+    # The ground truth's positive cells of the flat grid, and its values
+    # and logs there. When every cell is positive, a full slice selects
+    # the same cells in the same order without copying them, and the pair
+    # step skips a gather.
+    flat = g.ravel()
+    positive = flat > 0.0
+    cells = slice(None) if np.count_nonzero(positive) == flat.size else positive
+    gs = flat[cells]
+    return cells, gs, np.log(gs)
+
+
+def _kl_pred_side(p: np.ndarray) -> np.ndarray:
+    # Flat log of the prediction, clamped at the floor and renormalized.
     clamped = np.maximum(p, DEFAULT_KL_FLOOR)
-    q = clamped / clamped.sum()
-    mask = g > 0.0
-    gs = g[mask]
-    total = float((gs * (np.log(gs) - np.log(q[mask]))).sum())
+    return np.log(clamped / clamped.sum()).ravel()
+
+
+def _kl_from_sides(gt_side, log_q: np.ndarray) -> float:
+    cells, gs, log_gs = gt_side
+    total = float((gs * (log_gs - log_q[cells])).sum())
     return max(0.0, total)
 
 

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings, strategies as st
 
-from gazekit import GazeMap, normalize_to_simplex
+from gazekit import DEFAULT_KL_FLOOR, GazeMap, normalize_to_simplex
 
 settings.register_profile(
     "gazekit",
@@ -48,3 +48,23 @@ def logit_grids(draw, min_side=2, max_side=10, scale=3.0):
     seed = draw(st.integers(0, 2**32 - 1))
     gen = np.random.default_rng(seed)
     return gen.normal(0.0, scale, size=(h, w))
+
+
+def kl_div_reference(g: np.ndarray, p: np.ndarray) -> float:
+    """kl_div as one function body, before it was split into per-map sides.
+
+    Kept verbatim as the exact oracle: the split version must return the
+    same float, bit for bit.
+    """
+    clamped = np.maximum(p, DEFAULT_KL_FLOOR)
+    q = clamped / clamped.sum()
+    mask = g > 0.0
+    gs = g[mask]
+    total = float((gs * (np.log(gs) - np.log(q[mask]))).sum())
+    return max(0.0, total)
+
+
+def pgm_quantized(values: np.ndarray) -> np.ndarray:
+    """``values`` as a 16-bit PGM stores them, renormalized as load_map does."""
+    samples = np.round(values / values.max() * 65535.0)
+    return samples / samples.sum()

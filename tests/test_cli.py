@@ -18,6 +18,8 @@ from conftest import random_map
 from gazekit import (
     MANIFEST_HEADER,
     GazeMap,
+    GazeSequence,
+    curate_corpus,
     load_map,
     normalize_to_simplex,
     read_manifest_rows,
@@ -25,9 +27,10 @@ from gazekit import (
     save_fixations,
     save_map,
     FixationMap,
+    write_manifest,
 )
-from gazekit import gradcheck
-from gazekit.cli import main
+from gazekit import cli, curation, gradcheck
+from gazekit.cli import build_parser, main
 
 
 def write_map_dir(directory, maps, suffix=".pgm"):
@@ -215,6 +218,61 @@ class TestCurate:
         _, rows = read_manifest_rows(out)
         assert len(rows) == 1
         assert (rows[0]["anchor"], rows[0]["target"]) == ("4", "6")
+
+    def test_each_video_is_curated_before_the_next_is_read(self, tmp_path, monkeypatch, capsys):
+        root = tmp_path / "corpus"
+        videos = ["v0", "v1", "v2"]
+        for name in videos:
+            write_sequence_dir(root, name, two_segment_arrays())
+        events = []
+        real_load, real_curate = cli.load_map, curation.curate_video
+
+        def load(path):
+            events.append(("load", path.parent.name))
+            return real_load(path)
+
+        def curate(seq, params):
+            events.append(("curate", seq.video_id))
+            return real_curate(seq, params)
+
+        monkeypatch.setattr(cli, "load_map", load)
+        monkeypatch.setattr(curation, "curate_video", curate)
+        assert main(["curate", str(root), "--out", str(tmp_path / "pairs.csv")]) == 0
+        for done, following in zip(videos, videos[1:]):
+            assert events.index(("curate", done)) < events.index(("load", following))
+
+    def test_skipped_videos_between_good_ones(self, tmp_path, capsys):
+        root = tmp_path / "corpus"
+        write_sequence_dir(root, "a_good", two_segment_arrays())
+        (root / "b_empty").mkdir()
+        write_sequence_dir(root, "c_truncated", two_segment_arrays())
+        save_map(root / "c_truncated" / "frame_020.pgm", GazeMap(two_segment_arrays()[20]))
+        broken = root / "c_truncated" / "frame_020.pgm"
+        broken.write_bytes(broken.read_bytes()[:-3])
+        (root / "c_truncated" / "frame_020.csv").unlink()
+        write_sequence_dir(root, "d_good", two_segment_arrays(20, 40))
+        out = tmp_path / "pairs.csv"
+
+        assert main(["curate", str(root), "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "a_good: 1\nd_good: 1\n"
+        err = captured.err.splitlines()
+        assert len(err) == 2
+        assert err[0] == "b_empty: no map files, skipped"
+        assert err[1] == f"c_truncated: {broken}: raster holds 125 bytes, expected 128, skipped"
+
+        # The manifest is the one the whole good corpus, loaded up front, gives.
+        good = {}
+        for name in ("a_good", "d_good"):
+            files = sorted((root / name).iterdir())
+            good[name] = (GazeSequence(name, tuple(load_map(f) for f in files)), files)
+        expected = tmp_path / "expected.csv"
+        write_manifest(
+            expected,
+            curate_corpus(seq for seq, _ in good.values()),
+            {name: [str(f.relative_to(root)) for f in files] for name, (_, files) in good.items()},
+        )
+        assert out.read_bytes() == expected.read_bytes()
 
     def test_reruns_are_byte_identical(self, tmp_path):
         root = tmp_path / "corpus"
@@ -668,6 +726,29 @@ class TestParserPlumbing:
         assert f"argument {flag}: must be at least 1" in err
         assert "Traceback" not in err
         assert list(tmp_path.iterdir()) == []
+
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["grad-check", "--seed=-3"],
+            ["evaluate", "--pred-dir", "p", "--gt-dir", "g", "--out", "m.csv", "--seed", "-1"],
+        ],
+    )
+    def test_negative_seeds_are_usage_errors(self, argv, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert "argument --seed: must be at least 0, got -" in err
+        assert "Traceback" not in err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("command", [["grad-check"], ["evaluate", "--pred-dir", "p", "--gt-dir", "g", "--out", "m"]])
+    def test_large_seeds_parse(self, command):
+        for seed in (0, 2**70):
+            assert build_parser().parse_args(command + [f"--seed={seed}"]).seed == seed
 
 
 def _contract_inputs(root):

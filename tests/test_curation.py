@@ -11,8 +11,10 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from conftest import kl_div_reference, pgm_quantized
 from gazekit import (
     CurationParams,
+    FramePair,
     GazeMap,
     GazeSequence,
     TooShort,
@@ -43,27 +45,39 @@ def seq_of(values_list, video_id="v"):
     return GazeSequence(video_id, tuple(GazeMap(v) for v in values_list))
 
 
+def kl_curve_reference(seq):
+    """kl_curve with one whole kl_div call per step."""
+    return [kl_div_reference(seq.maps[t].values, seq.maps[t + 1].values) for t in range(len(seq) - 1)]
+
+
+def select_target_reference(seq, anchor, params):
+    """select_target with one whole kl_div call per candidate."""
+    best = None
+    for delta in range(params.delta_min, params.delta_max + 1):
+        target = anchor + delta
+        if target >= len(seq):
+            break
+        score = kl_div_reference(seq.maps[anchor].values, seq.maps[target].values)
+        if best is None or score > best[1]:
+            best = (target, score)
+    return best
+
+
 def brute_force_video(seq, params):
     """Plain-loop restatement of the selection procedure."""
     n = len(seq.maps)
     if n < params.min_frames:
         return []
-    curve = [kl_div(seq.maps[t], seq.maps[t + 1]) for t in range(n - 1)]
+    curve = kl_curve_reference(seq)
     picked = []
     for a in range(1, len(curve) - 1):
         if not (curve[a] > curve[a - 1] and curve[a] > curve[a + 1]):
             continue
         if curve[a] < params.peak_floor:
             continue
-        best_target, best_score = None, None
-        for d in range(params.delta_min, params.delta_max + 1):
-            if a + d >= n:
-                break
-            s = kl_div(seq.maps[a], seq.maps[a + d])
-            if best_score is None or s > best_score:
-                best_target, best_score = a + d, s
-        if best_target is not None:
-            picked.append((a, best_target, best_score, curve[a]))
+        found = select_target_reference(seq, a, params)
+        if found is not None:
+            picked.append((a, found[0], found[1], curve[a]))
     picked.sort(key=lambda c: (-c[2], c[0]))
     kept = []
     for cand in picked:
@@ -73,6 +87,14 @@ def brute_force_video(seq, params):
             kept.append(cand)
     kept.sort(key=lambda c: c[0])
     return kept
+
+
+def brute_force_pairs(seq, params):
+    """brute_force_video's selection as FramePair records."""
+    return [
+        FramePair(seq.video_id, anchor, target, target - anchor, peak, score)
+        for anchor, target, score, peak in brute_force_video(seq, params)
+    ]
 
 
 class TestKLCurve:
@@ -241,3 +263,52 @@ class TestCurateCorpus:
             CurationParams(delta_min=5, delta_max=4)
         with pytest.raises(ValueError):
             CurationParams(top_k=0)
+
+
+def random_video(seed):
+    """A random sequence on a 4-40 cell grid: smooth frames, or PGM-quantized
+    frames with about 20 % empty cells."""
+    rng = np.random.default_rng(seed)
+    h, w = (int(x) for x in rng.integers(4, 41, size=2))
+    frames = []
+    for _ in range(int(rng.integers(12, 41))):
+        if seed % 2:
+            v = rng.uniform(size=(h, w)) ** 4
+            v[rng.uniform(size=(h, w)) < 0.2] = 0.0
+            v.flat[rng.integers(v.size)] = 1.0
+            frames.append(pgm_quantized(v))
+        else:
+            frames.append(normalize_to_simplex(rng.uniform(0.05, 1.0, size=(h, w))).values)
+    return seq_of(frames, video_id=f"r{seed}")
+
+
+class TestPreparedKLTable:
+    """Every score the per-frame table gives equals whole kl_div calls."""
+
+    @pytest.mark.parametrize("seed", range(16))
+    def test_curve_and_every_target_window(self, seed):
+        seq = random_video(seed)
+        assert kl_curve(seq) == kl_curve_reference(seq)
+        for delta_min in (1, 3):
+            params = CurationParams(delta_min=delta_min, delta_max=delta_min + 9, min_frames=2)
+            # Late anchors have windows that run past the last frame.
+            for anchor in range(len(seq)):
+                got = select_target(seq, anchor, params)
+                assert got == select_target_reference(seq, anchor, params)
+
+    @pytest.mark.parametrize("seed", range(16))
+    def test_every_pair_field(self, seed):
+        seq = random_video(seed)
+        for delta_min in (1, 3):
+            params = CurationParams(delta_min=delta_min, delta_max=delta_min + 9, min_frames=2, top_k=5)
+            pairs = curate_video(seq, params)
+            assert pairs == brute_force_pairs(seq, params)
+            assert pairs  # every random video has a peak with room after it
+
+    def test_corpus(self):
+        seqs = [random_video(seed) for seed in range(6)]
+        params = CurationParams(delta_min=1, delta_max=6, min_frames=20, top_k=3)
+        manifest = curate_corpus(iter(seqs), params)
+        expect = [brute_force_pairs(seq, params) for seq in seqs]
+        assert manifest.pairs == tuple(p for pairs in expect for p in pairs)
+        assert manifest.video_counts == tuple((seq.video_id, len(pairs)) for seq, pairs in zip(seqs, expect))

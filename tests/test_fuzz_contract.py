@@ -195,6 +195,12 @@ def test_fit_demo_flags_keep_the_contract(grid, steps, lr, target, hinge):
 
 @settings(max_examples=60)
 @given(seed=st.integers(-3, 2**70), trials=st.integers(-1, 2))
+@example(seed=-3, trials=1)
+@example(seed=2**70, trials=1)
 def test_grad_check_flags_keep_the_contract(seed, trials):
     code, err, usage = run_flags(["grad-check", f"--seed={seed}", f"--trials={trials}"])
     assert_flag_contract(code, err, usage, (0, 1, 2))
+    # argparse refuses exactly the out-of-range values, the first one named.
+    assert usage == (seed < 0 or trials < 1)
+    if seed < 0:
+        assert "argument --seed: must be at least 0" in err

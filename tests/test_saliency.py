@@ -6,9 +6,9 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from conftest import map_pairs, random_map
+from conftest import kl_div_reference, map_pairs, pgm_quantized, random_map
 from gazekit import (
     FixationMap,
     GazeKitError,
@@ -176,6 +176,25 @@ class TestCC:
         assert abs(cc(p, q) - cc(q, p)) < 1e-12
 
 
+@st.composite
+def kl_grids(draw):
+    """Ground truth and prediction up to 100x170: empty ground-truth cells,
+    prediction cells below the KL floor, and PGM-quantized pairs."""
+    h = draw(st.integers(1, 100))
+    w = draw(st.integers(1, 170))
+    gen = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    g = gen.uniform(size=(h, w)) ** 3
+    g[gen.uniform(size=(h, w)) < draw(st.sampled_from([0.0, 0.2, 0.9]))] = 0.0
+    g.flat[gen.integers(g.size)] = 1.0
+    p = gen.uniform(size=(h, w)) ** 3
+    tiny = gen.uniform(size=(h, w)) < draw(st.sampled_from([0.0, 0.3]))
+    p[tiny] = gen.choice([0.0, 1e-12, 5e-9], size=int(tiny.sum()))
+    p.flat[gen.integers(p.size)] = 1.0
+    if draw(st.booleans()):
+        return pgm_quantized(g), pgm_quantized(p)
+    return g / g.sum(), p / p.sum()
+
+
 class TestKL:
     def test_identity_is_zero(self, rng):
         m = random_map(rng, 6, 6, low=0.2)
@@ -204,6 +223,12 @@ class TestKL:
     def test_nonnegative(self, pair):
         g, p = pair
         assert kl_div(g, p) >= 0.0
+
+    @settings(max_examples=150)
+    @given(pair=kl_grids())
+    def test_equals_the_single_body_bit_for_bit(self, pair):
+        g, p = pair
+        assert kl_div(g, p) == kl_div_reference(g, p)
 
 
 class TestSIM:
