@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 from pathlib import Path
 
@@ -58,8 +59,18 @@ def _diag(message: str) -> None:
     print(message, file=sys.stderr)
 
 
-def _map_files(directory: Path) -> dict[str, Path]:
-    return {p.name: p for p in sorted(directory.iterdir()) if p.is_file() and is_map_file(p)}
+def _prefix(directory: Path) -> str:
+    # What ``str(directory / name)`` puts before ``name``.
+    text = str(directory)
+    return "" if text == "." else os.path.join(text, "")
+
+
+def _map_files(directory: Path) -> dict[str, str]:
+    """Map files in ``directory`` by name, in name order, with their paths."""
+    with os.scandir(directory) as entries:
+        names = sorted(e.name for e in entries if e.is_file() and is_map_file(e.name))
+    prefix = _prefix(directory)
+    return {name: prefix + name for name in names}
 
 
 def cmd_evaluate(args) -> int:
@@ -82,6 +93,7 @@ def cmd_evaluate(args) -> int:
     if fix_dir is None:
         _diag("no fixation directory given; auc_j, auc_b and nss columns are skipped")
 
+    fix_prefix = _prefix(fix_dir) if fix_dir is not None else None
     rows = []
     for name in sorted(set(pred_files) & set(gt_files)):
         try:
@@ -92,9 +104,9 @@ def cmd_evaluate(args) -> int:
             continue
         fix = None
         if fix_dir is not None:
-            fix_path = fix_dir / (Path(name).stem + ".csv")
+            # A map file name ends in its four-byte suffix.
             try:
-                fix = load_fixations(fix_path)
+                fix = load_fixations(f"{fix_prefix}{name[:-4]}.csv")
             except (GazeKitError, ValueError, OSError) as exc:
                 problems.append(f"{name}: fixations: {exc}")
                 continue
@@ -118,7 +130,8 @@ def cmd_curate(args) -> int:
         peak_floor=args.peak_floor,
     )
     try:
-        video_dirs = sorted((d for d in root.iterdir() if d.is_dir()), key=lambda d: d.name)
+        with os.scandir(root) as entries:
+            videos = sorted(e.name for e in entries if e.is_dir())
     except OSError as exc:
         _diag(f"cannot list {root}: {exc}")
         return 2
@@ -129,17 +142,17 @@ def cmd_curate(args) -> int:
     def sequences():
         # Read each video only when curate_corpus asks for it, so the
         # corpus is never in memory as a whole.
-        for vdir in video_dirs:
-            files = list(_map_files(vdir).values())
+        for video in videos:
+            files = _map_files(root / video)
             if not files:
-                skipped.append(f"{vdir.name}: no map files, skipped")
+                skipped.append(f"{video}: no map files, skipped")
                 continue
             try:
-                seq = GazeSequence(vdir.name, tuple(load_map(f) for f in files))
+                seq = GazeSequence(video, tuple(load_map(f) for f in files.values()))
             except (GazeKitError, ValueError, OSError) as exc:
-                skipped.append(f"{vdir.name}: {exc}, skipped")
+                skipped.append(f"{video}: {exc}, skipped")
                 continue
-            frame_paths[vdir.name] = [str(f.relative_to(root)) for f in files]
+            frame_paths[video] = [f"{video}/{name}" for name in files]
             yield seq
 
     manifest = curate_corpus(sequences(), params)

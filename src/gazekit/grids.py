@@ -73,6 +73,16 @@ class GazeMap:
         return self.values.shape[1]
 
 
+def _checked_gaze_map(values: np.ndarray) -> GazeMap:
+    # A GazeMap around a fresh float64 array whose cells the caller has
+    # already checked: no copy, and no second finiteness, sign or mass check.
+    values = np.ascontiguousarray(values)
+    values.setflags(write=False)
+    gaze = object.__new__(GazeMap)
+    object.__setattr__(gaze, "values", values)
+    return gaze
+
+
 @dataclass(frozen=True, eq=False)
 class FixationMap:
     """Boolean grid marking discrete fixation locations."""
@@ -110,17 +120,23 @@ def normalize_to_simplex(grid) -> GazeMap:
     """Scale a nonnegative grid so its cells sum to one.
 
     Raises AllZeroGrid when total mass is below 1e-12, the signal for an
-    empty or blank input map.
+    empty or blank input map, and ValueError when finite cells sum past
+    the float64 range.
     """
     v = grid_values(grid)
     if not np.all(np.isfinite(v)):
         raise ValueError("grid values must be finite")
     if np.any(v < 0.0):
         raise ValueError("grid values must be nonnegative")
-    total = float(v.sum())
+    with np.errstate(over="ignore"):
+        total = float(v.sum())
+    if total == math.inf:
+        raise ValueError("grid mass overflows the float64 range")
     if total < MASS_FLOOR:
         raise AllZeroGrid(f"grid mass {total} is below {MASS_FLOOR}")
-    return GazeMap(v / total)
+    # Finite, nonnegative cells over a finite total of at least 1e-12 sum
+    # to 1 within rounding, so the map needs no second check.
+    return _checked_gaze_map(v / total)
 
 
 def spatial_softmax(logits) -> GazeMap:

@@ -7,15 +7,27 @@ Two on-disk map formats are supported, chosen by file suffix:
   peak cell hits 65535; loading renormalizes to the simplex, so a
   save/load round trip is exact up to the 16-bit quantization step.
 * ``.csv``: comma-separated decimal floats, one row per line ("CSVF").
-  Values round-trip exactly.
+  Values round-trip exactly. The file must be ASCII; blank lines are
+  skipped and every other line must hold the same number of commas.
+  A cell is a decimal or exponent float, ``inf``, ``infinity`` or
+  ``nan`` in any case, optionally signed, with spaces or tabs around
+  it. Cells are parsed by ``np.loadtxt``, which rounds correctly and
+  so gives the same float as ``float()`` with two exceptions: digits
+  grouped by underscores (``1_0``) are refused, and a ``\x1f`` byte
+  next to a number is taken as whitespace. A cell that does not parse
+  is named as numpy names it: by its row among the non-blank lines,
+  counted from 0, and its column, counted from 1.
 
 Loaded maps are always normalized to the simplex; a file with no mass
-raises AllZeroGrid. Fixation grids use the CSV format with the rule
+raises AllZeroGrid, and one whose cells sum past the float64 range
+raises ValueError. Fixation grids use the CSV format with the rule
 that any cell strictly greater than 0.5 is fixated.
 """
 
 from __future__ import annotations
 
+import os
+import re
 from pathlib import Path
 
 import numpy as np
@@ -36,32 +48,39 @@ _MAP_SUFFIXES = (".pgm", ".csv")
 _PGM_MAXVAL = 65535
 
 
+def _suffix(path) -> str:
+    # The lower-cased suffix of the last path component, by pathlib's rule:
+    # a name that only starts with a dot has none.
+    name = os.path.basename(os.fspath(path))
+    dot = name.rfind(".")
+    return name[dot:].lower() if 0 < dot < len(name) - 1 else ""
+
+
 def is_map_file(path) -> bool:
-    return Path(path).suffix.lower() in _MAP_SUFFIXES
+    return _suffix(path) in _MAP_SUFFIXES
 
 
-def _read_pgm16(path: Path) -> np.ndarray:
-    data = path.read_bytes()
+# PGM header: tokens are separated by whitespace, and '#' starts a comment
+# that runs to end of line. Neither pattern can match into the other, so
+# one separator match and one token match per token read the header.
+_PGM_SEPARATOR = re.compile(rb"(?:[ \t\r\n]|#[^\r\n]*)*")
+_PGM_TOKEN = re.compile(rb"[^ \t\r\n#]+")
 
-    # Header tokens are separated by whitespace; '#' starts a comment that
-    # runs to end of line. Exactly one whitespace byte follows the maxval.
+
+def _read_pgm16(path) -> np.ndarray:
+    with open(path, "rb") as f:
+        data = f.read()
+
     pos = 0
     tokens = []
     while len(tokens) < 4:
+        pos = _PGM_SEPARATOR.match(data, pos).end()
         if pos >= len(data):
             raise ValueError(f"{path}: truncated header")
-        ch = data[pos : pos + 1]
-        if ch in b" \t\r\n":
-            pos += 1
-        elif ch == b"#":
-            while pos < len(data) and data[pos : pos + 1] not in b"\r\n":
-                pos += 1
-        else:
-            start = pos
-            while pos < len(data) and data[pos : pos + 1] not in b" \t\r\n#":
-                pos += 1
-            tokens.append(data[start:pos])
-    pos += 1  # the single whitespace byte after maxval
+        token = _PGM_TOKEN.match(data, pos)
+        tokens.append(token.group())
+        pos = token.end()
+    pos += 1  # exactly one whitespace byte follows the maxval
 
     magic, w_tok, h_tok, maxval_tok = tokens
     if magic != b"P5":
@@ -88,18 +107,18 @@ def _write_pgm16(path: Path, values: np.ndarray) -> None:
     path.write_bytes(header + samples.tobytes())
 
 
-def _read_csv_grid(path: Path) -> np.ndarray:
-    rows = []
-    for line in path.read_text(encoding="ascii").splitlines():
-        if not line.strip():
-            continue
-        rows.append([float(cell) for cell in line.split(",")])
-    if not rows:
+def _read_csv_grid(path) -> np.ndarray:
+    with open(path, encoding="ascii") as f:
+        lines = [line for line in f.read().splitlines() if line.strip()]
+    if not lines:
         raise ValueError(f"{path}: no rows")
-    width = len(rows[0])
-    if any(len(r) != width for r in rows):
+    commas = lines[0].count(",")
+    if any(line.count(",") != commas for line in lines):
         raise ValueError(f"{path}: ragged rows")
-    return np.asarray(rows, dtype=np.float64)
+    try:
+        return np.loadtxt(lines, delimiter=",", dtype=np.float64, comments=None, ndmin=2)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def _write_csv_grid(path: Path, values: np.ndarray) -> None:
@@ -109,13 +128,12 @@ def _write_csv_grid(path: Path, values: np.ndarray) -> None:
 
 def load_grid(path) -> np.ndarray:
     """Read raw cell values from a map file without normalizing."""
-    p = Path(path)
-    suffix = p.suffix.lower()
+    suffix = _suffix(path)
     if suffix == ".pgm":
-        return _read_pgm16(p)
+        return _read_pgm16(path)
     if suffix == ".csv":
-        return _read_csv_grid(p)
-    raise ValueError(f"{p}: unrecognized map suffix (expected one of {_MAP_SUFFIXES})")
+        return _read_csv_grid(path)
+    raise ValueError(f"{path}: unrecognized map suffix (expected one of {_MAP_SUFFIXES})")
 
 
 def load_map(path) -> GazeMap:
@@ -126,7 +144,7 @@ def load_map(path) -> GazeMap:
 def save_map(path, gaze: GazeMap) -> None:
     """Write a gaze map in the format named by the file suffix."""
     p = Path(path)
-    suffix = p.suffix.lower()
+    suffix = _suffix(p)
     if suffix == ".pgm":
         _write_pgm16(p, gaze.values)
     elif suffix == ".csv":
@@ -137,7 +155,7 @@ def save_map(path, gaze: GazeMap) -> None:
 
 def load_fixations(path) -> FixationMap:
     """Read a CSV grid and mark every cell above 0.5 as fixated."""
-    return FixationMap(_read_csv_grid(Path(path)) > 0.5)
+    return FixationMap(_read_csv_grid(path) > 0.5)
 
 
 def save_fixations(path, fix: FixationMap) -> None:

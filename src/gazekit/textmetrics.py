@@ -34,6 +34,7 @@ import math
 import string
 from collections import Counter
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .captions import FIELD_LABELS, parse_caption
 from .errors import CaptionError, EmptyCorpus
@@ -227,7 +228,7 @@ def _fields(text: str) -> list[str]:
     return [getattr(caption, label) for label in FIELD_LABELS]
 
 
-def _field_corpora(corpus) -> list[list]:
+def _field_corpora(corpus, tokens) -> list[list]:
     # One tokenized corpus per field, from the reference sets that parse.
     corpora = [[] for _ in FIELD_LABELS]
     for ref_set in corpus:
@@ -240,7 +241,7 @@ def _field_corpora(corpus) -> list[list]:
         if not parsed:
             continue
         for field, field_corpus in enumerate(corpora):
-            field_corpus.append([tokenize(fields[field]) for fields in parsed])
+            field_corpus.append([tokens(fields[field]) for fields in parsed])
     if not corpora[0]:
         raise EmptyCorpus("no corpus rows parse as structured captions")
     return corpora
@@ -258,13 +259,17 @@ def score_captions(pairs, corpus, max_n: int = 4, per_field: bool = False) -> Ca
     per-field macro average), and rows that fail to parse are reported
     as data with their error. Means are arithmetic over successfully
     scored rows. Document frequencies are built once per unit corpus:
-    once in whole-string mode, once per field in per-field mode.
+    once in whole-string mode, once per field in per-field mode. Each
+    distinct text is tokenized once per call.
     """
     _check_max_n(max_n)
+    # One token list per distinct text, shared by the corpus statistics and
+    # the pair loop, which never mutate it; the cache lives for this call.
+    tokens = lru_cache(maxsize=None)(tokenize)
     if per_field:
-        split, corpora = _fields, _field_corpora(corpus)
+        split, corpora = _fields, _field_corpora(corpus, tokens)
     else:
-        split, corpora = (lambda text: [text]), [[[tokenize(r) for r in ref_set] for ref_set in corpus]]
+        split, corpora = (lambda text: [text]), [[[tokens(r) for r in ref_set] for ref_set in corpus]]
     stats = [_doc_frequencies(unit_corpus, max_n) for unit_corpus in corpora]
 
     rows: list[ScoredCaption] = []
@@ -277,8 +282,8 @@ def score_captions(pairs, corpus, max_n: int = 4, per_field: bool = False) -> Ca
             continue
         unit_scores = []
         for unit, unit_stats in enumerate(stats):
-            cand_tokens = tokenize(cand_units[unit])
-            ref_tokens = [tokenize(r[unit]) for r in refs_units]
+            cand_tokens = tokens(cand_units[unit])
+            ref_tokens = [tokens(r[unit]) for r in refs_units]
             # bleu runs first, so an empty reference list raises its
             # ValueError before an empty corpus raises EmptyCorpus.
             unit_scores.append(

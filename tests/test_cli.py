@@ -9,7 +9,11 @@ from __future__ import annotations
 
 import csv
 import io
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -152,6 +156,74 @@ class TestEvaluate:
         assert outs[0] == outs[1]
 
 
+def run_cli(*argv):
+    """The CLI in a fresh interpreter, with Python's default warning filters."""
+    src = str(Path(cli.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    env.pop("PYTHONWARNINGS", None)
+    return subprocess.run(
+        [sys.executable, "-m", "gazekit.cli", *map(str, argv)], env=env, capture_output=True, text=True
+    )
+
+
+class TestMapLoading:
+    OVERFLOW = "1e308,1e308\n1,1\n"
+
+    def test_overflowing_mass_in_evaluate(self, tmp_path):
+        for side in ("pred", "gt"):
+            (tmp_path / side).mkdir()
+        (tmp_path / "pred" / "a.csv").write_text(self.OVERFLOW)
+        (tmp_path / "gt" / "a.csv").write_text("1,1\n1,1\n")
+        out = tmp_path / "m.csv"
+        done = run_cli("evaluate", "--pred-dir", tmp_path / "pred", "--gt-dir", tmp_path / "gt", "--out", out)
+        assert done.returncode == 2
+        assert done.stderr == (
+            "no fixation directory given; auc_j, auc_b and nss columns are skipped\n"
+            "a.csv: grid mass overflows the float64 range\n"
+        )
+        assert not out.exists()
+
+    def test_overflowing_mass_in_curate(self, tmp_path):
+        write_sequence_dir(tmp_path / "corpus", "v0", two_segment_arrays())
+        (tmp_path / "corpus" / "v0" / "frame_005.csv").write_text(self.OVERFLOW)
+        done = run_cli("curate", tmp_path / "corpus", "--out", tmp_path / "pairs.csv")
+        assert done.returncode == 2
+        assert done.stdout == ""
+        assert done.stderr == "v0: grid mass overflows the float64 range, skipped\n"
+
+    def test_map_files_match_the_pathlib_listing(self, tmp_path, monkeypatch):
+        d = tmp_path / "maps"
+        d.mkdir()
+        for name in ("b.csv", "a.PGM", "Z.csv", "c.txt", ".csv", "..csv", "e.csv."):
+            (d / name).write_text("1\n")
+        (d / "dir.csv").mkdir()
+        (d / "link.pgm").symlink_to(d / "b.csv")
+        (d / "dangling.csv").symlink_to(d / "nowhere")
+
+        def pathlib_listing(directory):
+            # The listing as it was built from Path objects.
+            return {
+                p.name: str(p)
+                for p in sorted(directory.iterdir())
+                if p.is_file() and p.suffix.lower() in (".pgm", ".csv")
+            }
+
+        expected = pathlib_listing(d)
+        assert list(expected) == ["..csv", "Z.csv", "a.PGM", "b.csv", "link.pgm"]
+        assert cli._map_files(d) == expected
+        monkeypatch.chdir(d)
+        assert cli._map_files(Path(".")) == pathlib_listing(Path(".")) == {n: n for n in expected}
+
+    def test_missing_fixations_under_the_current_directory(self, tmp_path, rng, monkeypatch, capsys):
+        TestEvaluate().setup_corpus(tmp_path, rng, n=2)
+        (tmp_path / "fix" / "f1.csv").unlink()
+        monkeypatch.chdir(tmp_path / "fix")
+        code = main(["evaluate", "--pred-dir", "../pred", "--gt-dir", "../gt", "--fix-dir", ".", "--out", "../m.csv"])
+        assert code == 2
+        # The path reads as str(Path(".") / "f1.csv") would.
+        assert capsys.readouterr().err == "f1.pgm: fixations: [Errno 2] No such file or directory: 'f1.csv'\n"
+
+
 def write_sequence_dir(root, video, arrays):
     vdir = root / video
     vdir.mkdir(parents=True, exist_ok=True)
@@ -228,7 +300,7 @@ class TestCurate:
         real_load, real_curate = cli.load_map, curation.curate_video
 
         def load(path):
-            events.append(("load", path.parent.name))
+            events.append(("load", Path(path).parent.name))
             return real_load(path)
 
         def curate(seq, params):

@@ -22,7 +22,54 @@ from gazekit import (
     normalize_to_simplex,
     spatial_softmax,
 )
-from gazekit.grids import _blur_matrix, _gaussian_kernel_1d
+from gazekit.grids import MASS_FLOOR, _blur_matrix, _gaussian_kernel_1d, grid_values
+
+
+def normalize_to_simplex_reference(grid) -> GazeMap:
+    """normalize_to_simplex as it was, validating its result a second time.
+
+    Kept verbatim as the exact oracle: the map built without the second
+    check must hold the same floats, and every error must read the same.
+    """
+    v = grid_values(grid)
+    if not np.all(np.isfinite(v)):
+        raise ValueError("grid values must be finite")
+    if np.any(v < 0.0):
+        raise ValueError("grid values must be nonnegative")
+    total = float(v.sum())
+    if total < MASS_FLOOR:
+        raise AllZeroGrid(f"grid mass {total} is below {MASS_FLOOR}")
+    return GazeMap(v / total)
+
+
+def normalized(normalize, grid):
+    try:
+        values = normalize(grid).values
+    except Exception as exc:  # noqa: BLE001 - the exception is the outcome
+        return type(exc), str(exc)
+    return values.shape, values.tobytes()
+
+
+#: Valid cells, no sum of 36 of which overflows, and some with invalid ones mixed in.
+valid_cells = st.one_of(st.floats(0.0, 1e300), st.floats(0.0, 1e-13), st.sampled_from([0.0, -0.0, 5e-324]))
+any_cells = st.one_of(valid_cells, st.sampled_from([-1e-300, -1.0, math.nan, math.inf, -math.inf]))
+
+
+@st.composite
+def raw_grids(draw):
+    """Small grids in every layout a caller may pass: C, F, strided, read-only."""
+    h, w = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    pool = draw(st.sampled_from([valid_cells, valid_cells, any_cells]))
+    grid = np.array(draw(st.lists(pool, min_size=h * w, max_size=h * w))).reshape(h, w)
+    layout = draw(st.sampled_from(["c", "f", "strided", "read-only", "list"]))
+    if layout == "f":
+        return np.asfortranarray(grid)
+    if layout == "strided":
+        return np.repeat(grid, 2, axis=1)[:, ::2]
+    if layout == "read-only":
+        grid.setflags(write=False)
+        return grid
+    return grid.tolist() if layout == "list" else grid
 
 
 def fold(t: int, n: int) -> int:
@@ -83,6 +130,31 @@ class TestNormalize:
     def test_all_zero_raises(self):
         with pytest.raises(AllZeroGrid):
             normalize_to_simplex(np.zeros((2, 2)))
+
+    @given(grid=raw_grids())
+    def test_matches_the_double_checked_version(self, grid):
+        assert normalized(normalize_to_simplex, grid) == normalized(normalize_to_simplex_reference, grid)
+
+    @given(grid=raw_grids())
+    def test_result_is_a_fresh_read_only_c_array(self, grid):
+        try:
+            values = normalize_to_simplex(grid).values
+        except (ValueError, AllZeroGrid):
+            return
+        assert values.dtype == np.float64
+        assert values.flags.c_contiguous and not values.flags.writeable
+        assert not np.shares_memory(values, np.asarray(grid))
+
+    def test_overflowing_mass_is_refused_without_a_warning(self):
+        # The suite turns warnings into errors, so numpy's overflow warning
+        # from the sum would fail this test before the ValueError.
+        with pytest.raises(ValueError, match="^grid mass overflows the float64 range$"):
+            normalize_to_simplex(np.array([[1e308, 1e308], [1.0, 1.0]]))
+
+    def test_gaze_map_constructor_still_validates(self):
+        for bad in ([[0.5, 0.6]], [[math.nan, 1.0]], [[-0.5, 1.5]]):
+            with pytest.raises(ValueError, match="gaze map"):
+                GazeMap(np.array(bad))
 
     def test_proportions_preserved(self, rng):
         raw = rng.uniform(0.0, 5.0, size=(6, 7))

@@ -6,9 +6,11 @@ from __future__ import annotations
 
 import math
 import struct
+from pathlib import Path, PurePosixPath
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import random_map
 from gazekit import (
@@ -33,6 +35,79 @@ from gazekit import (
     write_manifest_rows,
     write_metrics_table,
 )
+
+
+_PGM_MAXVAL = 65535
+
+
+def read_pgm16_reference(path: Path) -> np.ndarray:
+    """The PGM reader that walked its header one byte at a time.
+
+    Kept verbatim as the exact oracle for the regex header reader.
+    """
+    data = path.read_bytes()
+
+    # Header tokens are separated by whitespace; '#' starts a comment that
+    # runs to end of line. Exactly one whitespace byte follows the maxval.
+    pos = 0
+    tokens = []
+    while len(tokens) < 4:
+        if pos >= len(data):
+            raise ValueError(f"{path}: truncated header")
+        ch = data[pos : pos + 1]
+        if ch in b" \t\r\n":
+            pos += 1
+        elif ch == b"#":
+            while pos < len(data) and data[pos : pos + 1] not in b"\r\n":
+                pos += 1
+        else:
+            start = pos
+            while pos < len(data) and data[pos : pos + 1] not in b" \t\r\n#":
+                pos += 1
+            tokens.append(data[start:pos])
+    pos += 1  # the single whitespace byte after maxval
+
+    magic, w_tok, h_tok, maxval_tok = tokens
+    if magic != b"P5":
+        raise ValueError(f"{path}: not a binary PGM file (magic {magic!r})")
+    width, height, maxval = int(w_tok), int(h_tok), int(maxval_tok)
+    if width < 1 or height < 1:
+        raise ValueError(f"{path}: bad dimensions {width}x{height}")
+    if maxval != _PGM_MAXVAL:
+        raise ValueError(f"{path}: expected maxval {_PGM_MAXVAL}, got {maxval}")
+    expected = width * height * 2
+    raster = data[pos : pos + expected]
+    if len(raster) != expected:
+        raise ValueError(f"{path}: raster holds {len(raster)} bytes, expected {expected}")
+    samples = np.frombuffer(raster, dtype=">u2").astype(np.float64)
+    return samples.reshape(height, width)
+
+
+def read_csv_grid_reference(path: Path) -> np.ndarray:
+    """The CSV reader that parsed every cell with ``float()``.
+
+    Kept verbatim as the exact oracle for the ``np.loadtxt`` reader.
+    """
+    rows = []
+    for line in path.read_text(encoding="ascii").splitlines():
+        if not line.strip():
+            continue
+        rows.append([float(cell) for cell in line.split(",")])
+    if not rows:
+        raise ValueError(f"{path}: no rows")
+    width = len(rows[0])
+    if any(len(r) != width for r in rows):
+        raise ValueError(f"{path}: ragged rows")
+    return np.asarray(rows, dtype=np.float64)
+
+
+def outcome(read, path):
+    """A reader's result as comparable data: exact bytes or the error."""
+    try:
+        grid = read(path)
+    except Exception as exc:  # noqa: BLE001 - the exception is the outcome
+        return type(exc), str(exc)
+    return grid.dtype, grid.shape, grid.tobytes()
 
 
 def make_pair(video, anchor, target, peak=1.5, pair_kl=2.5):
@@ -145,6 +220,160 @@ class TestCSVGrid:
         path = tmp_path / "f.csv"
         save_fixations(path, fix)
         np.testing.assert_array_equal(load_fixations(path).fixated, fix.fixated)
+
+
+_PAD = st.text(" \t", max_size=2)
+
+#: One double in each of the forms a CSV map may hold it.
+csv_cells = st.one_of(
+    st.floats(allow_nan=False).map(repr),
+    st.floats(allow_nan=False).map(lambda x: f"{x:.17g}"),
+    st.floats(allow_nan=False).map(lambda x: f"{x:.6e}"),
+    st.integers(-(10**20), 10**20).map(str),
+    st.sampled_from(["nan", "NaN", "-inf", "+Infinity", "0", "-0.0", "1e-320", ".5", "5."]),
+)
+
+
+@st.composite
+def csv_files(draw):
+    """CSV text: padded cells, LF or CRLF, blank lines, any grid shape."""
+    height = draw(st.integers(1, 4))
+    width = draw(st.integers(1, 4))
+    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    lines = []
+    for _ in range(height):
+        cells = [draw(_PAD) + draw(csv_cells) + draw(_PAD) for _ in range(width)]
+        if draw(st.integers(0, 9)) == 0:
+            cells = cells[:-1] or ["1", "2"]  # a ragged row
+        lines.append(",".join(cells))
+        if draw(st.booleans()):
+            lines.append(draw(_PAD))  # a blank line
+    if draw(st.integers(0, 19)) == 0:
+        lines = [draw(_PAD) for _ in lines]  # no rows at all
+    return newline.join(lines) + draw(st.sampled_from(["", newline]))
+
+
+_SEPARATORS = st.lists(
+    st.one_of(
+        st.sampled_from([b" ", b"\t", b"\r", b"\n", b"\r\n"]),
+        st.binary(max_size=6).map(lambda b: b"#" + b.replace(b"\r", b"").replace(b"\n", b"") + b"\n"),
+    ),
+    min_size=1,
+    max_size=3,
+).map(b"".join)
+
+
+@st.composite
+def pgm_files(draw):
+    """A PGM with comments, tabs and CRLF in its header, mostly valid."""
+    width = draw(st.integers(1, 4))
+    height = draw(st.integers(1, 3))
+    tokens = [b"P5", str(width).encode(), str(height).encode(), b"65535"]
+    if draw(st.integers(0, 4)) == 0:
+        index = draw(st.integers(0, 3))
+        tokens[index] = draw(st.sampled_from([b"P2", b"0", b"-1", b"255", b"x", b"07"]))
+    header = draw(st.sampled_from([b"", b"# lead\n"]))
+    for token in tokens:
+        header += token + draw(_SEPARATORS)
+    raster = draw(st.binary(min_size=2 * width * height, max_size=2 * width * height))
+    return header + raster + draw(st.sampled_from([b"", b"\x00\x01"]))
+
+
+class TestReadersMatchTheirOracles:
+    """The loadtxt and regex readers against the readers they replaced."""
+
+    @settings(max_examples=300)
+    @given(text=csv_files())
+    def test_csv_reader_matches_float_per_cell(self, tmp_path_factory, text):
+        path = tmp_path_factory.mktemp("csv") / "g.csv"
+        path.write_bytes(text.encode("ascii"))
+        assert outcome(load_grid, path) == outcome(read_csv_grid_reference, path)
+
+    @settings(max_examples=300)
+    @given(data=st.one_of(pgm_files(), st.binary(max_size=40)))
+    def test_pgm_reader_matches_byte_walk(self, tmp_path_factory, data):
+        path = tmp_path_factory.mktemp("pgm") / "m.pgm"
+        path.write_bytes(data)
+        assert outcome(load_grid, path) == outcome(read_pgm16_reference, path)
+
+    def test_every_prefix_of_a_pgm(self, tmp_path):
+        data = b"P5 # magic\n# note\r\n3\t2\r\n65535\n" + struct.pack(">6H", 0, 1, 2, 65535, 300, 7)
+        path = tmp_path / "m.pgm"
+        for end in range(len(data) + 1):
+            path.write_bytes(data[:end])
+            assert outcome(load_grid, path) == outcome(read_pgm16_reference, path), end
+
+    @pytest.mark.parametrize("header", [b"P5 2 1", b"P5 2 1 # 65535 to the end", b"P5 2 # 1 65535\n", b"P5 2 1 \t\r\n"])
+    def test_header_that_ends_early_is_truncated(self, tmp_path, header):
+        path = tmp_path / "m.pgm"
+        path.write_bytes(header)
+        with pytest.raises(ValueError, match=r"m\.pgm: truncated header$"):
+            load_grid(path)
+        assert outcome(load_grid, path) == outcome(read_pgm16_reference, path)
+
+    def test_comment_directly_after_a_token(self, tmp_path):
+        path = tmp_path / "m.pgm"
+        path.write_bytes(b"P5#c\n2#c\n1#c\n65535#" + bytes([0, 1, 0, 2]))
+        assert outcome(load_grid, path) == outcome(read_pgm16_reference, path)
+        np.testing.assert_array_equal(load_grid(path), [[1.0, 2.0]])
+
+
+class TestCSVDeclaredDifferences:
+    """Where the loadtxt reader departs from ``float()`` per cell, pinned."""
+
+    def test_underscore_grouping_is_refused(self, tmp_path):
+        path = tmp_path / "u.csv"
+        path.write_text("1_0,2\n")
+        assert read_csv_grid_reference(path).tolist() == [[10.0, 2.0]]
+        with pytest.raises(ValueError) as info:
+            load_grid(path)
+        assert str(info.value) == f"{path}: could not convert string '1_0' to float64 at row 0, column 1."
+
+    def test_unit_separator_next_to_a_number_is_whitespace(self, tmp_path):
+        path = tmp_path / "s.csv"
+        path.write_text("1\x1f,\x1f2\n")
+        with pytest.raises(ValueError, match="could not convert string to float"):
+            read_csv_grid_reference(path)
+        assert load_grid(path).tolist() == [[1.0, 2.0]]
+
+    def test_bad_cell_message_names_the_path_row_and_column(self, tmp_path):
+        path = tmp_path / "b.csv"
+        path.write_text("0.5,0.5\n\n0.25,x\n")
+        with pytest.raises(ValueError) as info:
+            load_grid(path)
+        # The row counts non-blank lines from 0, the column cells from 1.
+        assert str(info.value) == f"{path}: could not convert string 'x' to float64 at row 1, column 2."
+
+    def test_ragged_rows_are_found_before_a_bad_cell(self, tmp_path):
+        path = tmp_path / "r.csv"
+        path.write_text("x,1\n2\n")
+        with pytest.raises(ValueError, match="could not convert string to float: 'x'"):
+            read_csv_grid_reference(path)
+        with pytest.raises(ValueError) as info:
+            load_grid(path)
+        assert str(info.value) == f"{path}: ragged rows"
+
+    def test_fixations_use_the_same_reader(self, tmp_path):
+        path = tmp_path / "f.csv"
+        path.write_text("0,1\n1,y\n")
+        with pytest.raises(ValueError) as info:
+            load_fixations(path)
+        assert str(info.value) == f"{path}: could not convert string 'y' to float64 at row 1, column 2."
+
+
+class TestSuffixRule:
+    # A file's path never ends in "/" or "/.", where pathlib would look
+    # at the component before.
+    @given(name=st.text("ab.csvCSVpgm/", min_size=1, max_size=8).filter(lambda n: not n.endswith(("/", "/."))))
+    def test_matches_pathlib_suffix(self, name):
+        expected = PurePosixPath(name).suffix.lower() in (".pgm", ".csv")
+        assert is_map_file(name) == expected
+        assert is_map_file(PurePosixPath(name)) == expected
+
+    def test_unrecognized_suffix_names_the_path(self, tmp_path):
+        path = tmp_path / "m.png"
+        with pytest.raises(ValueError, match=r"m\.png: unrecognized map suffix"):
+            load_grid(path)
 
 
 class TestManifestIO:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -611,6 +612,41 @@ class TestCorpusStatisticsAreBuiltOnce:
             [(line, [line]) for line in lines], [[line] for line in lines], per_field=True
         )
         assert df_calls == [n] * len(FIELD_LABELS)
+
+
+def tokenized_texts(score, *args, **kwargs) -> list[str]:
+    """Every text ``tokenize`` is called with while ``score`` runs."""
+    texts = []
+    real = textmetrics.tokenize
+
+    def counting(text):
+        texts.append(text)
+        return real(text)
+
+    with mock.patch.object(textmetrics, "tokenize", counting):
+        score(*args, **kwargs)
+    return texts
+
+
+class TestTokenizeOncePerCall:
+    @given(case=caption_cases(per_field=False))
+    def test_whole_string_tokenizes_each_text_once(self, case):
+        pairs, corpus, max_n = case
+        needed = {line for ref_set in corpus for line in ref_set}
+        needed.update(text for cand, refs in pairs for text in (cand, *refs))
+        assert sorted(tokenized_texts(score_captions, pairs, corpus, max_n=max_n)) == sorted(needed)
+
+    @given(case=caption_cases(per_field=True))
+    def test_per_field_tokenizes_each_field_text_once(self, case):
+        pairs, corpus, max_n = case
+        texts = tokenized_texts(score_captions, pairs, corpus, max_n=max_n, per_field=True)
+        assert len(texts) == len(set(texts))
+
+    def test_nothing_is_kept_between_calls(self):
+        pairs = [("a red car", ["a red car"]), ("a dog", ["a red car"])]
+        corpus = [["a red car"], ["a dog"]]
+        for _ in range(2):
+            assert sorted(tokenized_texts(score_captions, pairs, corpus)) == ["a dog", "a red car"]
 
 
 class TestExceptionPrecedence:
