@@ -165,10 +165,13 @@ def cmd_curate(args) -> int:
 
 
 def _read_lines(path) -> list[str]:
+    # Lines end only at "\n", into which read_text turns "\r\n" and "\r";
+    # str.splitlines would also end one at a form feed, U+0085 or U+2028.
     try:
-        return Path(path).read_text(encoding="utf-8").splitlines()
+        text = Path(path).read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
         raise ValueError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
+    return text.removesuffix("\n").split("\n") if text else []
 
 
 def cmd_caption_eval(args) -> int:

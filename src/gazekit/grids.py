@@ -8,7 +8,16 @@ Conventions shared by the whole package:
   (nonnegative values summing to one),
 * every function is pure: identical inputs give bit-identical outputs,
   and the arrays held by the types are marked read-only so instances
-  are safe to share across threads.
+  are safe to share across threads,
+* a map is checked once, where it enters. ``GazeMap(...)`` validates
+  the shape, the cells (finite, then nonnegative) and the mass, and
+  copies; ``normalize_to_simplex`` validates the shape and the cells;
+  ``spatial_softmax`` refuses non-finite logits; ``gaussian_blur`` and
+  ``entropy`` validate a bare-array argument as a ``GazeMap``. The maps
+  that ``normalize_to_simplex``, ``spatial_softmax`` and
+  ``gaussian_blur`` return are derived from checked data and are
+  simplices by construction, so they are trusted: built without a
+  second check and without a copy.
 """
 
 from __future__ import annotations
@@ -55,10 +64,7 @@ class GazeMap:
         v = np.asarray(self.values, dtype=np.float64)
         if v.ndim != 2 or v.size == 0:
             raise ValueError("gaze map needs a non-empty 2-D grid")
-        if not np.all(np.isfinite(v)):
-            raise ValueError("gaze map values must be finite")
-        if np.any(v < 0.0):
-            raise ValueError("gaze map values must be nonnegative")
+        _check_cells(v, "gaze map")
         total = float(v.sum())
         if abs(total - 1.0) > SIMPLEX_TOL:
             raise ValueError(f"gaze map must sum to 1 within {SIMPLEX_TOL}, got {total}")
@@ -73,9 +79,18 @@ class GazeMap:
         return self.values.shape[1]
 
 
+def _check_cells(v: np.ndarray, what: str) -> None:
+    # One min/max pass: a NaN makes both extremes NaN, and -0.0 is not below 0.
+    lo, hi = v.min(), v.max()
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ValueError(f"{what} values must be finite")
+    if lo < 0.0:
+        raise ValueError(f"{what} values must be nonnegative")
+
+
 def _checked_gaze_map(values: np.ndarray) -> GazeMap:
-    # A GazeMap around a fresh float64 array whose cells the caller has
-    # already checked: no copy, and no second finiteness, sign or mass check.
+    # The trusted constructor, for a fresh float64 simplex derived from checked
+    # data: no copy, and no second finiteness, sign or mass check.
     values = np.ascontiguousarray(values)
     values.setflags(write=False)
     gaze = object.__new__(GazeMap)
@@ -124,10 +139,7 @@ def normalize_to_simplex(grid) -> GazeMap:
     the float64 range.
     """
     v = grid_values(grid)
-    if not np.all(np.isfinite(v)):
-        raise ValueError("grid values must be finite")
-    if np.any(v < 0.0):
-        raise ValueError("grid values must be nonnegative")
+    _check_cells(v, "grid")
     with np.errstate(over="ignore"):
         total = float(v.sum())
     if total == math.inf:
@@ -148,8 +160,9 @@ def spatial_softmax(logits) -> GazeMap:
     z = grid_values(logits)
     if not np.all(np.isfinite(z)):
         raise ValueError("logits must be finite")
+    # Cells lie in [0, 1] and the largest is exp(0) = 1, so the sum is >= 1.
     e = np.exp(z - z.max())
-    return GazeMap(e / e.sum())
+    return _checked_gaze_map(e / e.sum())
 
 
 @lru_cache(maxsize=None)
@@ -186,14 +199,6 @@ def _blur_matrix(n: int, sigma: float) -> np.ndarray:
     return m
 
 
-def _blur(v: np.ndarray, sigma: float) -> np.ndarray:
-    # The blur on a bare array, renormalized. The gaze loss calls this form
-    # so that its finite-difference loop builds no GazeMap per evaluation.
-    h, w = v.shape
-    out = _blur_matrix(h, float(sigma)) @ v @ _blur_matrix(w, float(sigma)).T
-    return out / out.sum()
-
-
 def gaussian_blur(gaze, sigma: float) -> GazeMap:
     """Separable Gaussian smoothing on the simplex.
 
@@ -203,7 +208,9 @@ def gaussian_blur(gaze, sigma: float) -> GazeMap:
     a fixed point, and the transform is linear in its input.
     """
     v = gaze.values if isinstance(gaze, GazeMap) else GazeMap(np.asarray(gaze)).values
-    return GazeMap(_blur(v, sigma))
+    h, w = v.shape
+    out = _blur_matrix(h, float(sigma)) @ v @ _blur_matrix(w, float(sigma)).T
+    return _checked_gaze_map(out / out.sum())
 
 
 def entropy(gaze) -> float:

@@ -23,7 +23,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import LengthMismatch
-from .grids import GazeMap, _blur, _blur_matrix, entropy, grid_values, spatial_softmax
+from .grids import GazeMap, _blur_matrix, entropy, gaussian_blur, grid_values, spatial_softmax
 from .saliency import DEFAULT_KL_FLOOR, kl_div
 
 __all__ = [
@@ -127,7 +127,7 @@ def loss_gaze(gt, logits, cfg: GazeLossConfig = GazeLossConfig()) -> GazeLossBre
     raw_kl = kl_div(gt, pred)
     hinge = 0.0
     if cfg.hinge_weight > 0.0:
-        blur_kl = kl_div(gt, _blur(pred.values, cfg.blur_sigma))
+        blur_kl = kl_div(gt, gaussian_blur(pred, cfg.blur_sigma))
         hinge = cfg.hinge_weight * max(0.0, blur_kl - raw_kl + cfg.hinge_margin)
     return GazeLossBreakdown(total=raw_kl + hinge, kl=raw_kl, hinge=hinge)
 
@@ -141,11 +141,12 @@ def grad_loss_gaze(gt, logits, cfg: GazeLossConfig = GazeLossConfig()) -> np.nda
     zero up to rounding.
     """
     g = grid_values(gt)
-    p = spatial_softmax(logits).values
+    pred = spatial_softmax(logits)
+    p = pred.values
     raw_kl = kl_div(g, p)  # also refuses mismatched shapes at hinge weight 0
     v = _kl_grad_wrt_pred(g, p)
     if cfg.hinge_weight > 0.0:
-        b = _blur(p, cfg.blur_sigma)
+        b = gaussian_blur(pred, cfg.blur_sigma).values
         if kl_div(g, b) - raw_kl + cfg.hinge_margin > 0.0:
             # Pull the blurred copy's gradient back through the blur: the
             # adjoint of M_h @ p @ M_w.T.

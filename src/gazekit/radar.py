@@ -14,6 +14,7 @@ locale-dependent formatting, so identical inputs give identical bytes.
 from __future__ import annotations
 
 import math
+from html import escape
 
 __all__ = ["RADAR_AXES", "render_radar"]
 
@@ -126,7 +127,7 @@ def render_radar(labels, means) -> tuple[str, list[str]]:
         parts.append(f'<rect x="{legend_x}" y="{y}" width="14" height="14" fill="{color}"/>')
         parts.append(
             f'<text x="{legend_x + 20}" y="{y + 11}" font-family="sans-serif" '
-            f'font-size="13">{label}</text>'
+            f'font-size="13">{escape(str(label), quote=False)}</text>'
         )
     parts.append("</svg>")
     return "\n".join(parts) + "\n", degenerate

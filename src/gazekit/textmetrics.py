@@ -223,19 +223,19 @@ def _mean(scores) -> CaptionScore:
     )
 
 
-def _fields(text: str) -> list[str]:
+def _fields(text: str) -> tuple[str, ...]:
     caption = parse_caption(text)
-    return [getattr(caption, label) for label in FIELD_LABELS]
+    return tuple(getattr(caption, label) for label in FIELD_LABELS)
 
 
-def _field_corpora(corpus, tokens) -> list[list]:
+def _field_corpora(corpus, fields_of, tokens) -> list[list]:
     # One tokenized corpus per field, from the reference sets that parse.
     corpora = [[] for _ in FIELD_LABELS]
     for ref_set in corpus:
         parsed = []
         for ref in ref_set:
             try:
-                parsed.append(_fields(ref))
+                parsed.append(fields_of(ref))
             except CaptionError:
                 continue
         if not parsed:
@@ -260,14 +260,17 @@ def score_captions(pairs, corpus, max_n: int = 4, per_field: bool = False) -> Ca
     as data with their error. Means are arithmetic over successfully
     scored rows. Document frequencies are built once per unit corpus:
     once in whole-string mode, once per field in per-field mode. Each
-    distinct text is tokenized once per call.
+    distinct text is tokenized once per call, and in per-field mode each
+    distinct caption that parses is parsed once per call.
     """
     _check_max_n(max_n)
     # One token list per distinct text, shared by the corpus statistics and
     # the pair loop, which never mutate it; the cache lives for this call.
+    # The field tuples of per-field mode are cached the same way.
     tokens = lru_cache(maxsize=None)(tokenize)
     if per_field:
-        split, corpora = _fields, _field_corpora(corpus, tokens)
+        split = lru_cache(maxsize=None)(_fields)
+        corpora = _field_corpora(corpus, split, tokens)
     else:
         split, corpora = (lambda text: [text]), [[[tokens(r) for r in ref_set] for ref_set in corpus]]
     stats = [_doc_frequencies(unit_corpus, max_n) for unit_corpus in corpora]

@@ -14,20 +14,25 @@ import re
 import subprocess
 import sys
 from pathlib import Path
+from xml.etree import ElementTree
 
 import numpy as np
 import pytest
 
-from conftest import random_map
+from conftest import gaussian_blur_reference, gaze_map_reference, random_map, spatial_softmax_reference
 from gazekit import (
     MANIFEST_HEADER,
+    GazeLossConfig,
     GazeMap,
     GazeSequence,
     curate_corpus,
+    entropy,
+    kl_div,
     load_map,
     normalize_to_simplex,
     read_manifest_rows,
     read_metrics_table,
+    score_captions,
     save_fixations,
     save_map,
     FixationMap,
@@ -35,6 +40,8 @@ from gazekit import (
 )
 from gazekit import cli, curation, gradcheck
 from gazekit.cli import build_parser, main
+from gazekit.grids import _blur_matrix
+from gazekit.objectives import _kl_grad_wrt_pred, _softmax_backprop
 
 
 def write_map_dir(directory, maps, suffix=".pgm"):
@@ -410,6 +417,33 @@ class TestCaptionEval:
         # The mean covers only the scored row.
         assert float(rows[-1][1]) == pytest.approx(1.0)
 
+    def test_lines_end_only_at_newline(self, tmp_path):
+        # str.splitlines would also end a line at the form feed, U+0085 and
+        # U+2028 here, and pair each candidate with another row's reference.
+        cand = tmp_path / "cand.txt"
+        refs = tmp_path / "refs.txt"
+        cand.write_bytes("the car turns\x0cleft now\nred light ahead\u2028now\n".encode())
+        refs.write_bytes("the car turns left\nred\x85light ahead\n".encode())
+        out = tmp_path / "scores.csv"
+        assert main(["caption-eval", "--candidates", str(cand), "--references", str(refs), "--out", str(out)]) == 0
+        references = ["the car turns left", "red\x85light ahead"]
+        pairs = [("the car turns\x0cleft now", [references[0]]), ("red light ahead\u2028now", [references[1]])]
+        report = score_captions(pairs, [[r] for r in references])
+        rows = read_csv_rows(out)
+        assert [r[0] for r in rows[1:]] == ["1", "2", "mean"]
+        for row, scored in zip(rows[1:], report.rows):
+            assert row[1:4] == [f"{value:.9g}" for value in (scored.score.bleu, scored.score.rouge_l, scored.score.cider)]
+
+    @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"])
+    def test_every_newline_convention_gives_the_same_rows(self, tmp_path, newline):
+        cand = tmp_path / "cand.txt"
+        refs = tmp_path / "refs.txt"
+        cand.write_bytes(newline.join(self.SENTS).encode() + newline.encode())
+        refs.write_bytes(newline.join(reversed(self.SENTS)).encode())  # no final newline
+        out = tmp_path / "scores.csv"
+        assert main(["caption-eval", "--candidates", str(cand), "--references", str(refs), "--out", str(out)]) == 0
+        assert [r[0] for r in read_csv_rows(out)[1:]] == ["1", "2", "3", "mean"]
+
     def test_separate_corpus_file(self, tmp_path):
         cand = tmp_path / "cand.txt"
         refs = tmp_path / "refs.txt"
@@ -520,7 +554,52 @@ class TestGradCheck:
         assert capsys.readouterr().out == first
 
 
+def fit_demo_oracle(grid, steps, lr, target, hinge) -> tuple[bytes, str]:
+    """fit-demo's CSV bytes and stdout, from the test-side map oracles.
+
+    Every softmax and blur is validated and copied as ``GazeMap(...)``
+    once did, and the loss and its gradient are written out in full.
+    """
+    if target == "delta":
+        v = np.zeros((grid, grid))
+        v[grid // 2, grid // 2] = 1.0
+    else:
+        v = np.ones((grid, grid)) / float(grid * grid)
+    g = gaze_map_reference(v)
+    cfg = GazeLossConfig() if hinge else GazeLossConfig(hinge_weight=0.0)
+    m = _blur_matrix(grid, float(cfg.blur_sigma))
+    z = np.zeros((grid, grid))
+    lines = ["step,loss,entropy\n"]
+    with np.errstate(over="ignore"):
+        for step in range(steps + 1):
+            p = spatial_softmax_reference(z)
+            loss = raw_kl = kl_div(g, p)
+            grad = _kl_grad_wrt_pred(g, p)
+            if hinge:
+                b = gaussian_blur_reference(p, cfg.blur_sigma)
+                gap = kl_div(g, b) - raw_kl + cfg.hinge_margin
+                loss = raw_kl + cfg.hinge_weight * max(0.0, gap)
+                if gap > 0.0:
+                    grad = grad + cfg.hinge_weight * (m.T @ _kl_grad_wrt_pred(g, b) @ m - grad)
+            lines.append(f"{step},{loss:.17g},{entropy(p):.17g}\n")
+            if step < steps:
+                z = z - lr * _softmax_backprop(p, grad)
+    return "".join(lines).encode(), f"final loss {loss:.9g} after {steps} steps\n"
+
+
 class TestFitDemo:
+    @pytest.mark.parametrize("lr", ["0.5", "3", "-1.7976931348623157e308"])
+    @pytest.mark.parametrize("hinge", [False, True])
+    @pytest.mark.parametrize("target", ["delta", "uniform"])
+    def test_csv_bytes_match_the_validated_map_oracles(self, tmp_path, capsys, target, hinge, lr):
+        # The benchmark never runs fit-demo, so its bytes are pinned here.
+        out = tmp_path / "fit.csv"
+        argv = ["fit-demo", "--grid", "6", "--steps", "25", f"--lr={lr}", "--target", target]
+        assert main([*argv, *(["--hinge"] if hinge else []), "--out", str(out)]) == 0
+        csv_bytes, stdout = fit_demo_oracle(6, 25, float(lr), target, hinge)
+        assert out.read_bytes() == csv_bytes
+        assert capsys.readouterr().out == stdout
+
     def test_trajectory_file_shape(self, tmp_path, capsys):
         out = tmp_path / "fit.csv"
         code = main(["fit-demo", "--grid", "8", "--steps", "40", "--lr", "1.0", "--out", str(out)])
@@ -629,6 +708,18 @@ class TestReport:
         err = capsys.readouterr().err
         assert err.splitlines() == [f"{a}: mean of column kl is not finite ({float(cell)!r})"]
         assert not out.exists()
+
+    @pytest.mark.parametrize("labels", [["R&D <v2>", "ours"], ["a & b", "\"x\" 'y' <z> &amp;"]])
+    def test_labels_are_escaped(self, tmp_path, labels):
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        write_metrics_file(a, cc=0.3, kl=1.0)
+        write_metrics_file(b, cc=0.9, kl=0.2)
+        out = tmp_path / "radar.svg"
+        assert main(["report", "--tables", str(a), str(b), "--labels", *labels, "--out", str(out)]) == 0
+        root = ElementTree.parse(out).getroot()
+        texts = [t.text for t in root.iter("{http://www.w3.org/2000/svg}text")]
+        # Six axis names, then one legend entry per model.
+        assert texts[6:] == labels
 
     def test_byte_identical_reruns(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"

@@ -12,7 +12,14 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import gaze_maps, map_pairs, random_map
+from conftest import (
+    gaussian_blur_reference,
+    gaze_map_reference,
+    gaze_maps,
+    map_pairs,
+    random_map,
+    spatial_softmax_reference,
+)
 from gazekit import (
     AllZeroGrid,
     FixationMap,
@@ -22,7 +29,7 @@ from gazekit import (
     normalize_to_simplex,
     spatial_softmax,
 )
-from gazekit.grids import MASS_FLOOR, _blur_matrix, _gaussian_kernel_1d, grid_values
+from gazekit.grids import MASS_FLOOR, SIMPLEX_TOL, _blur_matrix, _gaussian_kernel_1d, grid_values
 
 
 def normalize_to_simplex_reference(grid) -> GazeMap:
@@ -42,25 +49,37 @@ def normalize_to_simplex_reference(grid) -> GazeMap:
     return GazeMap(v / total)
 
 
-def normalized(normalize, grid):
+def normalized(derive, *args):
+    """A derived map's shape and bytes, or its exception's type and message."""
     try:
-        values = normalize(grid).values
+        result = derive(*args)
     except Exception as exc:  # noqa: BLE001 - the exception is the outcome
         return type(exc), str(exc)
+    values = result.values if isinstance(result, GazeMap) else result
     return values.shape, values.tobytes()
 
 
 #: Valid cells, no sum of 36 of which overflows, and some with invalid ones mixed in.
 valid_cells = st.one_of(st.floats(0.0, 1e300), st.floats(0.0, 1e-13), st.sampled_from([0.0, -0.0, 5e-324]))
 any_cells = st.one_of(valid_cells, st.sampled_from([-1e-300, -1.0, math.nan, math.inf, -math.inf]))
+#: Finite logits, some spanning more than the float64 range, and some not finite.
+logit_cells = st.one_of(st.floats(-60.0, 60.0), st.floats(-1.7e308, 1.7e308), st.sampled_from([0.0, -0.0]))
+any_logits = st.one_of(logit_cells, st.sampled_from([math.nan, math.inf, -math.inf]))
 
 
 @st.composite
-def raw_grids(draw):
-    """Small grids in every layout a caller may pass: C, F, strided, read-only."""
+def raw_grids(draw, pools=(valid_cells, valid_cells, any_cells), scale=False):
+    """Small grids in every layout a caller may pass: C, F, strided, read-only.
+
+    With ``scale``, half the grids are divided by their sum first, so that
+    valid ones pass the mass check too.
+    """
     h, w = draw(st.integers(1, 6)), draw(st.integers(1, 6))
-    pool = draw(st.sampled_from([valid_cells, valid_cells, any_cells]))
+    pool = draw(st.sampled_from(pools))
     grid = np.array(draw(st.lists(pool, min_size=h * w, max_size=h * w))).reshape(h, w)
+    if scale and draw(st.booleans()):
+        with np.errstate(all="ignore"):
+            grid = grid / grid.sum()
     layout = draw(st.sampled_from(["c", "f", "strided", "read-only", "list"]))
     if layout == "f":
         return np.asfortranarray(grid)
@@ -91,6 +110,15 @@ def blur_oracle(values: np.ndarray, sigma: float) -> np.ndarray:
                     acc += w[a + r] * w[b + r] * values[fold(i + a, h), fold(j + b, wd)]
             out[i, j] = acc
     return out / out.sum()
+
+
+def assert_trusted_simplex(values: np.ndarray, source) -> None:
+    """What a map built without a second check must still be."""
+    assert values.dtype == np.float64
+    assert values.flags.c_contiguous and not values.flags.writeable
+    assert np.all(np.isfinite(values)) and values.min() >= 0.0
+    assert abs(float(values.sum()) - 1.0) <= SIMPLEX_TOL
+    assert not np.shares_memory(values, np.asarray(source))
 
 
 class TestTypes:
@@ -135,15 +163,13 @@ class TestNormalize:
     def test_matches_the_double_checked_version(self, grid):
         assert normalized(normalize_to_simplex, grid) == normalized(normalize_to_simplex_reference, grid)
 
-    @given(grid=raw_grids())
+    @given(grid=raw_grids(scale=True))
     def test_result_is_a_fresh_read_only_c_array(self, grid):
         try:
             values = normalize_to_simplex(grid).values
         except (ValueError, AllZeroGrid):
             return
-        assert values.dtype == np.float64
-        assert values.flags.c_contiguous and not values.flags.writeable
-        assert not np.shares_memory(values, np.asarray(grid))
+        assert_trusted_simplex(values, grid)
 
     def test_overflowing_mass_is_refused_without_a_warning(self):
         # The suite turns warnings into errors, so numpy's overflow warning
@@ -161,6 +187,52 @@ class TestNormalize:
         raw[0, 0] = 0.0
         m = normalize_to_simplex(raw)
         np.testing.assert_allclose(m.values, raw / raw.sum(), rtol=0, atol=1e-15)
+
+
+#: Every cell value whose check outcome a one-pass check could get wrong.
+EDGE_GRIDS = [
+    [[math.nan, -1.0]], [[-1.0, math.nan]], [[-math.inf, 1.0]], [[math.inf, -1.0]],
+    [[math.nan, math.inf]], [[-0.0, 1.0]], [[5e-324, 1.0]], [[-5e-324, 1.0]], [[0.0, -0.0]],
+]
+
+
+class TestOneCellCheck:
+    """GazeMap and normalize_to_simplex decide finiteness and sign in one pass."""
+
+    @given(grid=raw_grids(scale=True))
+    def test_gaze_map_matches_the_two_pass_check(self, grid):
+        assert normalized(GazeMap, grid) == normalized(gaze_map_reference, grid)
+
+    @pytest.mark.parametrize("grid", EDGE_GRIDS)
+    def test_edge_cells_give_the_former_outcomes(self, grid):
+        grid = np.array(grid)
+        assert normalized(GazeMap, grid) == normalized(gaze_map_reference, grid)
+        assert normalized(normalize_to_simplex, grid) == normalized(normalize_to_simplex_reference, grid)
+
+
+class TestTrustedMaps:
+    """Maps derived from checked data skip the second check and the copy."""
+
+    sigmas = st.one_of(st.floats(0.3, 2.5), st.sampled_from([0.0, -1.0, math.nan, math.inf]))
+
+    @given(logits=raw_grids(pools=(logit_cells, logit_cells, any_logits)))
+    def test_spatial_softmax_matches_the_validated_form(self, logits):
+        # A shift past the float64 range overflows to -inf, whose exp is 0.
+        with np.errstate(over="ignore"):
+            assert normalized(spatial_softmax, logits) == normalized(spatial_softmax_reference, logits)
+
+    @given(gaze=st.one_of(gaze_maps(max_side=12), raw_grids(scale=True)), sigma=sigmas)
+    def test_gaussian_blur_matches_the_validated_form(self, gaze, sigma):
+        assert normalized(gaussian_blur, gaze, sigma) == normalized(gaussian_blur_reference, gaze, sigma)
+
+    @given(logits=raw_grids(pools=(logit_cells,)))
+    def test_spatial_softmax_output(self, logits):
+        with np.errstate(over="ignore"):
+            assert_trusted_simplex(spatial_softmax(logits).values, logits)
+
+    @given(gaze=gaze_maps(max_side=12), sigma=st.floats(0.3, 2.5))
+    def test_gaussian_blur_output(self, gaze, sigma):
+        assert_trusted_simplex(gaussian_blur(gaze, sigma).values, gaze.values)
 
 
 class TestSpatialSoftmax:
@@ -199,8 +271,11 @@ class TestGaussianBlur:
     @pytest.mark.parametrize("sigma", [0.6, 1.0, 2.0])
     def test_blur_matrix_is_doubly_stochastic(self, n, sigma):
         # Rows by construction; columns by kernel symmetry under reflection.
-        # Column sums of 1 are what make uniform maps exact fixed points.
+        # Column sums of 1 are what make uniform maps exact fixed points,
+        # and with nonnegative entries they are why a blurred simplex is
+        # trusted without a check.
         m = _blur_matrix(n, sigma)
+        assert m.min() >= 0.0
         np.testing.assert_allclose(m.sum(axis=1), 1.0, rtol=0, atol=1e-12)
         np.testing.assert_allclose(m.sum(axis=0), 1.0, rtol=0, atol=1e-12)
 

@@ -7,6 +7,7 @@ from __future__ import annotations
 import math
 import struct
 from pathlib import Path, PurePosixPath
+from xml.etree import ElementTree
 
 import numpy as np
 import pytest
@@ -550,3 +551,11 @@ class TestRadar:
     def test_deterministic_text(self):
         args = (["a", "b"], radar_means(**self.BASE))
         assert render_radar(*args) == render_radar(*args)
+
+    @given(labels=st.lists(st.text(st.characters(min_codepoint=0x20, max_codepoint=0x17F)), min_size=2, max_size=4))
+    def test_legend_reads_back_every_label(self, labels):
+        columns = {k: [v[i % 2] for i in range(len(labels))] for k, v in self.BASE.items()}
+        svg, _ = render_radar(labels, radar_means(**columns))
+        root = ElementTree.fromstring(svg)
+        texts = [t.text or "" for t in root.iter("{http://www.w3.org/2000/svg}text")]
+        assert texts[len(RADAR_AXES):] == labels

@@ -649,6 +649,47 @@ class TestTokenizeOncePerCall:
             assert sorted(tokenized_texts(score_captions, pairs, corpus)) == ["a dog", "a red car"]
 
 
+def parsed_texts(*args, **kwargs) -> list[str]:
+    """Every text ``parse_caption`` is called with while score_captions runs."""
+    texts = []
+    real = textmetrics.parse_caption
+
+    def counting(text):
+        texts.append(text)
+        return real(text)
+
+    with mock.patch.object(textmetrics, "parse_caption", counting):
+        score_captions(*args, **kwargs)
+    return texts
+
+
+def parses(text: str) -> bool:
+    try:
+        parse_caption(text)
+    except CaptionError:
+        return False
+    return True
+
+
+class TestParseOncePerCall:
+    @given(case=caption_cases(per_field=True))
+    def test_each_caption_that_parses_is_parsed_once(self, case):
+        # A caption that fails raises again each time it is asked for.
+        pairs, corpus, max_n = case
+        counts = Counter(parsed_texts(pairs, corpus, max_n=max_n, per_field=True))
+        assert all(n == 1 for text, n in counts.items() if parses(text))
+
+    @given(case=caption_cases(per_field=False))
+    def test_whole_string_mode_parses_nothing(self, case):
+        pairs, corpus, max_n = case
+        assert parsed_texts(pairs, corpus, max_n=max_n) == []
+
+    def test_nothing_is_kept_between_calls(self):
+        good = "Scene: a | Current: b | Next: c | Why: d"
+        for _ in range(2):
+            assert parsed_texts([(good, [good])], [[good]], per_field=True) == [good]
+
+
 class TestExceptionPrecedence:
     GOOD = "Scene: a1 | Current: b1 | Next: c1 | Why: d1"
 
