@@ -65,7 +65,10 @@ class GazeMap:
         if v.ndim != 2 or v.size == 0:
             raise ValueError("gaze map needs a non-empty 2-D grid")
         _check_cells(v, "gaze map")
-        total = float(v.sum())
+        # Finite cells can still sum past the float64 range; the mass check
+        # below refuses the inf without numpy's overflow warning.
+        with np.errstate(over="ignore"):
+            total = float(v.sum())
         if abs(total - 1.0) > SIMPLEX_TOL:
             raise ValueError(f"gaze map must sum to 1 within {SIMPLEX_TOL}, got {total}")
         object.__setattr__(self, "values", _frozen(v))
@@ -158,10 +161,12 @@ def spatial_softmax(logits) -> GazeMap:
     large scores and exactly invariant to adding a constant.
     """
     z = grid_values(logits)
-    if not np.all(np.isfinite(z)):
+    # One min/max pass, as in ``_check_cells``: a NaN makes both extremes NaN.
+    hi = z.max()
+    if not (math.isfinite(z.min()) and math.isfinite(hi)):
         raise ValueError("logits must be finite")
     # Cells lie in [0, 1] and the largest is exp(0) = 1, so the sum is >= 1.
-    e = np.exp(z - z.max())
+    e = np.exp(z - hi)
     return _checked_gaze_map(e / e.sum())
 
 

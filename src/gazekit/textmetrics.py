@@ -22,19 +22,26 @@ Conventions, pinned here because every one of them changes scores:
 
 Cost: ``score_captions`` has one scoring loop. Each caption splits into
 units, the whole string in whole-string mode or its four fields in
-per-field mode, and every unit is scored the same way against document
-frequencies built once per unit corpus (one corpus, or one per field).
-So each candidate costs only its own and its references' n-grams.
-``cider`` on its own builds the frequencies for its one call.
+per-field mode, and every unit is scored the same way. Each distinct
+unit text is prepared once per call into a record: its tokens and one
+n-gram Counter per order, which the document frequencies, BLEU's
+clipped counts and the TF-IDF vectors all read. The IDF of every corpus
+gram is computed once per unit corpus (one corpus, or one per field),
+and each pair builds its TF-IDF vectors once, each with its norm.
+ROUGE-L finds the LCS length bit-parallel, with one integer mask per
+distinct reference token and a few integer operations per candidate
+token. The public ``bleu`` and ``cider`` prepare their token lists the
+same way for their one call.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import string
 from collections import Counter
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 from .captions import FIELD_LABELS, parse_caption
 from .errors import CaptionError, EmptyCorpus
@@ -70,7 +77,38 @@ def _check_max_n(max_n: int) -> None:
 
 
 def _ngrams(tokens, n: int) -> Counter:
-    return Counter(tuple(tokens[i : i + n]) for i in range(len(tokens) - n + 1))
+    # zip over n shifted slices yields each window as a tuple, left to right.
+    return Counter(zip(*[tokens[i:] for i in range(n)]))
+
+
+def _record(tokens, max_n: int) -> tuple[list[str], list[Counter]]:
+    # A text prepared for scoring: its tokens and one n-gram Counter per
+    # order from 1 to max_n. Every metric reads these; none mutates them.
+    return tokens, [_ngrams(tokens, n) for n in range(1, max_n + 1)]
+
+
+def _bleu(cand, refs, max_n: int) -> float:
+    # The one BLEU implementation, over records.
+    if not refs:
+        raise ValueError("bleu needs at least one reference")
+    cand_tokens, cand_grams = cand
+    c = len(cand_tokens)
+    if c == 0:
+        return 0.0
+    log_sum = 0.0
+    orders = min(max_n, c)
+    for n in range(1, orders + 1):
+        # Counter union keeps each gram's largest reference count.
+        best = reduce(operator.or_, [grams[n - 1] for _, grams in refs])
+        total = c - n + 1
+        clipped = sum(min(count, best.get(gram, 0)) for gram, count in cand_grams[n - 1].items())
+        if clipped == 0:
+            return 0.0
+        log_sum += math.log(clipped / total)
+    geo_mean = math.exp(log_sum / orders)
+    r = min((abs(len(tokens) - c), len(tokens)) for tokens, _ in refs)[1]
+    penalty = math.exp(-abs(r - c) / c)
+    return geo_mean * penalty
 
 
 def bleu(candidate, references, max_n: int = 4) -> float:
@@ -80,40 +118,29 @@ def bleu(candidate, references, max_n: int = 4) -> float:
     convention. Equality with any reference scores exactly 1.
     """
     _check_max_n(max_n)
+    # Checked here too, so that an empty reference list is reported before
+    # the candidate is read.
     if not references:
         raise ValueError("bleu needs at least one reference")
-    cand = list(candidate)
-    refs = [list(r) for r in references]
-    c = len(cand)
-    if c == 0:
-        return 0.0
-    log_sum = 0.0
-    orders = min(max_n, c)
-    for n in range(1, orders + 1):
-        counts = _ngrams(cand, n)
-        ref_counts = [_ngrams(r, n) for r in refs]
-        total = c - n + 1
-        clipped = sum(
-            min(count, max(rc[gram] for rc in ref_counts)) for gram, count in counts.items()
-        )
-        if clipped == 0:
-            return 0.0
-        log_sum += math.log(clipped / total)
-    geo_mean = math.exp(log_sum / orders)
-    r = min((abs(len(ref) - c), len(ref)) for ref in refs)[1]
-    penalty = math.exp(-abs(r - c) / c)
-    return geo_mean * penalty
+    cand = _record(list(candidate), max_n)
+    return _bleu(cand, [_record(list(r), max_n) for r in references], max_n)
 
 
 def _lcs_length(a, b) -> int:
-    # Classic O(len(a) * len(b)) dynamic program, one rolling row.
-    prev = [0] * (len(b) + 1)
-    for x in a:
-        cur = [0]
-        for j, y in enumerate(b, start=1):
-            cur.append(prev[j - 1] + 1 if x == y else max(prev[j], cur[-1]))
-        prev = cur
-    return prev[-1]
+    # Bit-parallel LCS length (Allison & Dix 1986; Hyyrö 2004). One
+    # Python-int mask per distinct token of ``b`` marks where it occurs.
+    # ``v`` is the dynamic program's row for the prefix of ``a`` read so
+    # far, in difference form: each zero bit is a step up, so the zero
+    # bits count the LCS length.
+    masks: dict = {}
+    for i, token in enumerate(b):
+        masks[token] = masks.get(token, 0) | (1 << i)
+    full = (1 << len(b)) - 1
+    v = full
+    for token in a:
+        u = v & masks.get(token, 0)
+        v = ((v + u) | (v - u)) & full
+    return len(b) - v.bit_count()
 
 
 def rouge_l(candidate, reference) -> float:
@@ -131,46 +158,50 @@ def rouge_l(candidate, reference) -> float:
     return (1.0 + b2) * precision * recall / (recall + b2 * precision)
 
 
-def _doc_frequencies(corpus, max_n: int) -> tuple[Counter, int]:
-    # Document frequencies and the corpus size: what ``_cider`` scores against.
+def _doc_frequencies(corpus, max_n: int) -> tuple[dict, int]:
+    # The IDF of every gram in a corpus of reference-set records, and the
+    # corpus size: what ``_cider`` scores against. Document frequency counts
+    # each reference set once, so df >= 1 here and the clamp is moot.
     df = Counter()
     for ref_set in corpus:
         seen = set()
-        for ref in ref_set:
-            for n in range(1, max_n + 1):
-                seen.update(_ngrams(ref, n))
+        for _, grams in ref_set:
+            for n in range(max_n):
+                seen.update(grams[n])
         df.update(seen)
-    return df, len(corpus)
+    n_docs = len(corpus)
+    return {gram: math.log(n_docs / count) for gram, count in df.items()}, n_docs
 
 
-def _tfidf(tokens, n: int, df: Counter, n_docs: int) -> dict:
-    return {
-        gram: count * math.log(n_docs / max(1, df[gram]))
-        for gram, count in _ngrams(tokens, n).items()
-    }
+def _tfidf(grams: Counter, idf: dict, unseen: float) -> tuple[dict, float]:
+    # A TF-IDF vector in the Counter's order, with its norm.
+    vec = {gram: count * idf.get(gram, unseen) for gram, count in grams.items()}
+    return vec, math.sqrt(sum(map(operator.mul, vec.values(), vec.values())))
 
 
-def _cosine(a: dict, b: dict) -> float:
-    na = math.sqrt(sum(v * v for v in a.values()))
-    nb = math.sqrt(sum(v * v for v in b.values()))
+def _cosine(a, b) -> float:
+    (va, na), (vb, nb) = a, b
     if na == 0.0 or nb == 0.0:
         return 0.0
-    dot = sum(v * b[g] for g, v in a.items() if g in b)
+    dot = sum(v * vb[g] for g, v in va.items() if g in vb)
     return dot / (na * nb)
 
 
 def _cider(cand, refs, stats, max_n: int) -> float:
-    # The one CIDEr implementation; ``stats`` comes from ``_doc_frequencies``,
-    # which the caller runs once per corpus.
-    df, n_docs = stats
+    # The one CIDEr implementation, over records; ``stats`` comes from
+    # ``_doc_frequencies``, which the caller runs once per corpus.
+    idf, n_docs = stats
     if not n_docs:
         raise EmptyCorpus("document frequencies need a non-empty corpus")
     if not refs:
         raise ValueError("cider needs at least one reference")
+    # A gram absent from the corpus has df 0, clamped to 1: log(n_docs / 1).
+    unseen = math.log(n_docs)
+    _, cand_grams = cand
     total = 0.0
-    for n in range(1, max_n + 1):
-        cand_vec = _tfidf(cand, n, df, n_docs)
-        total += sum(_cosine(cand_vec, _tfidf(r, n, df, n_docs)) for r in refs) / len(refs)
+    for n in range(max_n):
+        cand_vec = _tfidf(cand_grams[n], idf, unseen)
+        total += sum(_cosine(cand_vec, _tfidf(grams[n], idf, unseen)) for _, grams in refs) / len(refs)
     return 10.0 * total / max_n
 
 
@@ -185,8 +216,9 @@ def cider(candidate, references, corpus, max_n: int = 4) -> float:
     the document frequencies once.
     """
     _check_max_n(max_n)
-    refs = [list(r) for r in references]
-    return _cider(list(candidate), refs, _doc_frequencies(corpus, max_n), max_n)
+    refs = [_record(list(r), max_n) for r in references]
+    stats = _doc_frequencies([[_record(r, max_n) for r in ref_set] for ref_set in corpus], max_n)
+    return _cider(_record(list(candidate), max_n), refs, stats, max_n)
 
 
 @dataclass(frozen=True)
@@ -228,8 +260,8 @@ def _fields(text: str) -> tuple[str, ...]:
     return tuple(getattr(caption, label) for label in FIELD_LABELS)
 
 
-def _field_corpora(corpus, fields_of, tokens) -> list[list]:
-    # One tokenized corpus per field, from the reference sets that parse.
+def _field_corpora(corpus, fields_of, prepare) -> list[list]:
+    # One corpus of records per field, from the reference sets that parse.
     corpora = [[] for _ in FIELD_LABELS]
     for ref_set in corpus:
         parsed = []
@@ -241,7 +273,7 @@ def _field_corpora(corpus, fields_of, tokens) -> list[list]:
         if not parsed:
             continue
         for field, field_corpus in enumerate(corpora):
-            field_corpus.append([tokens(fields[field]) for fields in parsed])
+            field_corpus.append([prepare(fields[field]) for fields in parsed])
     if not corpora[0]:
         raise EmptyCorpus("no corpus rows parse as structured captions")
     return corpora
@@ -258,21 +290,23 @@ def score_captions(pairs, corpus, max_n: int = 4, per_field: bool = False) -> Ca
     structured captions. A row's score is the mean over its units (the
     per-field macro average), and rows that fail to parse are reported
     as data with their error. Means are arithmetic over successfully
-    scored rows. Document frequencies are built once per unit corpus:
-    once in whole-string mode, once per field in per-field mode. Each
-    distinct text is tokenized once per call, and in per-field mode each
-    distinct caption that parses is parsed once per call.
+    scored rows. Each distinct unit text is tokenized once per call and
+    its n-grams counted once per order, in a record that lives for the
+    call; in per-field mode each distinct caption that parses is parsed
+    once per call. The IDF of each corpus gram is computed once per unit
+    corpus: once in whole-string mode, once per field in per-field mode.
+    ROUGE-L's LCS is found bit-parallel.
     """
     _check_max_n(max_n)
-    # One token list per distinct text, shared by the corpus statistics and
+    # One record per distinct unit text, shared by the corpus statistics and
     # the pair loop, which never mutate it; the cache lives for this call.
     # The field tuples of per-field mode are cached the same way.
-    tokens = lru_cache(maxsize=None)(tokenize)
+    prepare = lru_cache(maxsize=None)(lambda text: _record(tokenize(text), max_n))
     if per_field:
         split = lru_cache(maxsize=None)(_fields)
-        corpora = _field_corpora(corpus, split, tokens)
+        corpora = _field_corpora(corpus, split, prepare)
     else:
-        split, corpora = (lambda text: [text]), [[[tokens(r) for r in ref_set] for ref_set in corpus]]
+        split, corpora = (lambda text: [text]), [[[prepare(r) for r in ref_set] for ref_set in corpus]]
     stats = [_doc_frequencies(unit_corpus, max_n) for unit_corpus in corpora]
 
     rows: list[ScoredCaption] = []
@@ -285,15 +319,15 @@ def score_captions(pairs, corpus, max_n: int = 4, per_field: bool = False) -> Ca
             continue
         unit_scores = []
         for unit, unit_stats in enumerate(stats):
-            cand_tokens = tokens(cand_units[unit])
-            ref_tokens = [tokens(r[unit]) for r in refs_units]
+            cand_record = prepare(cand_units[unit])
+            ref_records = [prepare(r[unit]) for r in refs_units]
             # bleu runs first, so an empty reference list raises its
             # ValueError before an empty corpus raises EmptyCorpus.
             unit_scores.append(
                 CaptionScore(
-                    bleu=bleu(cand_tokens, ref_tokens, max_n),
-                    rouge_l=max(rouge_l(cand_tokens, r) for r in ref_tokens),
-                    cider=_cider(cand_tokens, ref_tokens, unit_stats, max_n),
+                    bleu=_bleu(cand_record, ref_records, max_n),
+                    rouge_l=max(rouge_l(cand_record[0], tokens) for tokens, _ in ref_records),
+                    cider=_cider(cand_record, ref_records, unit_stats, max_n),
                 )
             )
         rows.append(ScoredCaption(index, _mean(unit_scores)))

@@ -177,6 +177,11 @@ class TestNormalize:
         with pytest.raises(ValueError, match="^grid mass overflows the float64 range$"):
             normalize_to_simplex(np.array([[1e308, 1e308], [1.0, 1.0]]))
 
+    def test_gaze_map_overflowing_mass_is_refused_without_a_warning(self):
+        # Finite cells that sum past the float64 range fail the mass check.
+        with pytest.raises(ValueError, match=r"^gaze map must sum to 1 within 1e-09, got inf$"):
+            GazeMap(np.array([[1e308, 1e308]]))
+
     def test_gaze_map_constructor_still_validates(self):
         for bad in ([[0.5, 0.6]], [[math.nan, 1.0]], [[-0.5, 1.5]]):
             with pytest.raises(ValueError, match="gaze map"):

@@ -28,7 +28,7 @@ from gazekit import (
     tokenize,
 )
 from gazekit import textmetrics
-from gazekit.textmetrics import CaptionScore, CaptionSetReport, ScoredCaption, _check_max_n, _cider
+from gazekit.textmetrics import CaptionScore, CaptionSetReport, ScoredCaption, _check_max_n
 
 words = st.lists(st.sampled_from("a b c d e f g".split()), min_size=1, max_size=8)
 
@@ -279,15 +279,69 @@ class TestScoreCaptions:
             score_captions([], [["not a caption"]], per_field=True)
 
 
-# --- CIDEr oracle -----------------------------------------------------------
+# --- Metric oracles ----------------------------------------------------------
 #
-# The per-candidate CIDEr that rebuilt the document frequencies on every
-# call, kept verbatim with its helpers. ``score_captions`` now builds them
-# once per corpus; these tests hold it to exact equality with this oracle.
+# The metrics as they were before each text was prepared once per call:
+# BLEU and ROUGE-L with its O(mn) dynamic program, kept verbatim except for
+# the oracle names, and the per-candidate CIDEr that rebuilt the document
+# frequencies on every call, with its helpers. ``score_captions`` and the
+# public metrics are held to exact equality with them.
 
 
 def _oracle_ngrams(tokens, n):
     return Counter(tuple(tokens[i : i + n]) for i in range(len(tokens) - n + 1))
+
+
+def _oracle_bleu(candidate, references, max_n=4):
+    _check_max_n(max_n)
+    if not references:
+        raise ValueError("bleu needs at least one reference")
+    cand = list(candidate)
+    refs = [list(r) for r in references]
+    c = len(cand)
+    if c == 0:
+        return 0.0
+    log_sum = 0.0
+    orders = min(max_n, c)
+    for n in range(1, orders + 1):
+        counts = _oracle_ngrams(cand, n)
+        ref_counts = [_oracle_ngrams(r, n) for r in refs]
+        total = c - n + 1
+        clipped = sum(
+            min(count, max(rc[gram] for rc in ref_counts)) for gram, count in counts.items()
+        )
+        if clipped == 0:
+            return 0.0
+        log_sum += math.log(clipped / total)
+    geo_mean = math.exp(log_sum / orders)
+    r = min((abs(len(ref) - c), len(ref)) for ref in refs)[1]
+    penalty = math.exp(-abs(r - c) / c)
+    return geo_mean * penalty
+
+
+def _oracle_lcs_length(a, b):
+    # Classic O(len(a) * len(b)) dynamic program, one rolling row.
+    prev = [0] * (len(b) + 1)
+    for x in a:
+        cur = [0]
+        for j, y in enumerate(b, start=1):
+            cur.append(prev[j - 1] + 1 if x == y else max(prev[j], cur[-1]))
+        prev = cur
+    return prev[-1]
+
+
+def _oracle_rouge_l(candidate, reference):
+    cand = list(candidate)
+    ref = list(reference)
+    if not cand or not ref:
+        return 0.0
+    lcs = _oracle_lcs_length(cand, ref)
+    if lcs == 0:
+        return 0.0
+    precision = lcs / len(cand)
+    recall = lcs / len(ref)
+    b2 = 1.2 * 1.2
+    return (1.0 + b2) * precision * recall / (recall + b2 * precision)
 
 
 def _oracle_doc_frequencies(corpus, max_n):
@@ -299,6 +353,10 @@ def _oracle_doc_frequencies(corpus, max_n):
                 seen.update(_oracle_ngrams(ref, n))
         df.update(seen)
     return df
+
+
+def _oracle_corpus_stats(corpus_tokens, max_n):
+    return _oracle_doc_frequencies(corpus_tokens, max_n), len(corpus_tokens)
 
 
 def _oracle_tfidf(tokens, n, df, n_docs):
@@ -317,15 +375,12 @@ def _oracle_cosine(a, b):
     return dot / (na * nb)
 
 
-def cider_oracle(candidate, references, corpus, max_n=4):
-    if not corpus:
+def _oracle_cider(cand, refs, stats, max_n):
+    df, n_docs = stats
+    if not n_docs:
         raise EmptyCorpus("document frequencies need a non-empty corpus")
-    if not references:
+    if not refs:
         raise ValueError("cider needs at least one reference")
-    refs = [list(r) for r in references]
-    cand = list(candidate)
-    n_docs = len(corpus)
-    df = _oracle_doc_frequencies(corpus, max_n)
     total = 0.0
     for n in range(1, max_n + 1):
         cand_vec = _oracle_tfidf(cand, n, df, n_docs)
@@ -333,6 +388,11 @@ def cider_oracle(candidate, references, corpus, max_n=4):
             _oracle_cosine(cand_vec, _oracle_tfidf(r, n, df, n_docs)) for r in refs
         ) / len(refs)
     return 10.0 * total / max_n
+
+
+def cider_oracle(candidate, references, corpus, max_n=4):
+    refs = [list(r) for r in references]
+    return _oracle_cider(list(candidate), refs, _oracle_corpus_stats(corpus, max_n), max_n)
 
 
 def oracle_cider_column(pairs, corpus, max_n, per_field):
@@ -468,22 +528,19 @@ class TestCiderOracle:
 # --- score_captions oracle ---------------------------------------------------
 #
 # ``score_captions`` as it was with one pair loop per mode, kept verbatim
-# with its helpers except for the oracle names. The statistics come from
-# the document-frequency oracle above. The one-loop version must return
-# an equal report: every score, error and mean.
-
-
-def _oracle_corpus_stats(corpus_tokens, max_n):
-    return _oracle_doc_frequencies(corpus_tokens, max_n), len(corpus_tokens)
+# with its helpers except for the oracle names. The metrics and the
+# statistics are the oracles above, so none of the code under test scores
+# the expected report. The one-loop version must return an equal report:
+# every score, error and mean.
 
 
 def _oracle_score_one(cand_tokens, ref_token_lists, stats, max_n) -> CaptionScore:
     # bleu runs first, so an empty reference list raises its ValueError
     # before an empty corpus raises EmptyCorpus.
     return CaptionScore(
-        bleu=bleu(cand_tokens, ref_token_lists, max_n),
-        rouge_l=max(rouge_l(cand_tokens, r) for r in ref_token_lists),
-        cider=_cider(cand_tokens, ref_token_lists, stats, max_n),
+        bleu=_oracle_bleu(cand_tokens, ref_token_lists, max_n),
+        rouge_l=max(_oracle_rouge_l(cand_tokens, r) for r in ref_token_lists),
+        cider=_oracle_cider(cand_tokens, ref_token_lists, stats, max_n),
     )
 
 
@@ -647,6 +704,85 @@ class TestTokenizeOncePerCall:
         corpus = [["a red car"], ["a dog"]]
         for _ in range(2):
             assert sorted(tokenized_texts(score_captions, pairs, corpus)) == ["a dog", "a red car"]
+
+
+def ngram_calls(*args, **kwargs) -> tuple[list[tuple[int, int]], set[str]]:
+    """Each ``_ngrams`` call, as (id of its tokens, order), and each text tokenized."""
+    calls, texts = [], set()
+    real_ngrams, real_tokenize = textmetrics._ngrams, textmetrics.tokenize
+
+    def counting_ngrams(tokens, n):
+        calls.append((id(tokens), n))
+        return real_ngrams(tokens, n)
+
+    def counting_tokenize(text):
+        texts.add(text)
+        return real_tokenize(text)
+
+    with mock.patch.object(textmetrics, "_ngrams", counting_ngrams), mock.patch.object(
+        textmetrics, "tokenize", counting_tokenize
+    ):
+        score_captions(*args, **kwargs)
+    return calls, texts
+
+
+class TestNgramsOncePerText:
+    """Each distinct unit text's n-grams are built once per order per call."""
+
+    @pytest.mark.parametrize("per_field", [False, True])
+    @given(data=st.data())
+    def test_at_most_max_n_calls_per_distinct_text(self, per_field, data):
+        pairs, corpus, max_n = data.draw(caption_cases(per_field=per_field))
+        calls, texts = ngram_calls(pairs, corpus, max_n=max_n, per_field=per_field)
+        assert len(calls) <= max_n * len(texts)
+        assert len(calls) == len(set(calls))
+
+    def test_nothing_is_kept_between_calls(self):
+        pairs = [("a red car", ["a red car"]), ("a dog", ["a red car"])]
+        corpus = [["a red car"], ["a dog"]]
+        for _ in range(2):
+            calls, texts = ngram_calls(pairs, corpus, max_n=3)
+            assert len(calls) == 3 * len(texts) == 6
+
+
+#: Token lists over a one- to four-symbol alphabet, so tokens repeat, and
+#: long enough that the LCS bit masks cross a 64-bit machine word.
+@st.composite
+def symbol_pairs(draw):
+    alphabet = "abcd"[: draw(st.integers(1, 4))]
+    side = st.lists(st.sampled_from(alphabet), max_size=90)
+    return draw(side), draw(side)
+
+
+class TestBitParallelLcs:
+    @given(pair=symbol_pairs())
+    def test_equals_the_dynamic_program(self, pair):
+        a, b = pair
+        assert textmetrics._lcs_length(a, b) == _oracle_lcs_length(a, b)
+
+    @pytest.mark.parametrize("m", [63, 64, 65, 128, 129])
+    def test_word_boundaries(self, m):
+        a = ["x"] * m
+        assert textmetrics._lcs_length(a, a) == m
+        assert textmetrics._lcs_length(a, ["y"] + a[1:]) == m - 1
+        assert textmetrics._lcs_length(["x", "y"] * m, a) == m
+
+    @given(pair=symbol_pairs())
+    def test_rouge_l_equals_oracle(self, pair):
+        cand, ref = pair
+        assert rouge_l(cand, ref) == _oracle_rouge_l(cand, ref)
+
+
+class TestPublicMetricsEqualOracles:
+    @given(cand=token_lists, refs=st.lists(token_lists, min_size=1, max_size=3), max_n=st.integers(1, 5))
+    def test_bleu_equals_oracle(self, cand, refs, max_n):
+        assert bleu(cand, refs, max_n) == _oracle_bleu(cand, refs, max_n)
+
+    def test_bleu_checks_max_n_then_references_before_the_candidate(self):
+        with pytest.raises(ValueError, match="max_n"):
+            bleu(None, [], 0)
+        with pytest.raises(ValueError, match="bleu needs at least one reference"):
+            bleu(None, [])
 
 
 def parsed_texts(*args, **kwargs) -> list[str]:
