@@ -27,7 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from .captions import parse_caption, serialize_caption
-from .curation import CurationParams, GazeSequence, curate_corpus
+from .curation import CurationParams, GazeSequence, curate_video
 from .errors import CaptionError, GazeKitError
 from .gradcheck import TOLERANCE, run_gradient_checks
 from .grids import GazeMap, normalize_to_simplex
@@ -136,29 +136,27 @@ def cmd_curate(args) -> int:
         _diag(f"cannot list {root}: {exc}")
         return 2
 
+    pairs, counts, skipped = [], [], []
     frame_paths: dict[str, list[str]] = {}
-    skipped = []
-
-    def sequences():
-        # Read each video only when curate_corpus asks for it, so the
-        # corpus is never in memory as a whole.
-        for video in videos:
-            files = _map_files(root / video)
-            if not files:
-                skipped.append(f"{video}: no map files, skipped")
-                continue
-            try:
-                seq = GazeSequence(video, tuple(load_map(f) for f in files.values()))
-            except (GazeKitError, ValueError, OSError) as exc:
-                skipped.append(f"{video}: {exc}, skipped")
-                continue
-            frame_paths[video] = [f"{video}/{name}" for name in files]
-            yield seq
-
-    manifest = curate_corpus(sequences(), params)
-    write_manifest(args.out, manifest, frame_paths)
-    for video_id, count in manifest.video_counts:
-        print(f"{video_id}: {count}")
+    # Each video is curated before the next is read: one is in memory at a time.
+    for video in videos:
+        files = _map_files(root / video)
+        if not files:
+            skipped.append(f"{video}: no map files, skipped")
+            continue
+        try:
+            seq = GazeSequence(video, tuple(load_map(f) for f in files.values()))
+        except (GazeKitError, ValueError, OSError) as exc:
+            skipped.append(f"{video}: {exc}, skipped")
+            continue
+        frame_paths[video] = [f"{video}/{name}" for name in files]
+        selected = curate_video(seq, params)
+        pairs.extend(selected)
+        counts.append(f"{video}: {len(selected)}")
+    # Written before anything is printed: a failed write leaves stdout empty.
+    write_manifest(args.out, pairs, frame_paths)
+    for line in counts:
+        print(line)
     for message in skipped:
         _diag(message)
     return 2 if skipped else 0

@@ -15,9 +15,9 @@ builds one table of every frame's ground-truth side (positive-cell
 mask, values and logs) and prediction side (the log of the floored,
 renormalized map), and every curve step and target candidate only
 combines two entries of it. The scores are those of ``kl_div``, bit for
-bit. The table lives only as long as one ``curate_video`` call, and
-``curate_corpus`` curates each sequence before it takes the next, so a
-corpus streamed in is never in memory as a whole.
+bit. The table lives only as long as one ``curate_video`` call, and the
+``curate`` command curates each video before it reads the next, so a
+corpus is never in memory as a whole.
 
 Everything is deterministic: rerunning on the same sequences gives the
 same pairs in the same order.
@@ -36,12 +36,10 @@ __all__ = [
     "CurationParams",
     "FramePair",
     "GazeSequence",
-    "CurationManifest",
     "kl_curve",
     "find_anchors",
     "select_target",
     "curate_video",
-    "curate_corpus",
 ]
 
 
@@ -107,14 +105,6 @@ class FramePair:
             raise ValueError("target must come after anchor")
         if self.delta != self.target - self.anchor:
             raise ValueError("delta must equal target - anchor")
-
-
-@dataclass(frozen=True)
-class CurationManifest:
-    """Selected pairs across a corpus, with per-video counts."""
-
-    pairs: tuple[FramePair, ...]
-    video_counts: tuple[tuple[str, int], ...]
 
 
 def kl_curve(seq: GazeSequence) -> list[float]:
@@ -206,13 +196,3 @@ def curate_video(seq: GazeSequence, params: CurationParams = CurationParams()) -
             kept.append(cand)
     return sorted(kept, key=lambda p: p.anchor)
 
-
-def curate_corpus(sequences, params: CurationParams = CurationParams()) -> CurationManifest:
-    """Curate every sequence and concatenate the results in input order."""
-    pairs: list[FramePair] = []
-    counts: list[tuple[str, int]] = []
-    for seq in sequences:
-        selected = curate_video(seq, params)
-        pairs.extend(selected)
-        counts.append((seq.video_id, len(selected)))
-    return CurationManifest(pairs=tuple(pairs), video_counts=tuple(counts))

@@ -47,6 +47,10 @@ SIMPLEX_TOL = 1e-9
 #: Total mass below this is treated as an empty grid.
 MASS_FLOOR = 1e-12
 
+#: Blur matrices kept, by (side, sigma). A gaze loss uses one or two
+#: sides at one sigma, and grad-check draws a new sigma per trial.
+_BLUR_CACHE_SIZE = 8
+
 
 def _frozen(values, dtype=np.float64):
     out = np.array(values, dtype=dtype, order="C")
@@ -170,7 +174,6 @@ def spatial_softmax(logits) -> GazeMap:
     return _checked_gaze_map(e / e.sum())
 
 
-@lru_cache(maxsize=None)
 def _gaussian_kernel_1d(sigma: float) -> np.ndarray:
     # Normalized Gaussian taps at integer offsets in [-r, r], r = ceil(3 sigma).
     if not (sigma > 0.0 and math.isfinite(sigma)):
@@ -179,7 +182,6 @@ def _gaussian_kernel_1d(sigma: float) -> np.ndarray:
     offsets = np.arange(-radius, radius + 1, dtype=np.float64)
     w = np.exp(-0.5 * (offsets / sigma) ** 2)
     w /= w.sum()
-    w.setflags(write=False)
     return w
 
 
@@ -189,7 +191,7 @@ def _fold_index(t: np.ndarray, n: int) -> np.ndarray:
     return np.where(t < n, t, 2 * n - 1 - t)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_BLUR_CACHE_SIZE)
 def _blur_matrix(n: int, sigma: float) -> np.ndarray:
     # One-axis blur operator. Out-of-range taps fold back in by symmetric
     # reflection, which keeps the matrix doubly stochastic: rows and columns

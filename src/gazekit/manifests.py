@@ -13,8 +13,6 @@ import io
 import math
 from pathlib import Path
 
-from .curation import CurationManifest
-
 __all__ = [
     "MANIFEST_HEADER",
     "METRICS_HEADER",
@@ -96,15 +94,15 @@ def read_manifest_rows(path) -> tuple[list[str], list[dict]]:
     return header, [dict(zip(header, row)) for row in rows]
 
 
-def write_manifest(path, manifest: CurationManifest, frame_paths) -> None:
-    """Write a curation result as a manifest CSV.
+def write_manifest(path, pairs, frame_paths) -> None:
+    """Write curated ``FramePair`` objects, in the given order, as a manifest CSV.
 
     ``frame_paths`` maps each video_id to that video's ordered frame file
     paths, which fill the anchor and target path columns. Captions start
     empty; review adds them later.
     """
     rows = []
-    for pair in manifest.pairs:
+    for pair in pairs:
         paths = frame_paths[pair.video_id]
         rows.append(
             [

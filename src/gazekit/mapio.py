@@ -7,8 +7,9 @@ Two on-disk map formats are supported, chosen by file suffix:
   peak cell hits 65535; loading renormalizes to the simplex, so a
   save/load round trip is exact up to the 16-bit quantization step.
 * ``.csv``: comma-separated decimal floats, one row per line ("CSVF").
-  Values round-trip exactly. The file must be ASCII; blank lines are
-  skipped and every other line must hold the same number of commas.
+  Values round-trip exactly. The file must be ASCII (another byte is
+  refused with the path and its offset); blank lines are skipped and
+  every other line must hold the same number of commas.
   A cell is a decimal or exponent float, ``inf``, ``infinity`` or
   ``nan`` in any case, optionally signed, with spaces or tabs around
   it. Cells are parsed by ``np.loadtxt``, which rounds correctly and
@@ -108,8 +109,11 @@ def _write_pgm16(path: Path, values: np.ndarray) -> None:
 
 
 def _read_csv_grid(path) -> np.ndarray:
-    with open(path, encoding="ascii") as f:
-        lines = [line for line in f.read().splitlines() if line.strip()]
+    try:
+        text = Path(path).read_bytes().decode("ascii")
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: not ASCII text ({exc.reason} at byte {exc.start})") from None
+    lines = [line for line in text.splitlines() if line.strip()]
     if not lines:
         raise ValueError(f"{path}: no rows")
     commas = lines[0].count(",")

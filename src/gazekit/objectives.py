@@ -17,7 +17,7 @@ the gradient-check suite; at the hinge kink the subgradient 0 is used
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import NamedTuple
 
 import numpy as np
@@ -41,6 +41,15 @@ __all__ = [
 ]
 
 
+def _require_finite(settings, noun: str) -> None:
+    # NaN fails every ordered comparison, so it slips past a range check,
+    # and an infinite setting makes the loss inf or NaN.
+    for field in fields(settings):
+        value = getattr(settings, field.name)
+        if not math.isfinite(value):
+            raise ValueError(f"{field.name}{noun} must be finite, got {value}")
+
+
 @dataclass(frozen=True)
 class GazeLossConfig:
     """Hinge and blur settings for the gaze loss."""
@@ -56,6 +65,7 @@ class GazeLossConfig:
             raise ValueError("hinge_margin must be nonnegative")
         if not self.blur_sigma > 0.0:
             raise ValueError("blur_sigma must be positive")
+        _require_finite(self, "")
 
 
 @dataclass(frozen=True)
@@ -65,6 +75,9 @@ class LossWeights:
     gaze: float = 1.0
     caption: float = 1.0
     align: float = 0.2
+
+    def __post_init__(self):
+        _require_finite(self, " weight")
 
 
 @dataclass(frozen=True)

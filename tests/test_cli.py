@@ -25,7 +25,7 @@ from gazekit import (
     GazeLossConfig,
     GazeMap,
     GazeSequence,
-    curate_corpus,
+    curate_video,
     entropy,
     kl_div,
     load_map,
@@ -38,7 +38,7 @@ from gazekit import (
     FixationMap,
     write_manifest,
 )
-from gazekit import cli, curation, gradcheck
+from gazekit import cli, gradcheck
 from gazekit.cli import build_parser, main
 from gazekit.grids import _blur_matrix
 from gazekit.objectives import _kl_grad_wrt_pred, _softmax_backprop
@@ -304,7 +304,7 @@ class TestCurate:
         for name in videos:
             write_sequence_dir(root, name, two_segment_arrays())
         events = []
-        real_load, real_curate = cli.load_map, curation.curate_video
+        real_load, real_curate = cli.load_map, cli.curate_video
 
         def load(path):
             events.append(("load", Path(path).parent.name))
@@ -315,7 +315,7 @@ class TestCurate:
             return real_curate(seq, params)
 
         monkeypatch.setattr(cli, "load_map", load)
-        monkeypatch.setattr(curation, "curate_video", curate)
+        monkeypatch.setattr(cli, "curate_video", curate)
         assert main(["curate", str(root), "--out", str(tmp_path / "pairs.csv")]) == 0
         for done, following in zip(videos, videos[1:]):
             assert events.index(("curate", done)) < events.index(("load", following))
@@ -348,10 +348,21 @@ class TestCurate:
         expected = tmp_path / "expected.csv"
         write_manifest(
             expected,
-            curate_corpus(seq for seq, _ in good.values()),
+            [pair for seq, _ in good.values() for pair in curate_video(seq)],
             {name: [str(f.relative_to(root)) for f in files] for name, (_, files) in good.items()},
         )
         assert out.read_bytes() == expected.read_bytes()
+
+    def test_non_ascii_csv_frame_is_named(self, tmp_path, capsys):
+        root = tmp_path / "corpus"
+        write_sequence_dir(root, "v0", two_segment_arrays())
+        write_sequence_dir(root, "v1", two_segment_arrays())
+        bad = root / "v1" / "frame_020.csv"
+        bad.write_bytes("0.5,\u00e9\n".encode("utf-8"))
+        assert main(["curate", str(root), "--out", str(tmp_path / "pairs.csv")]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "v0: 1\n"
+        assert captured.err == f"v1: {bad}: not ASCII text (ordinal not in range(128) at byte 4), skipped\n"
 
     def test_reruns_are_byte_identical(self, tmp_path):
         root = tmp_path / "corpus"
@@ -973,7 +984,11 @@ class TestExitCodeContract:
         ).split()
         monkeypatch.setattr("sys.stdin", io.StringIO(""))
         assert main(argv) == 2
-        err = capsys.readouterr().err
+        captured = capsys.readouterr()
+        # Nothing reaches stdout: curate prints its counts only after the
+        # manifest is written.
+        assert captured.out == ""
+        err = captured.err
         assert "Traceback" not in err
         assert len(err.splitlines()) == 1 and err.endswith("\n")
         assert list((tmp_path / "out").iterdir()) == []

@@ -18,7 +18,6 @@ from gazekit import (
     GazeMap,
     GazeSequence,
     TooShort,
-    curate_corpus,
     curate_video,
     find_anchors,
     kl_curve,
@@ -241,13 +240,13 @@ class TestCurateCorpus:
         long_a = [delta_map(8, 1, 1).values] * 10 + [delta_map(8, 6, 6).values] * 50
         short = [delta_map(8, 1, 1).values] * 10
         long_b = [delta_map(8, 2, 2).values] * 20 + [delta_map(8, 5, 5).values] * 40
-        manifest = curate_corpus(
-            [seq_of(long_a, "a"), seq_of(short, "b"), seq_of(long_b, "c")]
-        )
-        assert manifest.video_counts == (("a", 1), ("b", 0), ("c", 1))
-        assert len(manifest.pairs) == 2
-        assert [p.video_id for p in manifest.pairs] == ["a", "c"]
-        assert manifest.pairs[1].anchor == 19
+        seqs = [seq_of(long_a, "a"), seq_of(short, "b"), seq_of(long_b, "c")]
+        per_video = [curate_video(seq) for seq in seqs]
+        assert [(seq.video_id, len(pairs)) for seq, pairs in zip(seqs, per_video)] == [
+            ("a", 1), ("b", 0), ("c", 1),
+        ]
+        pairs = [p for pairs in per_video for p in pairs]
+        assert [(p.video_id, p.anchor) for p in pairs] == [("a", 9), ("c", 19)]
 
     def test_pair_fields_are_consistent(self):
         rng = np.random.default_rng(5)
@@ -308,7 +307,6 @@ class TestPreparedKLTable:
     def test_corpus(self):
         seqs = [random_video(seed) for seed in range(6)]
         params = CurationParams(delta_min=1, delta_max=6, min_frames=20, top_k=3)
-        manifest = curate_corpus(iter(seqs), params)
-        expect = [brute_force_pairs(seq, params) for seq in seqs]
-        assert manifest.pairs == tuple(p for pairs in expect for p in pairs)
-        assert manifest.video_counts == tuple((seq.video_id, len(pairs)) for seq, pairs in zip(seqs, expect))
+        # Some videos fall under min_frames and give no pairs.
+        got = [curate_video(seq, params) for seq in seqs]
+        assert got == [brute_force_pairs(seq, params) for seq in seqs]

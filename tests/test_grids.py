@@ -27,9 +27,12 @@ from gazekit import (
     entropy,
     gaussian_blur,
     normalize_to_simplex,
+    run_gradient_checks,
     spatial_softmax,
 )
-from gazekit.grids import MASS_FLOOR, SIMPLEX_TOL, _blur_matrix, _gaussian_kernel_1d, grid_values
+from gazekit.grids import (
+    _BLUR_CACHE_SIZE, MASS_FLOOR, SIMPLEX_TOL, _blur_matrix, _gaussian_kernel_1d, grid_values,
+)
 
 
 def normalize_to_simplex_reference(grid) -> GazeMap:
@@ -271,6 +274,19 @@ class TestGaussianBlur:
         assert len(w) == 7
         assert abs(w.sum() - 1.0) < 1e-15
         np.testing.assert_array_equal(w, w[::-1])
+
+    def test_blur_matrix_cache_stays_bounded(self):
+        # Each grad-check gaze trial draws a new sigma, so an unbounded
+        # cache would grow by one matrix per trial on every call.
+        _blur_matrix.cache_clear()
+        for seed in range(3):
+            run_gradient_checks(seed=seed, trials=12)
+            info = _blur_matrix.cache_info()
+            assert info.currsize <= _BLUR_CACHE_SIZE
+        assert info.maxsize == _BLUR_CACHE_SIZE
+        assert info.misses > _BLUR_CACHE_SIZE  # more keys were seen than kept
+        assert info.hits > info.misses  # and the finite differences reuse them
+        assert not hasattr(_gaussian_kernel_1d, "cache_info")
 
     @pytest.mark.parametrize("n", [2, 3, 5, 8, 16])
     @pytest.mark.parametrize("sigma", [0.6, 1.0, 2.0])

@@ -15,7 +15,6 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import random_map
 from gazekit import (
-    CurationManifest,
     FixationMap,
     FramePair,
     MANIFEST_HEADER,
@@ -210,6 +209,16 @@ class TestCSVGrid:
         with pytest.raises(ValueError, match="no rows"):
             load_grid(path)
 
+    @pytest.mark.parametrize("reader", [load_grid, load_fixations])
+    @pytest.mark.parametrize("rows", [1, 2000])  # past the first 8 KiB read
+    def test_non_ascii_file_is_named(self, tmp_path, reader, rows):
+        path = tmp_path / "n.csv"
+        path.write_bytes(b"0.25,0.5\n" * rows + "\u00e90,1\n".encode("utf-8"))
+        with pytest.raises(ValueError) as info:
+            reader(path)
+        assert type(info.value) is ValueError
+        assert str(info.value) == f"{path}: not ASCII text (ordinal not in range(128) at byte {9 * rows})"
+
     def test_fixation_threshold_rule(self, tmp_path):
         path = tmp_path / "f.csv"
         path.write_text("0.0,0.4\n0.6,1.0\n")
@@ -379,12 +388,9 @@ class TestSuffixRule:
 
 class TestManifestIO:
     def test_round_trip(self, tmp_path):
-        manifest = CurationManifest(
-            pairs=(make_pair("va", 9, 12), make_pair("vb", 30, 41, peak=0.75, pair_kl=1.25)),
-            video_counts=(("va", 1), ("vb", 1)),
-        )
+        pairs = (make_pair("va", 9, 12), make_pair("vb", 30, 41, peak=0.75, pair_kl=1.25))
         path = tmp_path / "pairs.csv"
-        write_manifest(path, manifest, frame_paths("va", "vb"))
+        write_manifest(path, pairs, frame_paths("va", "vb"))
         header, rows = read_manifest_rows(path)
         assert tuple(header) == MANIFEST_HEADER
         assert [r["video_id"] for r in rows] == ["va", "vb"]
@@ -394,20 +400,15 @@ class TestManifestIO:
         assert all(r["caption"] == "" for r in rows)
 
     def test_frame_paths_fill_the_path_columns(self, tmp_path):
-        manifest = CurationManifest(pairs=(make_pair("v", 1, 4),), video_counts=(("v", 1),))
         path = tmp_path / "pairs.csv"
-        write_manifest(path, manifest, frame_paths("v", frames=6))
+        write_manifest(path, [make_pair("v", 1, 4)], frame_paths("v", frames=6))
         _, rows = read_manifest_rows(path)
         assert rows[0]["anchor_map_path"] == "v/f1.pgm"
         assert rows[0]["target_map_path"] == "v/f4.pgm"
 
     def test_extra_columns_append_after_the_base_header(self, tmp_path):
         path = tmp_path / "pairs.csv"
-        write_manifest(
-            path,
-            CurationManifest(pairs=(make_pair("v", 1, 4),), video_counts=(("v", 1),)),
-            frame_paths("v"),
-        )
+        write_manifest(path, [make_pair("v", 1, 4)], frame_paths("v"))
         _, rows = read_manifest_rows(path)
         rows[0]["decision"] = "accept"
         path = tmp_path / "reviewed.csv"
@@ -431,11 +432,7 @@ class TestManifestIO:
 
     def test_lf_only_bytes(self, tmp_path):
         path = tmp_path / "pairs.csv"
-        write_manifest(
-            path,
-            CurationManifest(pairs=(make_pair("v", 1, 4),), video_counts=(("v", 1),)),
-            frame_paths("v"),
-        )
+        write_manifest(path, [make_pair("v", 1, 4)], frame_paths("v"))
         raw = path.read_bytes()
         assert b"\r" not in raw
         assert raw.endswith(b"\n")

@@ -311,6 +311,47 @@ class TestTotalLoss:
             total_loss(float("nan"), 0.0, 0.0)
 
 
+NAN, INF = float("nan"), float("inf")
+
+
+class TestSettingsAreFinite:
+    # A finite negative or zero setting keeps its range message; NaN and
+    # the infinities are refused before any loss is computed.
+    @pytest.mark.parametrize(
+        ("field", "value", "message"),
+        [
+            ("hinge_weight", NAN, "hinge_weight must be finite, got nan"),
+            ("hinge_weight", INF, "hinge_weight must be finite, got inf"),
+            ("hinge_weight", -INF, "hinge_weight must be nonnegative"),
+            ("hinge_weight", -1.0, "hinge_weight must be nonnegative"),
+            ("hinge_margin", NAN, "hinge_margin must be finite, got nan"),
+            ("hinge_margin", INF, "hinge_margin must be finite, got inf"),
+            ("hinge_margin", -INF, "hinge_margin must be nonnegative"),
+            ("hinge_margin", -1.0, "hinge_margin must be nonnegative"),
+            ("blur_sigma", NAN, "blur_sigma must be positive"),
+            ("blur_sigma", INF, "blur_sigma must be finite, got inf"),
+            ("blur_sigma", -INF, "blur_sigma must be positive"),
+            ("blur_sigma", 0.0, "blur_sigma must be positive"),
+        ],
+    )
+    def test_gaze_loss_config(self, field, value, message):
+        with pytest.raises(ValueError) as info:
+            GazeLossConfig(**{field: value})
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("value", [NAN, INF, -INF])
+    @pytest.mark.parametrize("field", ["gaze", "caption", "align"])
+    def test_loss_weights(self, field, value):
+        with pytest.raises(ValueError) as info:
+            LossWeights(**{field: value})
+        assert str(info.value) == f"{field} weight must be finite, got {value}"
+
+    def test_finite_settings_are_accepted(self):
+        cfg = GazeLossConfig(hinge_weight=0.0, hinge_margin=0.0, blur_sigma=1e-3)
+        assert (cfg.hinge_weight, cfg.hinge_margin, cfg.blur_sigma) == (0.0, 0.0, 1e-3)
+        assert total_loss(1.0, 2.0, 3.0, LossWeights(-1.0, 0.0, 2.0)) == 5.0
+
+
 class TestFitGazeDemo:
     def test_records_every_visited_point(self, rng):
         gt = random_map(rng, 6, 6)
