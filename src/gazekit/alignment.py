@@ -11,6 +11,11 @@ Similarities are cosine, so the loss is invariant to rescaling any
 single embedding. Analytic gradients for the loss and for the full
 pooling -> projection -> loss chain are provided and are checked
 against central finite differences by the gradient-check suite.
+
+The losses, the pooling and the gradients also take a stack along a
+leading axis: (k, b, d) embeddings, or (k, b, h, w) pooling weights
+against one feature array. A stack gives k results, each bit for bit
+that of its item alone.
 """
 
 from __future__ import annotations
@@ -73,45 +78,53 @@ class ProjectionHead:
 
 
 def _unit_rows(m: np.ndarray, label: str) -> tuple[np.ndarray, np.ndarray]:
-    norms = np.linalg.norm(m, axis=1)
+    norms = np.linalg.norm(m, axis=-1)
     if norms.min() < _NORM_FLOOR:
         raise DegenerateNorm(f"{label} embedding with near-zero norm")
-    return m / norms[:, None], norms
+    return m / norms[..., None], norms
 
 
 def _unit_pairs(u_vis, u_txt, tau: float):
     # The prologue both the loss and its gradient share: check tau and the
     # two batches, then normalize every row. Returns (vh, vn, th, tn).
+    # Either batch may be a (k, batch, dim) stack; its every batch is
+    # checked as one batch alone, and a single batch pairs with each of a
+    # stack's.
     if not tau > 0.0:
         raise ValueError("tau must be positive")
     v = np.asarray(u_vis, dtype=np.float64)
     t = np.asarray(u_txt, dtype=np.float64)
     for m in (v, t):
-        if m.ndim != 2 or m.shape[0] < 1 or m.shape[1] < 1:
+        if m.ndim not in (2, 3) or m.size == 0:
             raise ShapeMismatch("embeddings must form a non-empty (batch, dim) matrix")
         if not np.all(np.isfinite(m)):
             raise ValueError("embeddings must be finite")
-    if v.shape != t.shape:
-        raise ShapeMismatch(f"batch shapes differ: {v.shape} vs {t.shape}")
+    if v.shape[-2:] != t.shape[-2:]:
+        raise ShapeMismatch(f"batch shapes differ: {v.shape[-2:]} vs {t.shape[-2:]}")
+    if v.ndim == t.ndim == 3 and len(v) != len(t):
+        raise ShapeMismatch(f"stacks differ in length: {len(v)} vs {len(t)}")
     vh, vn = _unit_rows(v, "visual")
     th, tn = _unit_rows(t, "text")
     return vh, vn, th, tn
 
 
-def info_nce(u_vis, u_txt, tau: float = DEFAULT_TEMPERATURE) -> float:
+def info_nce(u_vis, u_txt, tau: float = DEFAULT_TEMPERATURE):
     """Contrastive batch loss over matched visual/text embedding rows.
 
     Row i of each batch is a matched pair. With visual anchors, the loss
     is the mean cross-entropy of picking text i for visual i among all
     texts, at temperature ``tau``. Always nonnegative, and exactly zero
-    for a single-item batch.
+    for a single-item batch. Two (batch, dim) matrices give a float; a
+    (k, batch, dim) stack on either side gives (k,) losses, each bit for
+    bit that pair of batches' alone.
     """
     vh, _, th, _ = _unit_pairs(u_vis, u_txt, tau)
-    scores = (vh @ th.T) / tau
+    scores = (vh @ np.swapaxes(th, -1, -2)) / tau
     # Mean over rows of logsumexp(row) - diagonal, max-shifted for stability.
-    shift = scores.max(axis=1, keepdims=True)
-    lse = np.log(np.exp(scores - shift).sum(axis=1)) + shift[:, 0]
-    return float((lse - np.diag(scores)).mean())
+    shift = scores.max(axis=-1, keepdims=True)
+    lse = np.log(np.exp(scores - shift).sum(axis=-1)) + shift[..., 0]
+    losses = (lse - np.diagonal(scores, axis1=-2, axis2=-1)).mean(axis=-1)
+    return losses if losses.ndim else float(losses)
 
 
 def grad_info_nce(
@@ -121,33 +134,36 @@ def grad_info_nce(
 
     Returns (grad_u_vis, grad_u_txt). The gradient passes through the
     cosine normalization, so each row's gradient is orthogonal to that
-    row: rescaling an embedding does not change the loss.
+    row: rescaling an embedding does not change the loss. Stacked
+    batches, as ``info_nce`` takes them, give each loss's gradients.
     """
     vh, vn, th, tn = _unit_pairs(u_vis, u_txt, tau)
-    b = vh.shape[0]
-    cos = vh @ th.T
+    b = vh.shape[-2]
+    cos = vh @ np.swapaxes(th, -1, -2)
     scores = cos / tau
-    shift = scores.max(axis=1, keepdims=True)
+    shift = scores.max(axis=-1, keepdims=True)
     expd = np.exp(scores - shift)
-    soft = expd / expd.sum(axis=1, keepdims=True)
+    soft = expd / expd.sum(axis=-1, keepdims=True)
     d = (soft - np.eye(b)) / (b * tau)
 
     grad_vh = d @ th
-    grad_th = d.T @ vh
-    radial_v = (d * cos).sum(axis=1)
-    radial_t = (d * cos).sum(axis=0)
-    grad_v = (grad_vh - radial_v[:, None] * vh) / vn[:, None]
-    grad_t = (grad_th - radial_t[:, None] * th) / tn[:, None]
+    grad_th = np.swapaxes(d, -1, -2) @ vh
+    radial_v = (d * cos).sum(axis=-1)
+    radial_t = (d * cos).sum(axis=-2)
+    grad_v = (grad_vh - radial_v[..., None] * vh) / vn[..., None]
+    grad_t = (grad_th - radial_t[..., None] * th) / tn[..., None]
     return grad_v, grad_t
 
 
 def _pool_batch(features, weights) -> tuple[np.ndarray, np.ndarray]:
-    # A (b, c, h, w) feature array and the (b, h, w) weights that pool it.
+    # A (b, c, h, w) feature array and the (b, h, w) weights that pool it,
+    # or a (k, b, h, w) stack of such weights.
     f = np.asarray(features, dtype=np.float64)
     w = np.asarray(weights, dtype=np.float64)
-    if f.ndim != 4 or w.ndim != 3 or f.shape[0] != w.shape[0] or f.shape[2:] != w.shape[1:]:
+    rows = w.shape[1:] if w.ndim == 4 else w.shape
+    if f.ndim != 4 or len(rows) != 3 or f.shape[0] != rows[0] or f.shape[2:] != rows[1:]:
         raise ShapeMismatch(
-            f"features {f.shape} and weights {w.shape} must be (b, c, h, w) and (b, h, w)"
+            f"features {f.shape} and weights {rows} must be (b, c, h, w) and (b, h, w)"
         )
     return f, w
 
@@ -156,15 +172,20 @@ def pooled_embeddings(features, weights, head: ProjectionHead) -> np.ndarray:
     """Pool and project a batch: one shared-space embedding row per item.
 
     ``features`` is a (batch, channels, h, w) array and ``weights`` the
-    (batch, h, w) gaze weights that pool it.
+    (batch, h, w) gaze weights that pool it, or a (k, batch, h, w) stack
+    of them, which gives a (k, batch, out_dim) stack of embeddings.
     """
     f, w = _pool_batch(features, weights)
-    pooled = np.einsum("bchw,bhw->bc", f, w)
+    pooled = np.einsum("bchw,...bhw->...bc", f, w)
     return pooled @ head.weight.T + head.bias
 
 
-def align_path_loss(features, weights, head: ProjectionHead, u_txt, tau: float = DEFAULT_TEMPERATURE) -> float:
-    """Contrastive loss of the full pooling -> projection -> loss chain."""
+def align_path_loss(features, weights, head: ProjectionHead, u_txt, tau: float = DEFAULT_TEMPERATURE):
+    """Contrastive loss of the full pooling -> projection -> loss chain.
+
+    A (k, batch, h, w) stack of weights gives (k,) losses, each bit for
+    bit that item's alone, against the same text batch.
+    """
     return info_nce(pooled_embeddings(features, weights, head), u_txt, tau)
 
 
@@ -174,10 +195,11 @@ def align_path_weight_grad(
     """Gradient of align_path_loss with respect to every pooling weight.
 
     Returns a (batch, h, w) array: the chain rule applied through the
-    projection head and the pooling sum for each item.
+    projection head and the pooling sum for each item; a stack of
+    weights gives the stack of their gradients.
     """
     f, w = _pool_batch(features, weights)
     u_vis = pooled_embeddings(f, w, head)
     grad_vis, _ = grad_info_nce(u_vis, u_txt, tau)
     back = grad_vis @ head.weight
-    return np.einsum("bc,bchw->bhw", back, f)
+    return np.einsum("...bc,bchw->...bhw", back, f)

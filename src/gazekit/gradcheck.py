@@ -9,6 +9,11 @@ checks every trial against central differences and tracks the worst
 relative error, measured as the max absolute component difference over
 the max absolute finite-difference component.
 
+A trial's loss maps a (k, *shape) stack of points to k losses, so the
+central difference makes one loss call per trial on all 2n perturbed
+copies of the point. Each stacked row is bit for bit the scalar loss of
+that point, so the errors are those of a one-call-per-point loop.
+
 Gaze-loss trials that land within 1e-3 of the hinge kink are redrawn,
 since the loss is not differentiable exactly at the kink and a
 straddling finite difference would measure the kink, not the gradient.
@@ -61,19 +66,28 @@ class GradCheckReport:
 
 
 def central_difference(fn, x: np.ndarray) -> np.ndarray:
-    """Central finite-difference gradient of a scalar function of an array."""
-    grad = np.zeros_like(x, dtype=np.float64)
-    flat = grad.ravel()
-    base = x.astype(np.float64).copy()
-    for i in range(base.size):
-        orig = base.flat[i]
-        base.flat[i] = orig + _FD_STEP
-        hi = fn(base)
-        base.flat[i] = orig - _FD_STEP
-        lo = fn(base)
-        base.flat[i] = orig
-        flat[i] = (hi - lo) / (2.0 * _FD_STEP)
-    return grad
+    """Central finite-difference gradient of a scalar function of an array.
+
+    ``fn`` maps a (k, *x.shape) stack of points to their k losses. It is
+    called once, on the 2n perturbed copies of ``x`` (n = x.size): rows
+    0..n-1 move component i up by the step, rows n..2n-1 move it down.
+    Each copy holds the same bits as when a loop perturbs ``x`` one
+    component at a time, so for a loss whose stacked rows equal its
+    unstacked calls every component is the one-at-a-time difference,
+    bit for bit. The stack takes 2n * x.size floats.
+    """
+    base = x.astype(np.float64).ravel()
+    n = base.size
+    points = np.tile(base, (2 * n, 1))
+    cell = np.arange(n)
+    points[cell, cell] = base + _FD_STEP
+    points[n + cell, cell] = base - _FD_STEP
+    vals = np.asarray(fn(points.reshape(2 * n, *x.shape)), dtype=np.float64)
+    if vals.shape != (2 * n,):
+        raise ValueError(
+            f"fn must map a stack of {2 * n} points to {2 * n} losses, got shape {vals.shape}"
+        )
+    return ((vals[:n] - vals[n:]) / (2.0 * _FD_STEP)).reshape(x.shape)
 
 
 def _relative_error(analytic: np.ndarray, numeric: np.ndarray) -> float:
@@ -126,7 +140,7 @@ def _infonce_trial(rng):
     u_vis = rng.normal(0.0, 1.0, size=(b, dim))
     u_txt = rng.normal(0.0, 1.0, size=(b, dim))
     analytic = np.stack(grad_info_nce(u_vis, u_txt, tau))
-    return lambda x: info_nce(x[0], x[1], tau), np.stack([u_vis, u_txt]), analytic
+    return lambda x: info_nce(x[:, 0], x[:, 1], tau), np.stack([u_vis, u_txt]), analytic
 
 
 def _chained_trial(rng):

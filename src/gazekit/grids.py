@@ -17,7 +17,11 @@ Conventions shared by the whole package:
   that ``normalize_to_simplex``, ``spatial_softmax`` and
   ``gaussian_blur`` return are derived from checked data and are
   simplices by construction, so they are trusted: built without a
-  second check and without a copy.
+  second check and without a copy,
+* the softmax and the blur run over the last two axes, so the gaze
+  loss takes a (k, h, w) stack of grids through the same code as
+  ``spatial_softmax`` and ``gaussian_blur``; each grid of a stack comes
+  out bit for bit as it would alone.
 """
 
 from __future__ import annotations
@@ -164,14 +168,25 @@ def spatial_softmax(logits) -> GazeMap:
     The maximum logit is subtracted first, so the result is stable for
     large scores and exactly invariant to adding a constant.
     """
-    z = grid_values(logits)
-    # One min/max pass, as in ``_check_cells``: a NaN makes both extremes NaN.
-    hi = z.max()
-    if not (math.isfinite(z.min()) and math.isfinite(hi)):
+    return _checked_gaze_map(_softmax_maps(grid_values(logits)))
+
+
+def _grid_stack(grid) -> np.ndarray:
+    # grid_values, or the values of a non-empty (k, h, w) stack of grids.
+    v = grid.values if isinstance(grid, GazeMap) else np.asarray(grid, dtype=np.float64)
+    return v if v.ndim == 3 and v.size else grid_values(v)
+
+
+def _softmax_maps(z: np.ndarray) -> np.ndarray:
+    # spatial_softmax over the last two axes: one grid, or each grid of a
+    # stack, bit for bit as that grid alone. One min/max pass, as in
+    # ``_check_cells``: a NaN makes both extremes NaN, whichever grid holds it.
+    hi = z.max(axis=(-2, -1), keepdims=True)
+    if not (math.isfinite(z.min()) and math.isfinite(hi.max())):
         raise ValueError("logits must be finite")
-    # Cells lie in [0, 1] and the largest is exp(0) = 1, so the sum is >= 1.
+    # Cells lie in [0, 1] and each grid's largest is exp(0) = 1, so its sum is >= 1.
     e = np.exp(z - hi)
-    return _checked_gaze_map(e / e.sum())
+    return e / e.sum(axis=(-2, -1), keepdims=True)
 
 
 def _gaussian_kernel_1d(sigma: float) -> np.ndarray:
@@ -196,12 +211,16 @@ def _blur_matrix(n: int, sigma: float) -> np.ndarray:
     # One-axis blur operator. Out-of-range taps fold back in by symmetric
     # reflection, which keeps the matrix doubly stochastic: rows and columns
     # both sum to 1, so mass is conserved and the uniform map is fixed.
+    # One scatter adds every (row, tap) pair, taps in offset order, so each
+    # cell sums its taps in that order. The pair count, n * (2 ceil(3 sigma)
+    # + 1), grows linearly in sigma: a kernel wider than the grid wraps
+    # several periods of the reflection.
     w = _gaussian_kernel_1d(sigma)
     radius = len(w) // 2
+    rows = np.tile(np.arange(n), len(w))
+    offsets = np.repeat(np.arange(-radius, radius + 1), n)
     m = np.zeros((n, n))
-    idx = np.arange(n)
-    for k in range(-radius, radius + 1):
-        np.add.at(m, (idx, _fold_index(idx + k, n)), w[k + radius])
+    np.add.at(m, (rows, _fold_index(rows + offsets, n)), np.repeat(w, n))
     m.setflags(write=False)
     return m
 
@@ -215,9 +234,15 @@ def gaussian_blur(gaze, sigma: float) -> GazeMap:
     a fixed point, and the transform is linear in its input.
     """
     v = gaze.values if isinstance(gaze, GazeMap) else GazeMap(np.asarray(gaze)).values
-    h, w = v.shape
-    out = _blur_matrix(h, float(sigma)) @ v @ _blur_matrix(w, float(sigma)).T
-    return _checked_gaze_map(out / out.sum())
+    return _checked_gaze_map(_blur_maps(v, float(sigma)))
+
+
+def _blur_maps(v: np.ndarray, sigma: float) -> np.ndarray:
+    # gaussian_blur over the last two axes: one map, or each map of a stack,
+    # bit for bit as that map alone.
+    h, w = v.shape[-2:]
+    out = _blur_matrix(h, sigma) @ v @ _blur_matrix(w, sigma).T
+    return out / out.sum(axis=(-2, -1), keepdims=True)
 
 
 def entropy(gaze) -> float:

@@ -12,6 +12,10 @@ hinge is 0 and the gradient is the bare KL term's. All gradients here
 are analytic and are validated against central finite differences by
 the gradient-check suite; at the hinge kink the subgradient 0 is used
 (the hinge contributes only when its argument is strictly positive).
+
+Both losses take one point or a stack of points along a leading axis,
+so the gradient check scores every perturbed point in one call. A
+stacked entry equals the loss of its point alone, bit for bit.
 """
 
 from __future__ import annotations
@@ -22,9 +26,19 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import LengthMismatch
-from .grids import GazeMap, _blur_matrix, entropy, gaussian_blur, grid_values, spatial_softmax
-from .saliency import DEFAULT_KL_FLOOR, kl_div
+from .errors import LengthMismatch, ShapeMismatch
+from .grids import (
+    GazeMap,
+    _blur_maps,
+    _blur_matrix,
+    _grid_stack,
+    _softmax_maps,
+    entropy,
+    gaussian_blur,
+    grid_values,
+    spatial_softmax,
+)
+from .saliency import DEFAULT_KL_FLOOR, _kl_from_sides, _kl_gt_side, _kl_pred_side, kl_div
 
 __all__ = [
     "GazeLossConfig",
@@ -82,7 +96,10 @@ class LossWeights:
 
 @dataclass(frozen=True)
 class GazeLossBreakdown:
-    """Gaze loss value with its two additive parts."""
+    """Gaze loss value with its two additive parts.
+
+    Floats for one logit grid, (k,) arrays for a stack of k grids.
+    """
 
     total: float
     kl: float
@@ -130,19 +147,30 @@ def _softmax_backprop(p: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 
 def loss_gaze(gt, logits, cfg: GazeLossConfig = GazeLossConfig()) -> GazeLossBreakdown:
-    """KL-plus-hinge gaze loss on a logit grid.
+    """KL-plus-hinge gaze loss on a logit grid, or on each grid of a stack.
 
     The prediction is the spatial softmax of the logits; the hinge
     compares the divergence of its blurred copy against the raw
-    divergence. Both divergences use the shared clamped KL.
+    divergence. Both divergences are ``kl_div``'s clamped KL. An (h, w)
+    grid gives float parts; a (k, h, w) stack gives (k,) arrays whose
+    entries equal the loss of each grid alone, bit for bit, and it is
+    refused as that grid alone would be.
     """
-    pred = spatial_softmax(logits)
-    raw_kl = kl_div(gt, pred)
-    hinge = 0.0
+    z = _grid_stack(logits)
+    pred = _softmax_maps(z)
+    g = grid_values(gt)
+    if g.shape != z.shape[-2:]:
+        raise ShapeMismatch(f"grid shapes differ: {g.shape} vs {z.shape[-2:]}")
+    gt_side = _kl_gt_side(g)
+    raw_kl = _kl_from_sides(gt_side, _kl_pred_side(pred))
+    hinge = np.zeros_like(raw_kl)
     if cfg.hinge_weight > 0.0:
-        blur_kl = kl_div(gt, gaussian_blur(pred, cfg.blur_sigma))
-        hinge = cfg.hinge_weight * max(0.0, blur_kl - raw_kl + cfg.hinge_margin)
-    return GazeLossBreakdown(total=raw_kl + hinge, kl=raw_kl, hinge=hinge)
+        blur_kl = _kl_from_sides(gt_side, _kl_pred_side(_blur_maps(pred, float(cfg.blur_sigma))))
+        hinge = cfg.hinge_weight * np.maximum(0.0, blur_kl - raw_kl + cfg.hinge_margin)
+    total = raw_kl + hinge
+    if z.ndim == 3:
+        return GazeLossBreakdown(total=total, kl=raw_kl, hinge=hinge)
+    return GazeLossBreakdown(total=float(total), kl=raw_kl, hinge=float(hinge))
 
 
 def grad_loss_gaze(gt, logits, cfg: GazeLossConfig = GazeLossConfig()) -> np.ndarray:
@@ -172,43 +200,46 @@ def grad_loss_gaze(gt, logits, cfg: GazeLossConfig = GazeLossConfig()) -> np.nda
 
 
 def _step_logits(step_logits, target: TokenSequence) -> np.ndarray:
-    # One vocabulary-sized logit row per target token, all finite.
+    # One vocabulary-sized logit row per target token, all finite: a
+    # (steps, vocab) array, or a (k, steps, vocab) stack of them.
     rows = np.asarray(step_logits, dtype=np.float64)
-    if rows.ndim != 2:
+    if rows.ndim not in (2, 3):
         raise LengthMismatch("step logits must form a (steps, vocab) array")
     if not np.all(np.isfinite(rows)):
         raise ValueError("logits must be finite")
-    if rows.shape[0] != len(target.tokens):
-        raise LengthMismatch(
-            f"{rows.shape[0]} logit rows for {len(target.tokens)} target tokens"
-        )
-    if rows.shape[1] != target.vocab_size:
-        raise LengthMismatch(
-            f"logit rows of width {rows.shape[1]} for vocabulary {target.vocab_size}"
-        )
+    steps, vocab = rows.shape[-2:]
+    if steps != len(target.tokens):
+        raise LengthMismatch(f"{steps} logit rows for {len(target.tokens)} target tokens")
+    if vocab != target.vocab_size:
+        raise LengthMismatch(f"logit rows of width {vocab} for vocabulary {target.vocab_size}")
     return rows
 
 
-def loss_caption(step_logits, target: TokenSequence) -> float:
+def loss_caption(step_logits, target: TokenSequence):
     """Summed autoregressive cross-entropy of target tokens under the logits.
 
     ``step_logits`` holds one vocabulary-sized logit vector per target
     token. Computed with a max-shifted log-sum-exp, so large logits are
-    safe.
+    safe. A (steps, vocab) array gives a float; a (k, steps, vocab)
+    stack gives (k,) losses, each bit for bit that array's alone.
     """
     rows = _step_logits(step_logits, target)
-    shifted = rows - rows.max(axis=1, keepdims=True)
-    lse = np.log(np.exp(shifted).sum(axis=1))
-    picked = shifted[np.arange(rows.shape[0]), list(target.tokens)]
-    return float((lse - picked).sum())
+    shifted = rows - rows.max(axis=-1, keepdims=True)
+    lse = np.log(np.exp(shifted).sum(axis=-1))
+    picked = shifted[..., np.arange(rows.shape[-2]), list(target.tokens)]
+    losses = (lse - picked).sum(axis=-1)
+    return losses if losses.ndim else float(losses)
 
 
 def grad_loss_caption(step_logits, target: TokenSequence) -> np.ndarray:
-    """Gradient of loss_caption: per-step softmax minus the target one-hot."""
+    """Gradient of loss_caption: per-step softmax minus the target one-hot.
+
+    A stack of logit arrays gives the stack of their gradients.
+    """
     rows = _step_logits(step_logits, target)
-    shifted = np.exp(rows - rows.max(axis=1, keepdims=True))
-    grad = shifted / shifted.sum(axis=1, keepdims=True)
-    grad[np.arange(rows.shape[0]), list(target.tokens)] -= 1.0
+    shifted = np.exp(rows - rows.max(axis=-1, keepdims=True))
+    grad = shifted / shifted.sum(axis=-1, keepdims=True)
+    grad[..., np.arange(rows.shape[-2]), list(target.tokens)] -= 1.0
     return grad
 
 

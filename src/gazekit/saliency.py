@@ -97,34 +97,43 @@ def kl_div(gt, pred) -> float:
 
 
 # kl_div in three parts, so a caller that scores one map against many
-# can prepare each map's side once. The pair step reduces the same
-# masked 1-D array as a single call, so every result is bit-identical:
-# log(q)[mask] equals log(q[mask]) element for element, and the sum's
-# pairwise tree depends only on that array.
+# can prepare each map's side once, and the prediction side and the pair
+# step take a stack of maps. The pair step reduces the same gathered 1-D
+# array, or C-ordered row of a stack, as a single call, so every result
+# is bit-identical: log(q) gathered at the positive cells equals log(q)
+# there element for element, and the sum's pairwise tree depends only on
+# that row.
 
 
-def _kl_gt_side(g: np.ndarray) -> tuple[np.ndarray | slice, np.ndarray, np.ndarray]:
-    # The ground truth's positive cells of the flat grid, and its values
-    # and logs there. When every cell is positive, a full slice selects
-    # the same cells in the same order without copying them, and the pair
-    # step skips a gather.
+def _kl_gt_side(g: np.ndarray) -> tuple[np.ndarray | None, np.ndarray, np.ndarray]:
+    # The flat indices of the ground truth's positive cells, and its values
+    # and logs there. When every cell is positive the indices are None:
+    # the pair step then takes the flat grid as it is and skips a gather.
     flat = g.ravel()
-    positive = flat > 0.0
-    cells = slice(None) if np.count_nonzero(positive) == flat.size else positive
-    gs = flat[cells]
-    return cells, gs, np.log(gs)
+    cells = np.flatnonzero(flat > 0.0)
+    gs = flat.take(cells)
+    return (None if cells.size == flat.size else cells), gs, np.log(gs)
 
 
 def _kl_pred_side(p: np.ndarray) -> np.ndarray:
-    # Flat log of the prediction, clamped at the floor and renormalized.
+    # Flat log of the prediction, clamped at the floor and renormalized,
+    # over the last two axes: (h, w) gives (h * w,), (k, h, w) gives (k, h * w).
     clamped = np.maximum(p, DEFAULT_KL_FLOOR)
-    return np.log(clamped / clamped.sum()).ravel()
+    q = clamped / clamped.sum(axis=(-2, -1), keepdims=True)
+    return np.log(q).reshape(*p.shape[:-2], -1)
 
 
-def _kl_from_sides(gt_side, log_q: np.ndarray) -> float:
+def _kl_from_sides(gt_side, log_q: np.ndarray):
+    # A float for one flat prediction, (k,) divergences for a (k, cells)
+    # stack. A take along the last axis gathers C-ordered rows (a boolean
+    # mask on axis 1 returns an F-ordered array, whose row sums differ).
     cells, gs, log_gs = gt_side
-    total = float((gs * (log_gs - log_q[cells])).sum())
-    return max(0.0, total)
+    if cells is not None:
+        log_q = log_q.take(cells, axis=-1)
+    totals = (gs * (log_gs - log_q)).sum(axis=-1)
+    if totals.ndim:
+        return np.maximum(0.0, totals)
+    return max(0.0, float(totals))
 
 
 def sim(pred, gt) -> float:

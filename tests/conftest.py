@@ -6,8 +6,18 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings, strategies as st
 
-from gazekit import DEFAULT_KL_FLOOR, GazeMap, grid_values, normalize_to_simplex
-from gazekit.grids import SIMPLEX_TOL, _blur_matrix
+from gazekit import (
+    DEFAULT_KL_FLOOR,
+    DegenerateNorm,
+    GazeLossBreakdown,
+    GazeMap,
+    LengthMismatch,
+    ShapeMismatch,
+    grid_values,
+    normalize_to_simplex,
+)
+from gazekit.gradcheck import _FD_STEP
+from gazekit.grids import SIMPLEX_TOL, _fold_index, _gaussian_kernel_1d
 
 settings.register_profile(
     "gazekit",
@@ -106,5 +116,114 @@ def spatial_softmax_reference(logits) -> np.ndarray:
 def gaussian_blur_reference(gaze, sigma: float) -> np.ndarray:
     v = gaze.values if isinstance(gaze, GazeMap) else gaze_map_reference(np.asarray(gaze))
     h, w = v.shape
-    out = _blur_matrix(h, float(sigma)) @ v @ _blur_matrix(w, float(sigma)).T
+    out = blur_matrix_reference(h, float(sigma)) @ v @ blur_matrix_reference(w, float(sigma)).T
     return gaze_map_reference(out / out.sum())
+
+
+def blur_matrix_reference(n: int, sigma: float) -> np.ndarray:
+    """``_blur_matrix`` as one scatter per kernel tap, uncached."""
+    w = _gaussian_kernel_1d(sigma)
+    radius = len(w) // 2
+    m = np.zeros((n, n))
+    idx = np.arange(n)
+    for k in range(-radius, radius + 1):
+        np.add.at(m, (idx, _fold_index(idx + k, n)), w[k + radius])
+    return m
+
+
+# The finite difference and the four losses it differentiates, as they were
+# before the losses took a leading stack axis: one perturbed point, one
+# scalar loss call. Kept verbatim as exact oracles, over the reference maps
+# above: the batched central difference must give the same gradient, and a
+# stacked loss call the same float per row, bit for bit.
+
+
+def central_difference_reference(fn, x: np.ndarray) -> np.ndarray:
+    """Central differences, one component and one scalar ``fn`` call at a time."""
+    grad = np.zeros_like(x, dtype=np.float64)
+    flat = grad.ravel()
+    base = x.astype(np.float64).copy()
+    for i in range(base.size):
+        orig = base.flat[i]
+        base.flat[i] = orig + _FD_STEP
+        hi = fn(base)
+        base.flat[i] = orig - _FD_STEP
+        lo = fn(base)
+        base.flat[i] = orig
+        flat[i] = (hi - lo) / (2.0 * _FD_STEP)
+    return grad
+
+
+def _kl_reference(gt, pred) -> float:
+    g, p = grid_values(gt), grid_values(pred)
+    if g.shape != p.shape:
+        raise ShapeMismatch(f"grid shapes differ: {g.shape} vs {p.shape}")
+    return kl_div_reference(g, p)
+
+
+def loss_gaze_reference(gt, logits, cfg) -> GazeLossBreakdown:
+    pred = spatial_softmax_reference(logits)
+    raw_kl = _kl_reference(gt, pred)
+    hinge = 0.0
+    if cfg.hinge_weight > 0.0:
+        blur_kl = _kl_reference(gt, gaussian_blur_reference(pred, cfg.blur_sigma))
+        hinge = cfg.hinge_weight * max(0.0, blur_kl - raw_kl + cfg.hinge_margin)
+    return GazeLossBreakdown(total=raw_kl + hinge, kl=raw_kl, hinge=hinge)
+
+
+def loss_caption_reference(step_logits, target) -> float:
+    rows = np.asarray(step_logits, dtype=np.float64)
+    if rows.ndim != 2:
+        raise LengthMismatch("step logits must form a (steps, vocab) array")
+    if not np.all(np.isfinite(rows)):
+        raise ValueError("logits must be finite")
+    if rows.shape[0] != len(target.tokens):
+        raise LengthMismatch(
+            f"{rows.shape[0]} logit rows for {len(target.tokens)} target tokens"
+        )
+    if rows.shape[1] != target.vocab_size:
+        raise LengthMismatch(
+            f"logit rows of width {rows.shape[1]} for vocabulary {target.vocab_size}"
+        )
+    shifted = rows - rows.max(axis=1, keepdims=True)
+    lse = np.log(np.exp(shifted).sum(axis=1))
+    picked = shifted[np.arange(rows.shape[0]), list(target.tokens)]
+    return float((lse - picked).sum())
+
+
+def _unit_rows_reference(m: np.ndarray, label: str) -> np.ndarray:
+    norms = np.linalg.norm(m, axis=1)
+    if norms.min() < 1e-8:
+        raise DegenerateNorm(f"{label} embedding with near-zero norm")
+    return m / norms[:, None]
+
+
+def info_nce_reference(u_vis, u_txt, tau: float) -> float:
+    if not tau > 0.0:
+        raise ValueError("tau must be positive")
+    v = np.asarray(u_vis, dtype=np.float64)
+    t = np.asarray(u_txt, dtype=np.float64)
+    for m in (v, t):
+        if m.ndim != 2 or m.shape[0] < 1 or m.shape[1] < 1:
+            raise ShapeMismatch("embeddings must form a non-empty (batch, dim) matrix")
+        if not np.all(np.isfinite(m)):
+            raise ValueError("embeddings must be finite")
+    if v.shape != t.shape:
+        raise ShapeMismatch(f"batch shapes differ: {v.shape} vs {t.shape}")
+    vh = _unit_rows_reference(v, "visual")
+    th = _unit_rows_reference(t, "text")
+    scores = (vh @ th.T) / tau
+    shift = scores.max(axis=1, keepdims=True)
+    lse = np.log(np.exp(scores - shift).sum(axis=1)) + shift[:, 0]
+    return float((lse - np.diag(scores)).mean())
+
+
+def align_path_loss_reference(features, weights, head, u_txt, tau: float) -> float:
+    f = np.asarray(features, dtype=np.float64)
+    w = np.asarray(weights, dtype=np.float64)
+    if f.ndim != 4 or w.ndim != 3 or f.shape[0] != w.shape[0] or f.shape[2:] != w.shape[1:]:
+        raise ShapeMismatch(
+            f"features {f.shape} and weights {w.shape} must be (b, c, h, w) and (b, h, w)"
+        )
+    pooled = np.einsum("bchw,bhw->bc", f, w)
+    return info_nce_reference(pooled @ head.weight.T + head.bias, u_txt, tau)

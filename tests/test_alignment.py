@@ -220,7 +220,7 @@ class TestChainedPath:
         feats, weights, head, texts = self.make_batch(rng)
         grad = align_path_weight_grad(feats, weights, head, texts, 0.3)
         numeric = central_difference(
-            lambda q: align_path_loss(feats, q.reshape(weights.shape), head, texts, 0.3),
+            lambda q: align_path_loss(feats, q.reshape(len(q), *weights.shape), head, texts, 0.3),
             weights.ravel(),
         ).reshape(weights.shape)
         scale = max(np.abs(numeric).max(), 1e-12)

@@ -558,6 +558,26 @@ class TestGradCheck:
         failing = [line for line in lines if line.endswith("FAIL")]
         assert len(failing) == 1 and failing[0].startswith("infonce")
 
+    @pytest.mark.parametrize("seed, expected", [
+        (0, [
+            "gaze: max relative error 9.601e-09 over 100 trials, tolerance 1e-04: pass",
+            "caption: max relative error 5.227e-09 over 100 trials, tolerance 1e-04: pass",
+            "infonce: max relative error 1.301e-08 over 100 trials, tolerance 1e-04: pass",
+            "chained: max relative error 7.680e-09 over 100 trials, tolerance 1e-04: pass",
+        ]),
+        (3, [
+            "gaze: max relative error 9.571e-09 over 100 trials, tolerance 1e-04: pass",
+            "caption: max relative error 5.785e-09 over 100 trials, tolerance 1e-04: pass",
+            "infonce: max relative error 3.887e-09 over 100 trials, tolerance 1e-04: pass",
+            "chained: max relative error 1.437e-08 over 100 trials, tolerance 1e-04: pass",
+        ]),
+    ])
+    def test_full_size_output_is_pinned(self, capsys, seed, expected):
+        # The stacked finite differences give every perturbed loss the bits
+        # of a one-point call, so the printed errors do not move.
+        assert main(["grad-check", "--trials", "100", "--seed", str(seed)]) == 0
+        assert capsys.readouterr().out == "".join(line + "\n" for line in expected)
+
     def test_deterministic_output(self, capsys):
         assert main(["grad-check", "--trials", "4", "--seed", "9"]) == 0
         first = capsys.readouterr().out
