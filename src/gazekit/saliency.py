@@ -107,20 +107,22 @@ def kl_div(gt, pred) -> float:
 
 def _kl_gt_side(g: np.ndarray) -> tuple[np.ndarray | None, np.ndarray, np.ndarray]:
     # The flat indices of the ground truth's positive cells, and its values
-    # and logs there. When every cell is positive the indices are None:
-    # the pair step then takes the flat grid as it is and skips a gather.
+    # and logs there. When every cell is positive the indices are None and
+    # the values are the flat grid itself: the pair step then skips a gather.
     flat = g.ravel()
-    cells = np.flatnonzero(flat > 0.0)
+    positive = flat > 0.0
+    if np.count_nonzero(positive) == flat.size:
+        return None, flat, np.log(flat)
+    cells = np.flatnonzero(positive)
     gs = flat.take(cells)
-    return (None if cells.size == flat.size else cells), gs, np.log(gs)
+    return cells, gs, np.log(gs)
 
 
 def _kl_pred_side(p: np.ndarray) -> np.ndarray:
-    # Flat log of the prediction, clamped at the floor and renormalized,
-    # over the last two axes: (h, w) gives (h * w,), (k, h, w) gives (k, h * w).
-    clamped = np.maximum(p, DEFAULT_KL_FLOOR)
-    q = clamped / clamped.sum(axis=(-2, -1), keepdims=True)
-    return np.log(q).reshape(*p.shape[:-2], -1)
+    # Flat log of the prediction, clamped at the floor and renormalized, per
+    # map over the last two axes: (h, w) gives (h * w,), (k, h, w) gives (k, h * w).
+    clamped = np.maximum(p, DEFAULT_KL_FLOOR).reshape(*p.shape[:-2], -1)
+    return np.log(clamped / clamped.sum(axis=-1, keepdims=True))
 
 
 def _kl_from_sides(gt_side, log_q: np.ndarray):
