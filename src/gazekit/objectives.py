@@ -174,7 +174,7 @@ def loss_gaze(gt, logits, cfg: GazeLossConfig = GazeLossConfig()) -> GazeLossBre
 
 
 def grad_loss_gaze(gt, logits, cfg: GazeLossConfig = GazeLossConfig()) -> np.ndarray:
-    """Analytic gradient of loss_gaze with respect to every logit.
+    """Analytic gradient of loss_gaze with respect to every logit of one grid.
 
     Matches central finite differences away from the hinge kink; at the
     kink the hinge branch is treated as inactive. Because the loss is
