@@ -109,8 +109,12 @@ def _gaze_trial(rng):
     for _ in range(50):
         n = int(rng.integers(6, 13))
         logits = rng.normal(0.0, 1.0, size=(n, n))
-        # Half the trials aim the target at a blurred copy of the
-        # prediction, which drives the hinge toward its inactive branch.
+        # Half the targets are a near-uniform random map and half a blurred
+        # copy of a sharpened prediction. Blurring the prediction moves it
+        # toward either kind, so the hinge is rarely active: over seeds 0-39
+        # at --trials 100, a median of 1 trial per seed (none on 11 seeds),
+        # all with a blurred target. Changing the draws changes grad-check's
+        # stdout.
         if rng.random() < 0.5:
             gt = _random_map(rng, n, n)
         else:

@@ -185,8 +185,11 @@ def _softmax_maps(z: np.ndarray) -> np.ndarray:
     if not (math.isfinite(z.min()) and math.isfinite(hi.max())):
         raise ValueError("logits must be finite")
     # Cells lie in [0, 1] and each grid's largest is exp(0) = 1, so its sum is >= 1.
-    e = np.exp(z - hi)
-    return e / e.sum(axis=(-2, -1), keepdims=True)
+    # ``z - hi`` is fresh, so the exp and the divide run in it; ``z`` is never written.
+    e = z - hi
+    np.exp(e, out=e)
+    e /= e.sum(axis=(-2, -1), keepdims=True)
+    return e
 
 
 def _gaussian_kernel_1d(sigma: float) -> np.ndarray:
@@ -242,7 +245,8 @@ def _blur_maps(v: np.ndarray, sigma: float) -> np.ndarray:
     # bit for bit as that map alone.
     h, w = v.shape[-2:]
     out = _blur_matrix(h, sigma) @ v @ _blur_matrix(w, sigma).T
-    return out / out.sum(axis=(-2, -1), keepdims=True)
+    out /= out.sum(axis=(-2, -1), keepdims=True)
+    return out
 
 
 def entropy(gaze) -> float:

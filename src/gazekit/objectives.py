@@ -225,8 +225,9 @@ def loss_caption(step_logits, target: TokenSequence):
     """
     rows = _step_logits(step_logits, target)
     shifted = rows - rows.max(axis=-1, keepdims=True)
-    lse = np.log(np.exp(shifted).sum(axis=-1))
+    # The gather copies the picked logits out before the exp overwrites them.
     picked = shifted[..., np.arange(rows.shape[-2]), list(target.tokens)]
+    lse = np.log(np.exp(shifted, out=shifted).sum(axis=-1))
     losses = (lse - picked).sum(axis=-1)
     return losses if losses.ndim else float(losses)
 

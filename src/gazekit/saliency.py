@@ -103,6 +103,12 @@ def kl_div(gt, pred) -> float:
 # is bit-identical: log(q) gathered at the positive cells equals log(q)
 # there element for element, and the sum's pairwise tree depends only on
 # that row.
+#
+# Ownership: these helpers, like the softmax and blur cores in ``grids``,
+# write only into arrays they allocate, never into an argument. A side is
+# scored many times: curate scores a frame's prediction side on the curve
+# and again against every anchor 3 to 18 frames before it, and
+# ``loss_gaze`` blurs its prediction after taking its KL.
 
 
 def _kl_gt_side(g: np.ndarray) -> tuple[np.ndarray | None, np.ndarray, np.ndarray]:
@@ -122,7 +128,8 @@ def _kl_pred_side(p: np.ndarray) -> np.ndarray:
     # Flat log of the prediction, clamped at the floor and renormalized, per
     # map over the last two axes: (h, w) gives (h * w,), (k, h, w) gives (k, h * w).
     clamped = np.maximum(p, DEFAULT_KL_FLOOR).reshape(*p.shape[:-2], -1)
-    return np.log(clamped / clamped.sum(axis=-1, keepdims=True))
+    clamped /= clamped.sum(axis=-1, keepdims=True)
+    return np.log(clamped, out=clamped)
 
 
 def _kl_from_sides(gt_side, log_q: np.ndarray):
@@ -132,7 +139,10 @@ def _kl_from_sides(gt_side, log_q: np.ndarray):
     cells, gs, log_gs = gt_side
     if cells is not None:
         log_q = log_q.take(cells, axis=-1)
-    totals = (gs * (log_gs - log_q)).sum(axis=-1)
+    # One buffer for the terms; gs * d and d * gs are the same product.
+    terms = log_gs - log_q
+    terms *= gs
+    totals = terms.sum(axis=-1)
     if totals.ndim:
         return np.maximum(0.0, totals)
     return max(0.0, float(totals))

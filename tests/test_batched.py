@@ -7,10 +7,14 @@ the scalar losses as they were before; each stacked row must equal them
 bit for bit. Draws reach past 128 cells, where numpy's pairwise sums
 split, take non-square grids, and give ground truths zero cells, the
 gathered KL path that grad-check's all-positive targets never take.
+The cores under the losses do their elementwise steps in the arrays
+they allocate; they must leave every argument byte for byte as it was
+and keep a stack's traced allocation peak within a fixed budget.
 """
 
 from __future__ import annotations
 
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -20,6 +24,7 @@ from conftest import (
     blur_matrix_reference,
     central_difference_reference,
     info_nce_reference,
+    kl_div_reference,
     loss_caption_reference,
     loss_gaze_reference,
 )
@@ -41,7 +46,9 @@ from gazekit import (
     normalize_to_simplex,
 )
 from gazekit import gradcheck
-from gazekit.grids import _blur_matrix
+from gazekit.curation import GazeSequence, _kl_table
+from gazekit.grids import _blur_maps, _blur_matrix, _softmax_maps
+from gazekit.saliency import _kl_from_sides, _kl_gt_side, _kl_pred_side
 
 SEEDS = st.integers(0, 2**32 - 1)
 
@@ -303,3 +310,115 @@ class TestTheStackKeepsEveryRefusal:
         gt = normalize_to_simplex(np.ones((2, 2)))
         assert_same_refusal(lambda: loss_gaze(gt, np.zeros((0, 2, 2))), lambda: loss_gaze(gt, np.zeros((0, 2))))
         assert_same_refusal(lambda: info_nce(np.zeros((0, 2, 2)), np.ones((0, 2, 2))), lambda: info_nce(np.zeros((0, 2)), np.ones((0, 2))))
+
+
+def snapshot(*arrays):
+    return [(a.shape, a.dtype, a.tobytes()) for a in arrays]
+
+
+class TestTheCoresLeaveTheirArgumentsAlone:
+    """The stacked cores write only into arrays they allocate.
+
+    Curate scores each frame's table entry against many anchors, and
+    ``loss_gaze`` blurs its prediction after taking the prediction's KL,
+    so a core that wrote into an argument would corrupt a later score.
+    Inputs are writable and hold cells that every in-place step changes:
+    logits away from their maximum, maps that do not sum to 1, a cell
+    below the KL floor and a ground truth with zero cells.
+    """
+
+    @pytest.fixture(params=[(), (5,)], ids=["one map", "stack"])
+    def lead(self, request):
+        return request.param
+
+    def test_softmax(self, rng, lead):
+        z = rng.normal(0.0, 3.0, size=(*lead, 6, 7))
+        before = snapshot(z)
+        _softmax_maps(z)
+        assert snapshot(z) == before
+
+    def test_blur(self, rng, lead):
+        v = rng.uniform(0.0, 2.0, size=(*lead, 6, 7))
+        before = snapshot(v)
+        _blur_maps(v, 1.3)
+        assert snapshot(v) == before
+
+    def test_prediction_side(self, rng, lead):
+        p = rng.uniform(0.0, 2.0, size=(*lead, 6, 7))
+        p[..., 2, 3] = 1e-12
+        before = snapshot(p)
+        _kl_pred_side(p)
+        assert snapshot(p) == before
+
+    @pytest.mark.parametrize("zero_cells", [False, True], ids=["all positive", "gathered cells"])
+    def test_pair_step(self, rng, lead, zero_cells):
+        g = rng.uniform(0.05, 1.0, size=(6, 7))
+        if zero_cells:
+            g[rng.random((6, 7)) < 0.4] = 0.0
+        g /= g.sum()
+        gt_side = _kl_gt_side(g)
+        assert (gt_side[0] is None) != zero_cells
+        log_q = _kl_pred_side(rng.uniform(0.05, 1.0, size=(*lead, 6, 7)))
+        arrays = [g, log_q] + [a for a in gt_side if a is not None]
+        before = snapshot(*arrays)
+        _kl_from_sides(gt_side, log_q)
+        assert snapshot(*arrays) == before
+
+    def test_caption_loss(self, rng, lead):
+        target = TokenSequence((2, 0, 4, 4), 6)
+        rows = rng.normal(0.0, 3.0, size=(*lead, 4, 6))
+        before = snapshot(rows)
+        loss_caption(rows, target)
+        assert snapshot(rows) == before
+
+    def test_a_table_entry_scores_the_same_against_every_anchor(self, rng):
+        frames = [rng.uniform(0.05, 1.0, size=(6, 7)) for _ in range(4)]
+        frames[1][rng.random((6, 7)) < 0.4] = 0.0
+        seq = GazeSequence("v", tuple(normalize_to_simplex(f) for f in frames))
+        table = _kl_table(seq)
+        target, anchors = 3, (0, 1, 2)
+        first = [_kl_from_sides(table[a][0], table[target][1]) for a in anchors]
+        again = [_kl_from_sides(table[a][0], table[target][1]) for a in reversed(anchors)]
+        assert first == again[::-1]
+        assert first == [kl_div_reference(seq.maps[a].values, seq.maps[target].values) for a in anchors]
+
+
+def traced_peak(call) -> int:
+    # Bytes above the traced level at the start, at the peak of one call.
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        call()
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if started:
+            tracemalloc.stop()
+
+
+class TestAllocationBudget:
+    """Traced peaks on grad-check's largest stack, without timing.
+
+    A 12x12 gaze trial stacks 288 perturbed grids, 330 KB per float64
+    stack: above the allocator's mmap threshold, so every stack-sized
+    temporary is fresh pages. The cores allocate one stack each.
+    """
+
+    @pytest.fixture
+    def stack(self, rng):
+        return rng.normal(size=(288, 12, 12))
+
+    def test_softmax(self, stack):
+        assert traced_peak(lambda: _softmax_maps(stack)) <= 1.3 * stack.nbytes
+
+    def test_prediction_side(self, stack):
+        pred = _softmax_maps(stack)
+        assert traced_peak(lambda: _kl_pred_side(pred)) <= 1.3 * stack.nbytes
+
+    def test_gaze_loss_with_its_hinge(self, rng, stack):
+        gt = normalize_to_simplex(rng.uniform(0.05, 1.0, size=(12, 12)))
+        cfg = GazeLossConfig(hinge_weight=0.3)
+        loss_gaze(gt, stack, cfg)  # builds the cached blur matrices
+        assert traced_peak(lambda: loss_gaze(gt, stack, cfg)) <= 3.5 * stack.nbytes
