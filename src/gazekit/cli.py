@@ -140,11 +140,11 @@ def cmd_curate(args) -> int:
     frame_paths: dict[str, list[str]] = {}
     # Each video is curated before the next is read: one is in memory at a time.
     for video in videos:
-        files = _map_files(root / video)
-        if not files:
-            skipped.append(f"{video}: no map files, skipped")
-            continue
         try:
+            files = _map_files(root / video)
+            if not files:
+                skipped.append(f"{video}: no map files, skipped")
+                continue
             seq = GazeSequence(video, tuple(load_map(f) for f in files.values()))
         except (GazeKitError, ValueError, OSError) as exc:
             skipped.append(f"{video}: {exc}, skipped")

@@ -26,6 +26,7 @@ from gazekit import (
     info_nce,
     normalize_to_simplex,
     pooled_embeddings,
+    run_gradient_checks,
 )
 from gazekit.alignment import _unit_rows
 
@@ -197,6 +198,16 @@ class TestGradInfoNCE:
         scale = max(np.abs(num_v).max(), np.abs(num_t).max(), 1e-12)
         assert np.abs(gv - num_v).max() / scale < 1e-4
         assert np.abs(gt - num_t).max() / scale < 1e-4
+
+    @pytest.mark.xfail(strict=True, reason=(
+        "ROADMAP item 1: info_nce computes lse - diag, which cancels at b = 2 with a small "
+        "temperature, so grad-check seed 39 reports an infonce error of 2.658e-01"
+    ))
+    def test_grad_check_seed_39_passes_every_path(self):
+        reports = run_gradient_checks(seed=39, trials=100)
+        assert all(report.passed for report in reports), [
+            f"{report.name}: {report.max_rel_error:.3e}" for report in reports
+        ]
 
 
 class TestChainedPath:

@@ -353,6 +353,27 @@ class TestCurate:
         )
         assert out.read_bytes() == expected.read_bytes()
 
+    def test_unlistable_video_is_skipped(self, tmp_path, monkeypatch, capsys):
+        root = tmp_path / "corpus"
+        for name in ("video_000", "video_001", "video_002"):
+            write_sequence_dir(root, name, two_segment_arrays())
+        real_map_files = cli._map_files
+        denied = PermissionError(13, "Permission denied", str(root / "video_001"))
+
+        def map_files(directory):
+            if directory.name == "video_001":
+                raise denied
+            return real_map_files(directory)
+
+        monkeypatch.setattr(cli, "_map_files", map_files)
+        out = tmp_path / "pairs.csv"
+        assert main(["curate", str(root), "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "video_000: 1\nvideo_002: 1\n"
+        assert captured.err == f"video_001: {denied}, skipped\n"
+        _, rows = read_manifest_rows(out)
+        assert [row["video_id"] for row in rows] == ["video_000", "video_002"]
+
     def test_non_ascii_csv_frame_is_named(self, tmp_path, capsys):
         root = tmp_path / "corpus"
         write_sequence_dir(root, "v0", two_segment_arrays())

@@ -1,16 +1,20 @@
-"""The package's public surface: one export list, and every traced name alive."""
+"""The package's public surface: one export list, every traced name alive,
+and a complete, canonical digest file."""
 
 from __future__ import annotations
 
 import ast
 import importlib
 import inspect
+import json
 import pkgutil
 from pathlib import Path
 
+import pytest
+
 import gazekit
 
-TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
 def library_modules():
@@ -29,19 +33,19 @@ def test_package_exports_exactly_the_module_export_lists():
             assert getattr(gazekit, name) is getattr(module, name), f"{module.__name__}.{name}"
 
 
-def traced_layers() -> dict:
-    # Parsed, not imported: the tracer's LAYERS table is a literal.
-    tree = ast.parse(TRACING.read_text(encoding="utf-8"))
+def module_literal(path: Path, name: str):
+    # Parsed, not imported: the benchmark's tables are literals.
+    tree = ast.parse(path.read_text(encoding="utf-8"))
     for node in tree.body:
         if isinstance(node, ast.Assign) and any(
-            isinstance(t, ast.Name) and t.id == "LAYERS" for t in node.targets
+            isinstance(t, ast.Name) and t.id == name for t in node.targets
         ):
             return ast.literal_eval(node.value)
-    raise AssertionError(f"no LAYERS table in {TRACING}")
+    raise AssertionError(f"no {name} table in {path}")
 
 
 def test_every_traced_function_exists():
-    layers = traced_layers()
+    layers = module_literal(PERFBENCH / "tracing.py", "LAYERS")
     assert layers
     for layer, functions in layers.items():
         module = importlib.import_module(f"gazekit.{layer}")
@@ -68,3 +72,21 @@ def test_fixed_settings_are_not_parameters():
         module, _, function = qualified.partition(".")
         fn = getattr(importlib.import_module(f"gazekit.{module}"), function)
         assert parameter not in inspect.signature(fn).parameters, qualified
+
+
+def test_digest_file_is_complete_and_canonical():
+    # A re-record rewrites the file in this form with every pool key, so a
+    # diff after one can only show outputs that moved.
+    text = (PERFBENCH / "digests.json").read_text(encoding="utf-8")
+    recorded = json.loads(text)
+    if text != json.dumps(recorded, indent=1, sort_keys=True) + "\n":
+        # Not an assert: pytest's diff of two 400 kB strings takes minutes.
+        pytest.fail("digests.json is not in record.py's json.dumps(indent=1, sort_keys=True) form")
+    pool = module_literal(PERFBENCH / "record.py", "POOL")
+    workloads = module_literal(PERFBENCH / "run.py", "WORKLOADS")
+    assert set(recorded) == set(pool)
+    for size, count in pool.items():
+        assert set(recorded[size]) == set(workloads), size
+        for workload in workloads:
+            keys, expected = set(recorded[size][workload]), {str(key) for key in range(count)}
+            assert keys == expected, (size, workload, sorted(keys ^ expected))
