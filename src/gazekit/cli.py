@@ -27,7 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from .captions import parse_caption, serialize_caption
-from .curation import CurationParams, GazeSequence, curate_video
+from .curation import CurationParams, _curate_stream
 from .errors import CaptionError, GazeKitError
 from .gradcheck import TOLERANCE, run_gradient_checks
 from .grids import GazeMap, normalize_to_simplex
@@ -138,19 +138,20 @@ def cmd_curate(args) -> int:
 
     pairs, counts, skipped = [], [], []
     frame_paths: dict[str, list[str]] = {}
-    # Each video is curated before the next is read: one is in memory at a time.
+    # Each video's frames are loaded as the curation walk reaches them, and
+    # the next video is read only after it: a few frames are in memory at a
+    # time. A video that fails partway is skipped whole.
     for video in videos:
         try:
             files = _map_files(root / video)
             if not files:
                 skipped.append(f"{video}: no map files, skipped")
                 continue
-            seq = GazeSequence(video, tuple(load_map(f) for f in files.values()))
+            selected = _curate_stream(video, len(files), map(load_map, files.values()), params)
         except (GazeKitError, ValueError, OSError) as exc:
             skipped.append(f"{video}: {exc}, skipped")
             continue
         frame_paths[video] = [f"{video}/{name}" for name in files]
-        selected = curate_video(seq, params)
         pairs.extend(selected)
         counts.append(f"{video}: {len(selected)}")
     # Written before anything is printed: a failed write leaves stdout empty.

@@ -10,14 +10,18 @@ ranked by that divergence, thinned so the kept anchors stay at least
 delta_max frames apart, truncated to the per-video budget, and returned
 in anchor order. Videos shorter than min_frames yield nothing.
 
-Each frame's KL terms are prepared once per video: ``curate_video``
-builds one table of every frame's ground-truth side (positive-cell
-mask, values and logs) and prediction side (the log of the floored,
-renormalized map), and every curve step and target candidate only
-combines two entries of it. The scores are those of ``kl_div``, bit for
-bit. The table lives only as long as one ``curate_video`` call, and the
-``curate`` command curates each video before it reads the next, so a
-corpus is never in memory as a whole.
+Selection walks each video once, in frame order, and keeps no
+per-video table. As a frame is read, its two ``kl_div`` sides are
+computed: the ground-truth side (positive-cell mask, values and logs)
+and the prediction side (the log of the floored, renormalized map).
+Curve step t is scored as soon as frame t+1 is read, anchor t-1 is
+decided right after it, and an anchor's targets are scored once its
+last target frame is read. Sides that no later step can use are
+dropped, so at most delta_max + 2 frames' sides live at a time and the
+memory a video needs does not grow with its length. The scores are those
+of ``kl_div``, bit for bit. ``curate_video`` runs this walk over a
+``GazeSequence``; the ``curate`` command runs it over a video's frame
+files as they are loaded, and reads the next video only after it.
 
 Everything is deterministic: rerunning on the same sequences gives the
 same pairs in the same order.
@@ -26,11 +30,15 @@ same pairs in the same order.
 from __future__ import annotations
 
 import math
+from collections import deque
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import TooShort
 from .grids import GazeMap
-from .saliency import _kl_from_sides, _kl_gt_side, _kl_pred_side
+from .saliency import _kl_from_sides, _kl_gt_side, _kl_pred_side, kl_div
 
 __all__ = [
     "CurationParams",
@@ -76,17 +84,24 @@ class GazeSequence:
     maps: tuple[GazeMap, ...]
 
     def __post_init__(self):
-        maps = tuple(self.maps)
+        maps = tuple(_same_shape(self.maps))
         if not maps:
             raise ValueError("a sequence needs at least one frame")
-        first = maps[0]
-        for m in maps:
-            if (m.height, m.width) != (first.height, first.width):
-                raise ValueError("all frames in a sequence must share dimensions")
         object.__setattr__(self, "maps", maps)
 
     def __len__(self) -> int:
         return len(self.maps)
+
+
+def _same_shape(maps: Iterable[GazeMap]) -> Iterator[GazeMap]:
+    # Each map in turn, once it is known to have the first map's shape.
+    shape = None
+    for m in maps:
+        if shape is None:
+            shape = (m.height, m.width)
+        elif (m.height, m.width) != shape:
+            raise ValueError("all frames in a sequence must share dimensions")
+        yield m
 
 
 @dataclass(frozen=True)
@@ -111,16 +126,7 @@ def kl_curve(seq: GazeSequence) -> list[float]:
     """Per-step divergence: entry t compares frames t and t+1."""
     if len(seq) < 2:
         raise TooShort("a divergence curve needs at least two frames")
-    return _curve(_kl_table(seq))
-
-
-def _kl_table(seq: GazeSequence) -> list[tuple]:
-    # Per frame: its kl_div sides as ground truth and as prediction.
-    return [(_kl_gt_side(m.values), _kl_pred_side(m.values)) for m in seq.maps]
-
-
-def _curve(table) -> list[float]:
-    return [_kl_from_sides(table[t][0], table[t + 1][1]) for t in range(len(table) - 1)]
+    return [kl_div(seq.maps[t], seq.maps[t + 1]) for t in range(len(seq) - 1)]
 
 
 def find_anchors(curve, peak_floor: float = 0.0) -> list[int]:
@@ -147,17 +153,9 @@ def select_target(
     """
     if not 0 <= anchor < len(seq):
         raise ValueError(f"anchor {anchor} outside sequence of {len(seq)} frames")
-    return _best_target(_kl_table(seq), anchor, params)
-
-
-def _best_target(table, anchor: int, params: CurationParams) -> tuple[int, float] | None:
-    gt_side = table[anchor][0]
     best: tuple[int, float] | None = None
-    for delta in range(params.delta_min, params.delta_max + 1):
-        target = anchor + delta
-        if target >= len(table):
-            break
-        score = _kl_from_sides(gt_side, table[target][1])
+    for target in range(anchor + params.delta_min, min(anchor + params.delta_max + 1, len(seq))):
+        score = kl_div(seq.maps[anchor], seq.maps[target])
         if best is None or score > best[1]:
             best = (target, score)
     return best
@@ -165,26 +163,61 @@ def _best_target(table, anchor: int, params: CurationParams) -> tuple[int, float
 
 def curate_video(seq: GazeSequence, params: CurationParams = CurationParams()) -> list[FramePair]:
     """Run the full per-video selection, returning pairs in anchor order."""
-    if len(seq) < params.min_frames:
-        return []
-    table = _kl_table(seq)
-    curve = _curve(table)
+    return _curate_stream(seq.video_id, len(seq), seq.maps, params)
+
+
+def _curate_stream(
+    video_id: str, n_frames: int, maps: Iterable[GazeMap], params: CurationParams
+) -> list[FramePair]:
+    # One pass over a video's n_frames maps, in frame order. Frame j's two
+    # kl_div sides are computed as it is read, curve step j-1 is scored at
+    # once and anchor j-2 is decided; an anchor's targets are scored as soon
+    # as its last target frame is read, or at the end of the video. Sides no
+    # later step can use are dropped, so at most delta_max + 2 frames' sides
+    # are live. A short video is still read, so a broken frame still raises.
+    scoring = n_frames >= params.min_frames
+    gt_sides: dict[int, tuple] = {}  # frames j-1 and j, and pending anchors
+    pred_sides: dict[int, np.ndarray] = {}  # frames a later score can target
+    first_live = 0  # the oldest frame in pred_sides
+    recent: deque[float] = deque(maxlen=3)  # curve steps j-3, j-2 and j-1
+    pending: deque[tuple[int, float]] = deque()  # anchors and peaks awaiting targets
     candidates: list[FramePair] = []
-    for anchor in find_anchors(curve, params.peak_floor):
-        found = _best_target(table, anchor, params)
-        if found is None:
+
+    def score_targets(anchor: int, peak: float, end: int) -> None:
+        gt_side = gt_sides.pop(anchor)
+        best: tuple[int, float] | None = None
+        for target in range(anchor + params.delta_min, min(anchor + params.delta_max + 1, end)):
+            score = _kl_from_sides(gt_side, pred_sides[target])
+            if best is None or score > best[1]:
+                best = (target, score)
+        if best is not None:
+            target, pair_kl = best
+            candidates.append(FramePair(video_id, anchor, target, target - anchor, peak, pair_kl))
+
+    for j, gaze in enumerate(_same_shape(maps)):
+        if not scoring:
             continue
-        target, pair_kl = found
-        candidates.append(
-            FramePair(
-                video_id=seq.video_id,
-                anchor=anchor,
-                target=target,
-                delta=target - anchor,
-                anchor_peak_kl=curve[anchor],
-                pair_kl=pair_kl,
-            )
-        )
+        gt_sides[j] = _kl_gt_side(gaze.values)
+        pred_sides[j] = _kl_pred_side(gaze.values)
+        if j == 0:
+            continue
+        recent.append(_kl_from_sides(gt_sides[j - 1], pred_sides[j]))
+        if j >= 2:
+            # Frame 0, with only two steps in recent, is never an anchor.
+            if find_anchors(recent, params.peak_floor):
+                pending.append((j - 2, recent[1]))
+            else:
+                del gt_sides[j - 2]
+        while pending and pending[0][0] + params.delta_max <= j:
+            score_targets(*pending.popleft(), j + 1)
+        # Anchors j-1 and j are undecided; their targets start at frame j.
+        keep = min(j, pending[0][0] + params.delta_min) if pending else j
+        while first_live < keep:
+            del pred_sides[first_live]
+            first_live += 1
+    for anchor, peak in pending:
+        score_targets(anchor, peak, j + 1)
+
     # Greedy pass in score order; a candidate is kept only if its anchor
     # stays at least delta_max frames from every anchor already kept.
     candidates.sort(key=lambda p: (-p.pair_kl, p.anchor))
@@ -195,4 +228,3 @@ def curate_video(seq: GazeSequence, params: CurationParams = CurationParams()) -
         if all(abs(cand.anchor - k.anchor) >= params.delta_max for k in kept):
             kept.append(cand)
     return sorted(kept, key=lambda p: p.anchor)
-

@@ -46,7 +46,7 @@ from gazekit import (
     normalize_to_simplex,
 )
 from gazekit import gradcheck
-from gazekit.curation import GazeSequence, _kl_table
+from gazekit.curation import GazeSequence
 from gazekit.grids import _blur_maps, _blur_matrix, _softmax_maps
 from gazekit.saliency import _kl_from_sides, _kl_gt_side, _kl_pred_side
 
@@ -375,7 +375,7 @@ class TestTheCoresLeaveTheirArgumentsAlone:
         frames = [rng.uniform(0.05, 1.0, size=(6, 7)) for _ in range(4)]
         frames[1][rng.random((6, 7)) < 0.4] = 0.0
         seq = GazeSequence("v", tuple(normalize_to_simplex(f) for f in frames))
-        table = _kl_table(seq)
+        table = [(_kl_gt_side(m.values), _kl_pred_side(m.values)) for m in seq.maps]
         target, anchors = 3, (0, 1, 2)
         first = [_kl_from_sides(table[a][0], table[target][1]) for a in anchors]
         again = [_kl_from_sides(table[a][0], table[target][1]) for a in reversed(anchors)]

@@ -304,18 +304,20 @@ class TestCurate:
         for name in videos:
             write_sequence_dir(root, name, two_segment_arrays())
         events = []
-        real_load, real_curate = cli.load_map, cli.curate_video
+        real_load, real_curate = cli.load_map, cli._curate_stream
 
         def load(path):
             events.append(("load", Path(path).parent.name))
             return real_load(path)
 
-        def curate(seq, params):
-            events.append(("curate", seq.video_id))
-            return real_curate(seq, params)
+        def curate(video_id, n_frames, maps, params):
+            # Recorded once the walk over the video has returned.
+            selected = real_curate(video_id, n_frames, maps, params)
+            events.append(("curate", video_id))
+            return selected
 
         monkeypatch.setattr(cli, "load_map", load)
-        monkeypatch.setattr(cli, "curate_video", curate)
+        monkeypatch.setattr(cli, "_curate_stream", curate)
         assert main(["curate", str(root), "--out", str(tmp_path / "pairs.csv")]) == 0
         for done, following in zip(videos, videos[1:]):
             assert events.index(("curate", done)) < events.index(("load", following))
@@ -384,6 +386,55 @@ class TestCurate:
         captured = capsys.readouterr()
         assert captured.out == "v0: 1\n"
         assert captured.err == f"v1: {bad}: not ASCII text (ordinal not in range(128) at byte 4), skipped\n"
+
+    def test_truncated_last_frame_skips_the_whole_video(self, tmp_path, capsys):
+        # The walk has found v1's pair before it reads the broken frame.
+        root = tmp_path / "corpus"
+        write_sequence_dir(root, "v0", two_segment_arrays())
+        (root / "v1").mkdir()
+        arrays = two_segment_arrays()
+        for i, values in enumerate(arrays):
+            save_map(root / "v1" / f"frame_{i:03d}.pgm", GazeMap(values))
+        last = root / "v1" / f"frame_{len(arrays) - 1:03d}.pgm"
+        last.write_bytes(last.read_bytes()[:-3])
+        out = tmp_path / "pairs.csv"
+        assert main(["curate", str(root), "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "v0: 1\n"
+        assert captured.err == f"v1: {last}: raster holds 125 bytes, expected 128, skipped\n"
+        _, rows = read_manifest_rows(out)
+        assert [row["video_id"] for row in rows] == ["v0"]
+
+    def test_short_video_with_a_broken_frame_exits_2(self, tmp_path, capsys):
+        root = tmp_path / "corpus"
+        write_sequence_dir(root, "shorty", two_segment_arrays(10, 30))
+        broken = root / "shorty" / "frame_039.csv"
+        broken.write_text("0.5,0.5\n1\n")
+        out = tmp_path / "pairs.csv"
+        assert main(["curate", str(root), "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"shorty: {broken}: ")
+        assert captured.err.endswith(", skipped\n")
+        _, rows = read_manifest_rows(out)
+        assert rows == []
+
+    @pytest.mark.parametrize("unreadable_later", [False, True])
+    def test_mixed_shapes_give_the_shape_message(self, tmp_path, capsys, unreadable_later):
+        # Frames are checked as they are read, so a shape mismatch is
+        # reported even when a later frame cannot be read.
+        root = tmp_path / "corpus"
+        write_sequence_dir(root, "v0", two_segment_arrays())
+        save_map(root / "v0" / "frame_020.csv", GazeMap(np.full((4, 4), 1 / 16)))
+        if unreadable_later:
+            (root / "v0" / "frame_030.csv").write_text("not a map\n")
+        out = tmp_path / "pairs.csv"
+        assert main(["curate", str(root), "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "v0: all frames in a sequence must share dimensions, skipped\n"
+        _, rows = read_manifest_rows(out)
+        assert rows == []
 
     def test_reruns_are_byte_identical(self, tmp_path):
         root = tmp_path / "corpus"

@@ -8,6 +8,8 @@ pipeline on random sequences.
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -25,6 +27,7 @@ from gazekit import (
     normalize_to_simplex,
     select_target,
 )
+from gazekit.curation import _curate_stream
 
 
 def delta_map(side, row, col):
@@ -282,7 +285,7 @@ def random_video(seed):
 
 
 class TestPreparedKLTable:
-    """Every score the per-frame table gives equals whole kl_div calls."""
+    """Every score curation gives equals whole kl_div calls."""
 
     @pytest.mark.parametrize("seed", range(16))
     def test_curve_and_every_target_window(self, seed):
@@ -310,3 +313,51 @@ class TestPreparedKLTable:
         # Some videos fall under min_frames and give no pairs.
         got = [curate_video(seq, params) for seq in seqs]
         assert got == [brute_force_pairs(seq, params) for seq in seqs]
+
+
+class TestStreamedCuration:
+    """The one-pass walk over a frame iterator, as the curate command feeds it."""
+
+    @pytest.mark.parametrize("seed", range(16))
+    def test_a_generator_gives_the_brute_force_pairs(self, seed):
+        seq = random_video(seed)
+        # Windows of 10 frames run past the end of every 12-40 frame video,
+        # and a one-frame window scores each anchor as soon as it is decided.
+        for delta_min, delta_max in ((1, 10), (3, 12), (1, 1)):
+            params = CurationParams(delta_min=delta_min, delta_max=delta_max, min_frames=2, top_k=5)
+            got = _curate_stream(seq.video_id, len(seq), (m for m in seq.maps), params)
+            assert got == brute_force_pairs(seq, params)
+
+    def test_memory_does_not_grow_with_the_video(self):
+        side = 64
+        params = CurationParams()
+
+        def drifting_blob(n):
+            # A 64x64 attention blob that drifts, and jumps every 97 frames.
+            rng = np.random.default_rng(0)
+            rows, cols = np.arange(side)[:, None], np.arange(side)[None, :]
+            center = np.full(2, side / 2)
+            for t in range(n):
+                if t % 97 == 50:
+                    center = rng.uniform(0.1 * side, 0.9 * side, size=2)
+                else:
+                    center = np.clip(center + rng.normal(0.0, 0.3, size=2), 0.0, side - 1.0)
+                v = np.exp(-((rows - center[0]) ** 2 + (cols - center[1]) ** 2) / 8.0) + 1e-4
+                yield GazeMap(v / v.sum())
+
+        def traced_peak(n):
+            tracemalloc.start()
+            try:
+                pairs = _curate_stream("v", n, drifting_blob(n), params)
+                return tracemalloc.get_traced_memory()[1], pairs
+            finally:
+                tracemalloc.stop()
+
+        short_peak, _ = traced_peak(500)
+        long_peak, pairs = traced_peak(2000)
+        assert len(pairs) == params.top_k
+        frame_bytes = side * side * 8
+        assert long_peak <= 4 * (params.delta_max + 3) * frame_bytes
+        # Only the few records kept per anchor grow with the video; keeping
+        # one frame-sized array per frame would add 1500 * 32 KB.
+        assert long_peak <= 1.25 * short_peak
