@@ -399,11 +399,17 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("curate", help="select anchor/target frame pairs from a map corpus")
     p.add_argument("input_dir", help="directory with one subdirectory of frame maps per video")
     p.add_argument("--out", required=True, help="manifest CSV to write")
-    p.add_argument("--delta-min", type=int, default=3, help="smallest anchor-to-target gap")
-    p.add_argument("--delta-max", type=int, default=18, help="largest anchor-to-target gap")
-    p.add_argument("--min-frames", type=int, default=50, help="shortest usable video")
-    p.add_argument("--top-k", type=int, default=2, help="pairs kept per video")
-    p.add_argument("--peak-floor", type=float, default=0.0, help="smallest usable peak height")
+    p.add_argument(
+        "--delta-min", type=int, default=CurationParams.delta_min, help="smallest anchor-to-target gap"
+    )
+    p.add_argument(
+        "--delta-max", type=int, default=CurationParams.delta_max, help="largest anchor-to-target gap"
+    )
+    p.add_argument("--min-frames", type=int, default=CurationParams.min_frames, help="shortest usable video")
+    p.add_argument("--top-k", type=int, default=CurationParams.top_k, help="pairs kept per video")
+    p.add_argument(
+        "--peak-floor", type=float, default=CurationParams.peak_floor, help="smallest usable peak height"
+    )
     p.set_defaults(func=cmd_curate)
 
     p = sub.add_parser("caption-eval", help="score caption files against references")

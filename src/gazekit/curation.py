@@ -15,13 +15,15 @@ per-video table. As a frame is read, its two ``kl_div`` sides are
 computed: the ground-truth side (positive-cell mask, values and logs)
 and the prediction side (the log of the floored, renormalized map).
 Curve step t is scored as soon as frame t+1 is read, anchor t-1 is
-decided right after it, and an anchor's targets are scored once its
-last target frame is read. Sides that no later step can use are
-dropped, so at most delta_max + 2 frames' sides live at a time and the
-memory a video needs does not grow with its length. The scores are those
-of ``kl_div``, bit for bit. ``curate_video`` runs this walk over a
-``GazeSequence``; the ``curate`` command runs it over a video's frame
-files as they are loaded, and reads the next video only after it.
+decided right after it, and an anchor's targets are scored once it is
+decided and its last target frame is read. The sides live in two
+fixed-length windows: 3 ground-truth sides, plus one held by each
+anchor awaiting its targets, and min(n_frames, max(delta_max, 2) -
+delta_min + 1) prediction sides. So the memory a video needs does not
+grow with its length. The scores are those of ``kl_div``, bit for bit.
+``curate_video`` runs this walk over a ``GazeSequence``; the ``curate``
+command runs it over a video's frame files as they are loaded, and
+reads the next video only after it.
 
 Everything is deterministic: rerunning on the same sequences gives the
 same pairs in the same order.
@@ -171,23 +173,26 @@ def _curate_stream(
 ) -> list[FramePair]:
     # One pass over a video's n_frames maps, in frame order. Frame j's two
     # kl_div sides are computed as it is read, curve step j-1 is scored at
-    # once and anchor j-2 is decided; an anchor's targets are scored as soon
-    # as its last target frame is read, or at the end of the video. Sides no
-    # later step can use are dropped, so at most delta_max + 2 frames' sides
-    # are live. A short video is still read, so a broken frame still raises.
+    # once and anchor j-2 is decided; anchor a's targets are scored at frame
+    # a + reach, once it is decided and its last target is read, or at the
+    # end of the video. The windows' lengths bound what is live: 3
+    # ground-truth sides plus one per pending anchor, and the prediction
+    # sides of the last reach - delta_min + 1 frames, capped at n_frames
+    # because the deltas may exceed any video (and a deque's length).
+    # A short video is still read, so a broken frame still raises.
     scoring = n_frames >= params.min_frames
-    gt_sides: dict[int, tuple] = {}  # frames j-1 and j, and pending anchors
-    pred_sides: dict[int, np.ndarray] = {}  # frames a later score can target
-    first_live = 0  # the oldest frame in pred_sides
+    reach = max(params.delta_max, 2)  # anchor a is decided at frame a + 2
+    gt_sides: deque[tuple] = deque(maxlen=3)  # frames j-2, j-1 and j
+    pred_sides: deque[np.ndarray] = deque(maxlen=min(n_frames, reach - params.delta_min + 1))
     recent: deque[float] = deque(maxlen=3)  # curve steps j-3, j-2 and j-1
-    pending: deque[tuple[int, float]] = deque()  # anchors and peaks awaiting targets
+    pending: deque[tuple[int, float, tuple]] = deque()  # anchors awaiting targets
     candidates: list[FramePair] = []
 
-    def score_targets(anchor: int, peak: float, end: int) -> None:
-        gt_side = gt_sides.pop(anchor)
+    def score_targets(anchor: int, peak: float, gt_side: tuple, last: int) -> None:
+        first = last - len(pred_sides) + 1  # pred_sides holds frames first..last
         best: tuple[int, float] | None = None
-        for target in range(anchor + params.delta_min, min(anchor + params.delta_max + 1, end)):
-            score = _kl_from_sides(gt_side, pred_sides[target])
+        for target in range(anchor + params.delta_min, min(anchor + params.delta_max, last) + 1):
+            score = _kl_from_sides(gt_side, pred_sides[target - first])
             if best is None or score > best[1]:
                 best = (target, score)
         if best is not None:
@@ -197,26 +202,18 @@ def _curate_stream(
     for j, gaze in enumerate(_same_shape(maps)):
         if not scoring:
             continue
-        gt_sides[j] = _kl_gt_side(gaze.values)
-        pred_sides[j] = _kl_pred_side(gaze.values)
+        gt_sides.append(_kl_gt_side(gaze.values))
+        pred_sides.append(_kl_pred_side(gaze.values))
         if j == 0:
             continue
-        recent.append(_kl_from_sides(gt_sides[j - 1], pred_sides[j]))
-        if j >= 2:
-            # Frame 0, with only two steps in recent, is never an anchor.
-            if find_anchors(recent, params.peak_floor):
-                pending.append((j - 2, recent[1]))
-            else:
-                del gt_sides[j - 2]
-        while pending and pending[0][0] + params.delta_max <= j:
-            score_targets(*pending.popleft(), j + 1)
-        # Anchors j-1 and j are undecided; their targets start at frame j.
-        keep = min(j, pending[0][0] + params.delta_min) if pending else j
-        while first_live < keep:
-            del pred_sides[first_live]
-            first_live += 1
-    for anchor, peak in pending:
-        score_targets(anchor, peak, j + 1)
+        recent.append(_kl_from_sides(gt_sides[-2], pred_sides[-1]))
+        # Frame 0, with only two steps in recent, is never an anchor.
+        if find_anchors(recent, params.peak_floor):
+            pending.append((j - 2, recent[1], gt_sides[0]))
+        if pending and pending[0][0] + reach == j:
+            score_targets(*pending.popleft(), j)
+    for waiting in pending:
+        score_targets(*waiting, j)
 
     # Greedy pass in score order; a candidate is kept only if its anchor
     # stays at least delta_max frames from every anchor already kept.

@@ -13,6 +13,7 @@ import os
 import re
 import subprocess
 import sys
+from dataclasses import asdict, fields
 from pathlib import Path
 from xml.etree import ElementTree
 
@@ -22,6 +23,7 @@ import pytest
 from conftest import gaussian_blur_reference, gaze_map_reference, random_map, spatial_softmax_reference
 from gazekit import (
     MANIFEST_HEADER,
+    CurationParams,
     GazeLossConfig,
     GazeMap,
     GazeSequence,
@@ -404,6 +406,28 @@ class TestCurate:
         assert captured.err == f"v1: {last}: raster holds 125 bytes, expected 128, skipped\n"
         _, rows = read_manifest_rows(out)
         assert [row["video_id"] for row in rows] == ["v0"]
+
+    @pytest.mark.parametrize(
+        "window, counts, pairs",
+        [
+            (["--delta-max", 10**30], "vid0: 1\nvid1: 1\n", [("vid0", "9", "12"), ("vid1", "24", "27")]),
+            (["--delta-min", 10**30, "--delta-max", 10**30], "vid0: 0\nvid1: 0\n", []),
+        ],
+    )
+    def test_windows_past_any_video_exit_0(self, tmp_path, window, counts, pairs):
+        # The walk's windows must not be sized from the flags alone.
+        root = tmp_path / "corpus"
+        write_sequence_dir(root, "vid0", two_segment_arrays())
+        write_sequence_dir(root, "vid1", two_segment_arrays(25, 35))
+        out = tmp_path / "pairs.csv"
+        proc = run_cli("curate", root, "--out", out, *window)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, counts, "")
+        _, rows = read_manifest_rows(out)
+        assert [(row["video_id"], row["anchor"], row["target"]) for row in rows] == pairs
+
+    def test_selection_defaults_are_the_params_defaults(self):
+        args = build_parser().parse_args(["curate", "d", "--out", "o"])
+        assert {f.name: getattr(args, f.name) for f in fields(CurationParams)} == asdict(CurationParams())
 
     def test_short_video_with_a_broken_frame_exits_2(self, tmp_path, capsys):
         root = tmp_path / "corpus"

@@ -323,7 +323,9 @@ class TestStreamedCuration:
         seq = random_video(seed)
         # Windows of 10 frames run past the end of every 12-40 frame video,
         # and a one-frame window scores each anchor as soon as it is decided.
-        for delta_min, delta_max in ((1, 10), (3, 12), (1, 1)):
+        # (2, 2) and (3, 3) hold one prediction side, (1, 2) scores at the
+        # frame that decides the anchor, and (2, 60) is bounded by the video.
+        for delta_min, delta_max in ((1, 10), (3, 12), (1, 1), (1, 2), (2, 2), (3, 3), (2, 60)):
             params = CurationParams(delta_min=delta_min, delta_max=delta_max, min_frames=2, top_k=5)
             got = _curate_stream(seq.video_id, len(seq), (m for m in seq.maps), params)
             assert got == brute_force_pairs(seq, params)
