@@ -40,7 +40,7 @@ import numpy as np
 
 from .errors import TooShort
 from .grids import GazeMap
-from .saliency import _kl_from_sides, _kl_gt_side, _kl_pred_side, kl_div
+from .saliency import _kl_from_sides, _kl_sides, kl_div
 
 __all__ = [
     "CurationParams",
@@ -202,8 +202,9 @@ def _curate_stream(
     for j, gaze in enumerate(_same_shape(maps)):
         if not scoring:
             continue
-        gt_sides.append(_kl_gt_side(gaze.values))
-        pred_sides.append(_kl_pred_side(gaze.values))
+        gt_side, pred_side = _kl_sides(gaze.values)
+        gt_sides.append(gt_side)
+        pred_sides.append(pred_side)
         if j == 0:
             continue
         recent.append(_kl_from_sides(gt_sides[-2], pred_sides[-1]))

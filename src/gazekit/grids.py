@@ -11,7 +11,9 @@ Conventions shared by the whole package:
   are safe to share across threads,
 * a map is checked once, where it enters. ``GazeMap(...)`` validates
   the shape, the cells (finite, then nonnegative) and the mass, and
-  copies; ``normalize_to_simplex`` validates the shape and the cells;
+  copies; ``normalize_to_simplex`` validates the shape and the cells,
+  except those of an unsigned-integer grid (such as a PGM's samples),
+  which are finite and nonnegative by type;
   ``spatial_softmax`` refuses non-finite logits; ``gaussian_blur`` and
   ``entropy`` validate a bare-array argument as a ``GazeMap``. The maps
   that ``normalize_to_simplex``, ``spatial_softmax`` and
@@ -150,7 +152,8 @@ def normalize_to_simplex(grid) -> GazeMap:
     the float64 range.
     """
     v = grid_values(grid)
-    _check_cells(v, "grid")
+    if not (isinstance(grid, np.ndarray) and grid.dtype.kind == "u"):
+        _check_cells(v, "grid")
     with np.errstate(over="ignore"):
         total = float(v.sum())
     if total == math.inf:

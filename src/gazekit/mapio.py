@@ -6,6 +6,9 @@ Two on-disk map formats are supported, chosen by file suffix:
   samples, row-major from the top-left. Writing scales the map so its
   peak cell hits 65535; loading renormalizes to the simplex, so a
   save/load round trip is exact up to the 16-bit quantization step.
+  A header field that ``int()`` refuses is named with the path. The
+  samples are unsigned by type, so loading skips the finite and sign
+  check that CSV cells get.
 * ``.csv``: comma-separated decimal floats, one row per line ("CSVF").
   Values round-trip exactly. The file must be ASCII (another byte is
   refused with the path and its offset); blank lines are skipped and
@@ -69,8 +72,10 @@ _PGM_TOKEN = re.compile(rb"[^ \t\r\n#]+")
 
 
 def _read_pgm16(path) -> np.ndarray:
-    with open(path, "rb") as f:
-        data = f.read()
+    # The raster's big-endian 16-bit samples, as a read-only view of the file's
+    # bytes: unsigned by type, so ``normalize_to_simplex`` needs no cell check.
+    with open(path, "rb", buffering=0) as f:
+        data = f.readall()
 
     pos = 0
     tokens = []
@@ -83,20 +88,28 @@ def _read_pgm16(path) -> np.ndarray:
         pos = token.end()
     pos += 1  # exactly one whitespace byte follows the maxval
 
-    magic, w_tok, h_tok, maxval_tok = tokens
+    magic, *fields = tokens
     if magic != b"P5":
         raise ValueError(f"{path}: not a binary PGM file (magic {magic!r})")
-    width, height, maxval = int(w_tok), int(h_tok), int(maxval_tok)
+    width, height, maxval = (_header_int(path, token) for token in fields)
     if width < 1 or height < 1:
         raise ValueError(f"{path}: bad dimensions {width}x{height}")
     if maxval != _PGM_MAXVAL:
         raise ValueError(f"{path}: expected maxval {_PGM_MAXVAL}, got {maxval}")
     expected = width * height * 2
-    raster = data[pos : pos + expected]
-    if len(raster) != expected:
-        raise ValueError(f"{path}: raster holds {len(raster)} bytes, expected {expected}")
-    samples = np.frombuffer(raster, dtype=">u2").astype(np.float64)
+    held = len(data) - pos
+    if held < expected:
+        raise ValueError(f"{path}: raster holds {max(held, 0)} bytes, expected {expected}")
+    samples = np.frombuffer(data, ">u2", count=width * height, offset=pos)
     return samples.reshape(height, width)
+
+
+def _header_int(path, token: bytes) -> int:
+    # A header field as int() reads it, or an error that names the file.
+    try:
+        return int(token)
+    except ValueError:
+        raise ValueError(f"{path}: bad header field {token!r}") from None
 
 
 def _write_pgm16(path: Path, values: np.ndarray) -> None:
@@ -130,8 +143,8 @@ def _write_csv_grid(path: Path, values: np.ndarray) -> None:
     path.write_text("\n".join(lines) + "\n", encoding="ascii")
 
 
-def load_grid(path) -> np.ndarray:
-    """Read raw cell values from a map file without normalizing."""
+def _read_samples(path) -> np.ndarray:
+    # A map file's cells as stored: uint16 for a PGM, float64 for a CSV.
     suffix = _suffix(path)
     if suffix == ".pgm":
         return _read_pgm16(path)
@@ -140,9 +153,14 @@ def load_grid(path) -> np.ndarray:
     raise ValueError(f"{path}: unrecognized map suffix (expected one of {_MAP_SUFFIXES})")
 
 
+def load_grid(path) -> np.ndarray:
+    """Read raw cell values from a map file without normalizing."""
+    return _read_samples(path).astype(np.float64, copy=False)
+
+
 def load_map(path) -> GazeMap:
     """Read a map file and normalize it to the simplex."""
-    return normalize_to_simplex(load_grid(path))
+    return normalize_to_simplex(_read_samples(path))
 
 
 def save_map(path, gaze: GazeMap) -> None:

@@ -102,13 +102,15 @@ def kl_div(gt, pred) -> float:
 # array, or C-ordered row of a stack, as a single call, so every result
 # is bit-identical: log(q) gathered at the positive cells equals log(q)
 # there element for element, and the sum's pairwise tree depends only on
-# that row.
+# that row. ``_kl_sides`` prepares both sides of one map, as curate
+# does for each frame it reads.
 #
 # Ownership: these helpers, like the softmax and blur cores in ``grids``,
-# write only into arrays they allocate, never into an argument. A side is
-# scored many times: curate scores a frame's prediction side on the curve
-# and again against every anchor 3 to 18 frames before it, and
-# ``loss_gaze`` blurs its prediction after taking its KL.
+# write only into arrays they allocate, never into an argument or a side.
+# A side is scored many times: curate scores a frame's prediction side on
+# the curve and again against every anchor 3 to 18 frames before it, and
+# ``loss_gaze`` blurs its prediction after taking its KL. So one log array
+# can serve as both sides of a map.
 
 
 def _kl_gt_side(g: np.ndarray) -> tuple[np.ndarray | None, np.ndarray, np.ndarray]:
@@ -116,10 +118,9 @@ def _kl_gt_side(g: np.ndarray) -> tuple[np.ndarray | None, np.ndarray, np.ndarra
     # and logs there. When every cell is positive the indices are None and
     # the values are the flat grid itself: the pair step then skips a gather.
     flat = g.ravel()
-    positive = flat > 0.0
-    if np.count_nonzero(positive) == flat.size:
+    if flat.min() > 0.0:
         return None, flat, np.log(flat)
-    cells = np.flatnonzero(positive)
+    cells = np.flatnonzero(flat > 0.0)
     gs = flat.take(cells)
     return cells, gs, np.log(gs)
 
@@ -130,6 +131,23 @@ def _kl_pred_side(p: np.ndarray) -> np.ndarray:
     clamped = np.maximum(p, DEFAULT_KL_FLOOR).reshape(*p.shape[:-2], -1)
     clamped /= clamped.sum(axis=-1, keepdims=True)
     return np.log(clamped, out=clamped)
+
+
+def _kl_sides(g: np.ndarray) -> tuple[tuple, np.ndarray]:
+    # (_kl_gt_side(g), _kl_pred_side(g)) bit for bit, for curate's frames.
+    # When no cell is below the floor the clamp is the identity, so the
+    # prediction side is log(flat / sum); when that sum is exactly 1.0 the
+    # division is too, and the prediction side is the ground truth's logs.
+    # A NaN minimum takes the general path, as it does in the two sides.
+    flat = g.ravel()
+    if not flat.min() >= DEFAULT_KL_FLOOR:
+        return _kl_gt_side(g), _kl_pred_side(g)
+    log_g = np.log(flat)
+    total = flat.sum()
+    if total == 1.0:
+        return (None, flat, log_g), log_g
+    q = flat / total
+    return (None, flat, log_g), np.log(q, out=q)
 
 
 def _kl_from_sides(gt_side, log_q: np.ndarray):

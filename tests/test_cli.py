@@ -389,6 +389,18 @@ class TestCurate:
         assert captured.out == "v0: 1\n"
         assert captured.err == f"v1: {bad}: not ASCII text (ordinal not in range(128) at byte 4), skipped\n"
 
+    def test_pgm_frame_with_a_bad_header_field_is_named(self, tmp_path, capsys):
+        root = tmp_path / "corpus"
+        write_sequence_dir(root, "v0", two_segment_arrays())
+        write_sequence_dir(root, "v1", two_segment_arrays())
+        (root / "v1" / "frame_020.csv").unlink()
+        bad = root / "v1" / "frame_020.pgm"
+        bad.write_bytes(b"P5\nabc 2\n65535\n")
+        assert main(["curate", str(root), "--out", str(tmp_path / "pairs.csv")]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "v0: 1\n"
+        assert captured.err == f"v1: {bad}: bad header field b'abc', skipped\n"
+
     def test_truncated_last_frame_skips_the_whole_video(self, tmp_path, capsys):
         # The walk has found v1's pair before it reads the broken frame.
         root = tmp_path / "corpus"

@@ -15,6 +15,7 @@ import pytest
 
 from conftest import kl_div_reference, pgm_quantized
 from gazekit import (
+    DEFAULT_KL_FLOOR,
     CurationParams,
     FramePair,
     GazeMap,
@@ -268,15 +269,21 @@ class TestCurateCorpus:
 
 
 def random_video(seed):
-    """A random sequence on a 4-40 cell grid: smooth frames, or PGM-quantized
-    frames with about 20 % empty cells."""
+    """A random sequence on a 4-40 cell grid: smooth frames for even seeds,
+    PGM-quantized frames for odd ones. Below seed 16 these have about 20 %
+    empty cells; from seed 16 on every cell is positive, so the walk skips
+    the KL floor's clamp and shares one log between the sides of each frame
+    that sums to exactly 1."""
     rng = np.random.default_rng(seed)
     h, w = (int(x) for x in rng.integers(4, 41, size=2))
     frames = []
     for _ in range(int(rng.integers(12, 41))):
         if seed % 2:
             v = rng.uniform(size=(h, w)) ** 4
-            v[rng.uniform(size=(h, w)) < 0.2] = 0.0
+            if seed < 16:
+                v[rng.uniform(size=(h, w)) < 0.2] = 0.0
+            else:
+                v += 1e-3  # at least 65 of 65535 after quantization
             v.flat[rng.integers(v.size)] = 1.0
             frames.append(pgm_quantized(v))
         else:
@@ -298,7 +305,7 @@ class TestPreparedKLTable:
                 got = select_target(seq, anchor, params)
                 assert got == select_target_reference(seq, anchor, params)
 
-    @pytest.mark.parametrize("seed", range(16))
+    @pytest.mark.parametrize("seed", range(24))
     def test_every_pair_field(self, seed):
         seq = random_video(seed)
         for delta_min in (1, 3):
@@ -318,7 +325,7 @@ class TestPreparedKLTable:
 class TestStreamedCuration:
     """The one-pass walk over a frame iterator, as the curate command feeds it."""
 
-    @pytest.mark.parametrize("seed", range(16))
+    @pytest.mark.parametrize("seed", range(24))
     def test_a_generator_gives_the_brute_force_pairs(self, seed):
         seq = random_video(seed)
         # Windows of 10 frames run past the end of every 12-40 frame video,
@@ -329,6 +336,13 @@ class TestStreamedCuration:
             params = CurationParams(delta_min=delta_min, delta_max=delta_max, min_frames=2, top_k=5)
             got = _curate_stream(seq.video_id, len(seq), (m for m in seq.maps), params)
             assert got == brute_force_pairs(seq, params)
+
+    def test_positive_quantized_videos_take_both_shortcuts(self):
+        # Seeds 17, 19, 21 and 23 feed the tests above frames whose KL sides
+        # skip the clamp, some summing to exactly 1 and some not.
+        frames = [m.values for seed in (17, 19, 21, 23) for m in random_video(seed).maps]
+        assert min(f.min() for f in frames) >= DEFAULT_KL_FLOOR
+        assert 0 < sum(f.sum() == 1.0 for f in frames) < len(frames)
 
     def test_memory_does_not_grow_with_the_video(self):
         side = 64

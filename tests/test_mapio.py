@@ -11,10 +11,11 @@ from xml.etree import ElementTree
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from conftest import random_map
 from gazekit import (
+    AllZeroGrid,
     FixationMap,
     FramePair,
     MANIFEST_HEADER,
@@ -26,6 +27,7 @@ from gazekit import (
     load_fixations,
     load_grid,
     load_map,
+    normalize_to_simplex,
     read_manifest_rows,
     read_metrics_table,
     render_radar,
@@ -108,6 +110,16 @@ def outcome(read, path):
     except Exception as exc:  # noqa: BLE001 - the exception is the outcome
         return type(exc), str(exc)
     return grid.dtype, grid.shape, grid.tobytes()
+
+
+def pgm_outcome_reference(path):
+    """``read_pgm16_reference``'s outcome, with the one declared difference:
+    a header field that ``int()`` refuses is named with the file's path."""
+    result = outcome(read_pgm16_reference, path)
+    refused = "invalid literal for int() with base 10: "
+    if result[0] is ValueError and result[1].startswith(refused):
+        return ValueError, f"{path}: bad header field {result[1][len(refused):]}"
+    return result
 
 
 def make_pair(video, anchor, target, peak=1.5, pair_kl=2.5):
@@ -301,10 +313,43 @@ class TestReadersMatchTheirOracles:
 
     @settings(max_examples=300)
     @given(data=st.one_of(pgm_files(), st.binary(max_size=40)))
+    @example(data=b"P5\nabc 2\n65535\n")
     def test_pgm_reader_matches_byte_walk(self, tmp_path_factory, data):
         path = tmp_path_factory.mktemp("pgm") / "m.pgm"
         path.write_bytes(data)
-        assert outcome(load_grid, path) == outcome(read_pgm16_reference, path)
+        assert outcome(load_grid, path) == pgm_outcome_reference(path)
+
+    @pytest.mark.parametrize(
+        "data, field",
+        [(b"P5\nabc 2\n65535\n", b"abc"), (b"P5 2 1.0 65535\n", b"1.0"), (b"P5 2 1 6e4\n\0\0\0\0", b"6e4")],
+    )
+    def test_bad_header_field_names_the_file(self, tmp_path, data, field):
+        path = tmp_path / "m.pgm"
+        path.write_bytes(data)
+        for read in (load_grid, load_map):
+            with pytest.raises(ValueError) as info:
+                read(path)
+            assert str(info.value) == f"{path}: bad header field {field!r}"
+
+    @settings(max_examples=300)
+    @given(data=pgm_files())
+    @example(data=b"P5 2 1 65535\n" + bytes(4))  # AllZeroGrid
+    @example(data=b"P5 3 1 65535\n\x00\x00\xff\xff\x00\x07")
+    def test_pgm_map_is_the_normalized_grid(self, tmp_path_factory, data):
+        # load_map hands the raw 16-bit samples to normalize_to_simplex,
+        # which skips the cell check for them; load_grid still gives float64.
+        path = tmp_path_factory.mktemp("pgm") / "m.pgm"
+        path.write_bytes(data)
+        expected = outcome(lambda p: normalize_to_simplex(load_grid(p)).values, path)
+        assert outcome(lambda p: load_map(p).values, path) == expected
+
+    def test_all_zero_raster(self, tmp_path):
+        path = tmp_path / "m.pgm"
+        path.write_bytes(b"P5 2 1 65535\n" + bytes(4))
+        grid = load_grid(path)
+        assert grid.dtype == np.float64 and grid.tolist() == [[0.0, 0.0]]
+        with pytest.raises(AllZeroGrid):
+            load_map(path)
 
     def test_every_prefix_of_a_pgm(self, tmp_path):
         data = b"P5 # magic\n# note\r\n3\t2\r\n65535\n" + struct.pack(">6H", 0, 1, 2, 65535, 300, 7)

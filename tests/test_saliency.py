@@ -26,7 +26,14 @@ from gazekit import (
     sim,
 )
 from gazekit.radar import _normalize_axis
-from gazekit.saliency import _roc_points, _trapezoid
+from gazekit.saliency import (
+    DEFAULT_KL_FLOOR,
+    _kl_gt_side,
+    _kl_pred_side,
+    _kl_sides,
+    _roc_points,
+    _trapezoid,
+)
 
 QUARTET = np.array([[0.4, 0.3], [0.2, 0.1]])
 
@@ -229,6 +236,72 @@ class TestKL:
     def test_equals_the_single_body_bit_for_bit(self, pair):
         g, p = pair
         assert kl_div(g, p) == kl_div_reference(g, p)
+
+
+KL_SIDES_REGIMES = ("sums to 1", "sums off 1", "below the floor", "zero cells")
+
+
+def kl_sides_regime(g: np.ndarray) -> str:
+    """Which of ``_kl_sides``'s paths a ground truth takes."""
+    if g.min() <= 0.0:
+        return "zero cells"
+    if g.min() < DEFAULT_KL_FLOOR:
+        return "below the floor"
+    return "sums to 1" if g.sum() == 1.0 else "sums off 1"
+
+
+def kl_sides_frames(regime: str, count: int = 12) -> list[np.ndarray]:
+    """PGM-quantized maps up to 40x40 that take one regime's path, from a
+    seeded stream of all-positive maps, maps with empty cells and maps with
+    one cell below the KL floor."""
+    gen = np.random.default_rng(KL_SIDES_REGIMES.index(regime))
+    found = []
+    while len(found) < count:
+        h, w = (int(x) for x in gen.integers(1, 41, size=2))
+        v = gen.uniform(size=(h, w)) ** 3 + 1e-3
+        kind = gen.integers(3)
+        if kind == 1:
+            v[gen.uniform(size=(h, w)) < 0.3] = 0.0
+            v.flat[gen.integers(v.size)] = 1.0
+        g = pgm_quantized(v)
+        if kind == 2:
+            g.flat[gen.integers(g.size)] = 5e-9
+        if kl_sides_regime(g) == regime:
+            found.append(g)
+    return found
+
+
+def assert_same_sides(got, g):
+    """``got`` equals (_kl_gt_side(g), _kl_pred_side(g)) bit for bit."""
+    (cells, gs, log_gs), log_q = got
+    (ref_cells, ref_gs, ref_log_gs), ref_log_q = _kl_gt_side(g), _kl_pred_side(g)
+    assert (cells is None) == (ref_cells is None)
+    if cells is not None:
+        assert cells.tobytes() == ref_cells.tobytes()
+    for a, b in ((gs, ref_gs), (log_gs, ref_log_gs), (log_q, ref_log_q)):
+        assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
+
+
+class TestKLSides:
+    """Both KL sides of one map at once, as curate prepares each frame."""
+
+    @pytest.mark.parametrize("regime", KL_SIDES_REGIMES)
+    def test_each_path_gives_the_two_sides(self, regime):
+        for g in kl_sides_frames(regime):
+            before = g.tobytes()
+            sides = _kl_sides(g)
+            assert_same_sides(sides, g)
+            assert g.tobytes() == before
+            (cells, _, log_gs), log_q = sides
+            # The shared log is the one the walk saves; it must not vanish.
+            assert (log_q is log_gs) == (regime == "sums to 1")
+            assert (cells is None) == (regime != "zero cells")
+
+    @settings(max_examples=150)
+    @given(pair=kl_grids())
+    def test_equals_the_separate_sides(self, pair):
+        for g in pair:
+            assert_same_sides(_kl_sides(g), g)
 
 
 class TestSIM:
