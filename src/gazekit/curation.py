@@ -6,9 +6,10 @@ mark moments where attention jumps. Strict interior maxima of the curve
 become anchor candidates. Each anchor is paired with the later frame,
 between delta_min and delta_max frames ahead, whose map diverges most
 from the anchor's (ties go to the smallest offset). Candidate pairs are
-ranked by that divergence, thinned so the kept anchors stay at least
-delta_max frames apart, truncated to the per-video budget, and returned
-in anchor order. Videos shorter than min_frames yield nothing.
+ranked by that divergence, with the earlier anchor first on equal
+divergence, thinned so the kept anchors stay at least delta_max frames
+apart, truncated to the per-video budget, and returned in anchor order.
+Videos shorter than min_frames yield nothing.
 
 Selection walks each video once, in frame order, and keeps no
 per-video table. As a frame is read, its two ``kl_div`` sides are
@@ -16,11 +17,18 @@ computed: the ground-truth side (positive-cell mask, values and logs)
 and the prediction side (the log of the floored, renormalized map).
 Curve step t is scored as soon as frame t+1 is read, anchor t-1 is
 decided right after it, and an anchor's targets are scored once it is
-decided and its last target frame is read. The sides live in two
-fixed-length windows: 3 ground-truth sides, plus one held by each
-anchor awaiting its targets, and min(n_frames, max(delta_max, 2) -
-delta_min + 1) prediction sides. So the memory a video needs does not
-grow with its length. The scores are those of ``kl_div``, bit for bit.
+decided and its last target frame is read. The target search bounds
+before it scores: one dot product per target gives an estimate of its
+divergence and a worst-case rounding margin around it, and only the
+targets whose upper bound reaches the best lower bound are scored
+exactly, in offset order. A pruned target scores strictly below the
+winner, so the pick and its score are those of the exhaustive scan.
+
+The sides live in two fixed-length windows: 3 ground-truth sides, plus
+one held by each anchor awaiting its targets, and min(n_frames,
+max(delta_max, 2) - delta_min + 1) prediction sides. So the memory a
+video needs does not grow with its length. The scores are those of
+``kl_div``, bit for bit.
 ``curate_video`` runs this walk over a ``GazeSequence``; the ``curate``
 command runs it over a video's frame files as they are loaded, and
 reads the next video only after it.
@@ -40,7 +48,7 @@ import numpy as np
 
 from .errors import TooShort
 from .grids import GazeMap
-from .saliency import _kl_from_sides, _kl_sides, kl_div
+from .saliency import _kl_bounds, _kl_from_sides, _kl_sides, kl_div
 
 __all__ = [
     "CurationParams",
@@ -190,14 +198,24 @@ def _curate_stream(
 
     def score_targets(anchor: int, peak: float, gt_side: tuple, last: int) -> None:
         first = last - len(pred_sides) + 1  # pred_sides holds frames first..last
+        targets = range(anchor + params.delta_min, min(anchor + params.delta_max, last) + 1)
+        if not targets:
+            return
+        sides = [pred_sides[target - first] for target in targets]
+        # Each target's exact score lies in [max(0, e - m), max(0, e + m)], so
+        # one whose upper end is below another's lower end cannot win, nor tie
+        # the winner. The rest are scored exactly, in delta order.
+        estimate, margin = _kl_bounds(gt_side, sides)
+        bar = np.maximum(0.0, estimate - margin).max()
         best: tuple[int, float] | None = None
-        for target in range(anchor + params.delta_min, min(anchor + params.delta_max, last) + 1):
-            score = _kl_from_sides(gt_side, pred_sides[target - first])
+        for target, side, top in zip(targets, sides, np.maximum(0.0, estimate + margin)):
+            if top < bar:
+                continue
+            score = _kl_from_sides(gt_side, side)
             if best is None or score > best[1]:
                 best = (target, score)
-        if best is not None:
-            target, pair_kl = best
-            candidates.append(FramePair(video_id, anchor, target, target - anchor, peak, pair_kl))
+        target, pair_kl = best
+        candidates.append(FramePair(video_id, anchor, target, target - anchor, peak, pair_kl))
 
     for j, gaze in enumerate(_same_shape(maps)):
         if not scoring:

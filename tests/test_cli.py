@@ -264,6 +264,27 @@ class TestCurate:
         assert row["target_map_path"] == "vid0/frame_012.csv"
         assert row["caption"] == ""
 
+    def test_equal_pair_kl_keeps_the_earlier_anchor(self, tmp_path, capsys):
+        # The jump a -> b repeats at frames 29 and 89, more than delta_max
+        # apart, so both anchors score the same pair_kl, above the jump back
+        # at 59. --top-k 1 must keep the earlier one.
+        a = np.full((8, 8), 0.1 / 63)
+        a[1, 1] = 0.9
+        b = np.full((8, 8), 0.5 / 63)
+        b[6, 5] = 0.5
+        root = tmp_path / "corpus"
+        write_sequence_dir(root, "v", ([a] * 30 + [b] * 30) * 2)
+        out = tmp_path / "pairs.csv"
+        rows_by_k = {}
+        for top_k in ("1", "3"):
+            assert main(["curate", str(root), "--out", str(out), "--top-k", top_k]) == 0
+            rows_by_k[top_k] = read_manifest_rows(out)[1]
+        assert [row["anchor"] for row in rows_by_k["3"]] == ["29", "59", "89"]
+        first, back, second = rows_by_k["3"]
+        assert first["pair_kl"] == second["pair_kl"]
+        assert float(first["pair_kl"]) > float(back["pair_kl"])
+        assert rows_by_k["1"] == [first]
+
     def test_short_video_yields_empty_manifest(self, tmp_path, capsys):
         root = tmp_path / "corpus"
         write_sequence_dir(root, "shorty", two_segment_arrays(10, 30))

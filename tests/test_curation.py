@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from conftest import kl_div_reference, pgm_quantized
+from gazekit import curation
 from gazekit import (
     DEFAULT_KL_FLOOR,
     CurationParams,
@@ -29,6 +30,7 @@ from gazekit import (
     select_target,
 )
 from gazekit.curation import _curate_stream
+from gazekit.saliency import _kl_bounds, _kl_from_sides
 
 
 def delta_map(side, row, col):
@@ -46,6 +48,13 @@ def blend_map(side, row, col, alpha):
 
 def seq_of(values_list, video_id="v"):
     return GazeSequence(video_id, tuple(GazeMap(v) for v in values_list))
+
+
+def repeated_jump_arrays(side=8):
+    """Two 30-frame segments of a and b, twice: the jump a -> b repeats 60
+    frames apart, more than the default delta_max."""
+    a, b = blend_map(side, 1, 1, 0.9).values, blend_map(side, 6, 5, 0.5).values
+    return ([a] * 30 + [b] * 30) * 2
 
 
 def kl_curve_reference(seq):
@@ -206,6 +215,16 @@ class TestCurateVideo:
         suppressed_score = kl_div(GazeMap(maps[19]), GazeMap(maps[22]))
         assert suppressed_score > by_anchor[69].pair_kl
 
+    def test_equal_pair_kl_goes_to_the_earlier_anchor(self):
+        # The jump from a to b happens at frames 29 and 89, so anchors 29 and
+        # 89 give bit-equal candidates, and the jump back at 59 scores lower.
+        # With room for one pair the greedy pass must keep the earlier anchor.
+        pairs = curate_video(seq_of(repeated_jump_arrays()), CurationParams(top_k=3))
+        assert [p.anchor for p in pairs] == [29, 59, 89]
+        assert pairs[0].pair_kl == pairs[2].pair_kl > pairs[1].pair_kl
+        (kept,) = curate_video(seq_of(repeated_jump_arrays()), CurationParams(top_k=1))
+        assert kept == pairs[0]
+
     def test_prepending_static_frames_shifts_indices(self):
         rng = np.random.default_rng(4)
         maps = [rng.uniform(0.05, 1.0, size=(6, 6)) for _ in range(60)]
@@ -322,6 +341,20 @@ class TestPreparedKLTable:
         assert got == [brute_force_pairs(seq, params) for seq in seqs]
 
 
+def drifting_blob(n, side=64):
+    """An attention blob that drifts, and jumps every 97 frames."""
+    rng = np.random.default_rng(0)
+    rows, cols = np.arange(side)[:, None], np.arange(side)[None, :]
+    center = np.full(2, side / 2)
+    for t in range(n):
+        if t % 97 == 50:
+            center = rng.uniform(0.1 * side, 0.9 * side, size=2)
+        else:
+            center = np.clip(center + rng.normal(0.0, 0.3, size=2), 0.0, side - 1.0)
+        v = np.exp(-((rows - center[0]) ** 2 + (cols - center[1]) ** 2) / 8.0) + 1e-4
+        yield GazeMap(v / v.sum())
+
+
 class TestStreamedCuration:
     """The one-pass walk over a frame iterator, as the curate command feeds it."""
 
@@ -348,23 +381,10 @@ class TestStreamedCuration:
         side = 64
         params = CurationParams()
 
-        def drifting_blob(n):
-            # A 64x64 attention blob that drifts, and jumps every 97 frames.
-            rng = np.random.default_rng(0)
-            rows, cols = np.arange(side)[:, None], np.arange(side)[None, :]
-            center = np.full(2, side / 2)
-            for t in range(n):
-                if t % 97 == 50:
-                    center = rng.uniform(0.1 * side, 0.9 * side, size=2)
-                else:
-                    center = np.clip(center + rng.normal(0.0, 0.3, size=2), 0.0, side - 1.0)
-                v = np.exp(-((rows - center[0]) ** 2 + (cols - center[1]) ** 2) / 8.0) + 1e-4
-                yield GazeMap(v / v.sum())
-
         def traced_peak(n):
             tracemalloc.start()
             try:
-                pairs = _curate_stream("v", n, drifting_blob(n), params)
+                pairs = _curate_stream("v", n, drifting_blob(n, side), params)
                 return tracemalloc.get_traced_memory()[1], pairs
             finally:
                 tracemalloc.stop()
@@ -377,3 +397,110 @@ class TestStreamedCuration:
         # Only the few records kept per anchor grow with the video; keeping
         # one frame-sized array per frame would add 1500 * 32 KB.
         assert long_peak <= 1.25 * short_peak
+
+
+def identical_windows(zero_cells):
+    """A static frame with a one-frame spike every 25 frames: each spike is
+    an anchor whose targets are all the static frame, so every offset ties.
+    With ``zero_cells`` the frames hold empty cells and the pair step and
+    the bounds gather."""
+    if zero_cells:
+        still = np.zeros((8, 8))
+        still[2:5, 3:6] = 1.0 / 9.0
+        spike = delta_map(8, 7, 0).values
+    else:
+        still, spike = blend_map(8, 3, 3, 0.2).values, blend_map(8, 0, 7, 0.8).values
+    return seq_of([spike if j % 25 == 24 else still for j in range(100)], video_id=f"tie{zero_cells:d}")
+
+
+def near_static(seed, n=80, side=8):
+    """One random map, each frame rescaled cell by cell by 1 + 1e-13 noise:
+    every divergence is a few ulps of rounding, and about half of them fall
+    below zero and are clamped to 0."""
+    rng = np.random.default_rng(seed)
+    base = normalize_to_simplex(rng.uniform(0.1, 1.0, size=(side, side))).values
+    frames = [base * (1.0 + 1e-13 * rng.standard_normal(base.shape)) for _ in range(n)]
+    return seq_of([f / f.sum() for f in frames], video_id=f"n{seed}")
+
+
+def counted_pair_steps(monkeypatch):
+    """Count the walk's exact pair steps and the targets it bounds."""
+    counts = {"exact": 0, "bounded": 0}
+
+    def pair_step(gt_side, log_q):
+        counts["exact"] += 1
+        return _kl_from_sides(gt_side, log_q)
+
+    def bounds(gt_side, log_qs):
+        counts["bounded"] += len(log_qs)
+        return _kl_bounds(gt_side, log_qs)
+
+    monkeypatch.setattr(curation, "_kl_from_sides", pair_step)
+    monkeypatch.setattr(curation, "_kl_bounds", bounds)
+    return counts
+
+
+class TestBoundedTargetSearch:
+    """The walk bounds every target by one dot product and scores exactly
+    only those that can still win; the pairs must be the exhaustive scan's."""
+
+    @pytest.mark.parametrize("zero_cells", [False, True])
+    def test_identical_targets_all_survive_and_the_first_wins(self, zero_cells, monkeypatch):
+        seq = identical_windows(zero_cells)
+        counts = counted_pair_steps(monkeypatch)
+        params = CurationParams(top_k=5)
+        pairs = curate_video(seq, params)
+        assert pairs == brute_force_pairs(seq, params)
+        assert [(p.anchor, p.delta) for p in pairs] == [(24, 3), (49, 3), (74, 3)]
+        # No bound separates equal scores: each target is scored exactly,
+        # next to the 99 curve steps.
+        assert counts["bounded"] == 3 * 16
+        assert counts["exact"] == 99 + counts["bounded"]
+
+    def test_near_zero_windows_tie_at_the_clamp(self):
+        zeros = 0
+        for seed in range(4):
+            seq = near_static(seed)
+            for delta_min, delta_max in ((2, 3), (3, 4), (2, 4), (3, 6), (3, 18)):
+                params = CurationParams(delta_min=delta_min, delta_max=delta_max, min_frames=2, top_k=100)
+                pairs = curate_video(seq, params)
+                assert pairs == brute_force_pairs(seq, params)
+                zeros += sum(p.pair_kl == 0.0 for p in pairs)
+        # Some kept pairs are windows whose every target clamped to 0.
+        assert zeros > 0
+
+    @pytest.mark.parametrize("shift", ["up", "down", "alternating", "against the winner"])
+    def test_pairs_do_not_depend_on_the_dot_products_rounding(self, shift, monkeypatch):
+        # Each target's dot product moved by 0.99 of its margin, the winner
+        # down and the others up in the worst case: the exact results stay
+        # inside the moved intervals, so no BLAS rounding changes a pair.
+        def moved_bounds(gt_side, log_qs):
+            estimate, margin = _kl_bounds(gt_side, log_qs)
+            if shift == "against the winner":
+                scores = [_kl_from_sides(gt_side, log_q) for log_q in log_qs]
+                sign = np.where(np.arange(len(log_qs)) == np.argmax(scores), -1.0, 1.0)
+            elif shift == "alternating":
+                sign = np.resize([1.0, -1.0], len(log_qs))
+            else:
+                sign = 1.0 if shift == "up" else -1.0
+            return estimate + 0.99 * sign * margin, margin
+
+        seqs = [random_video(seed) for seed in range(24)]
+        seqs += [identical_windows(False), identical_windows(True), near_static(0), near_static(2)]
+        params = [
+            CurationParams(delta_min=delta_min, delta_max=delta_max, min_frames=2, top_k=100)
+            for delta_min, delta_max in ((1, 10), (2, 3), (3, 18))
+        ]
+        expected = [[brute_force_pairs(seq, p) for p in params] for seq in seqs]
+        monkeypatch.setattr(curation, "_kl_bounds", moved_bounds)
+        assert [[curate_video(seq, p) for p in params] for seq in seqs] == expected
+
+    def test_the_bound_prunes_a_drifting_video(self, monkeypatch):
+        # Most targets of a drifting, jumping blob are ruled out by their
+        # bounds, as in the benchmark's videos.
+        seq = GazeSequence("v", tuple(drifting_blob(200, side=32)))
+        counts = counted_pair_steps(monkeypatch)
+        params = CurationParams(top_k=4)
+        assert curate_video(seq, params) == brute_force_pairs(seq, params)
+        assert counts["bounded"] > 0
+        assert counts["exact"] - (len(seq) - 1) < counts["bounded"] / 4

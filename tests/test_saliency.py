@@ -28,6 +28,8 @@ from gazekit import (
 from gazekit.radar import _normalize_axis
 from gazekit.saliency import (
     DEFAULT_KL_FLOOR,
+    _kl_bounds,
+    _kl_from_sides,
     _kl_gt_side,
     _kl_pred_side,
     _kl_sides,
@@ -250,14 +252,14 @@ def kl_sides_regime(g: np.ndarray) -> str:
     return "sums to 1" if g.sum() == 1.0 else "sums off 1"
 
 
-def kl_sides_frames(regime: str, count: int = 12) -> list[np.ndarray]:
-    """PGM-quantized maps up to 40x40 that take one regime's path, from a
-    seeded stream of all-positive maps, maps with empty cells and maps with
-    one cell below the KL floor."""
+def kl_sides_frames(regime: str, count: int = 12, shape=None) -> list[np.ndarray]:
+    """PGM-quantized maps up to 40x40, or of ``shape``, that take one regime's
+    path, from a seeded stream of all-positive maps, maps with empty cells
+    and maps with one cell below the KL floor."""
     gen = np.random.default_rng(KL_SIDES_REGIMES.index(regime))
     found = []
     while len(found) < count:
-        h, w = (int(x) for x in gen.integers(1, 41, size=2))
+        h, w = shape or (int(x) for x in gen.integers(1, 41, size=2))
         v = gen.uniform(size=(h, w)) ** 3 + 1e-3
         kind = gen.integers(3)
         if kind == 1:
@@ -302,6 +304,50 @@ class TestKLSides:
     def test_equals_the_separate_sides(self, pair):
         for g in pair:
             assert_same_sides(_kl_sides(g), g)
+
+
+def assert_bounded(gt_side, log_qs):
+    """Each exact pair step lies within the margin of its estimate, and so
+    between the clamped ends max(0, e - m) and max(0, e + m) the walk uses."""
+    estimate, margin = _kl_bounds(gt_side, log_qs)
+    assert estimate.shape == margin.shape == (len(log_qs),)
+    for log_q, e, m in zip(log_qs, estimate, margin):
+        exact = _kl_from_sides(gt_side, log_q)
+        assert max(0.0, e - m) <= exact <= max(0.0, e + m)
+        if exact > 0.0:
+            assert e - m <= exact <= e + m
+
+
+class TestKLBounds:
+    """The dot-product bound the curate walk prunes its targets with."""
+
+    def test_every_regime_against_every_other(self):
+        # Ground truths with and without zero cells (the gather), predictions
+        # summing to exactly 1 and not, with cells below the floor; all
+        # PGM-quantized, each map also scored against itself.
+        frames = [g for regime in KL_SIDES_REGIMES for g in kl_sides_frames(regime, 4, (24, 31))]
+        log_qs = [_kl_sides(p)[1] for p in frames]
+        for g in frames:
+            assert_bounded(_kl_gt_side(g), log_qs)
+
+    @settings(max_examples=150)
+    @given(pair=kl_grids())
+    @example(pair=(np.array([[0.5 + 2**-40, 0.5 - 2**-40]]), np.array([[0.5, 0.5]])))
+    def test_contains_the_exact_divergence(self, pair):
+        g, p = pair
+        log_qs = [_kl_pred_side(p), _kl_pred_side(g)]
+        assert_bounded(_kl_gt_side(g), log_qs)
+        assert_bounded(_kl_gt_side(p), log_qs)
+
+    def test_a_cell_above_one(self):
+        # A GazeMap may sum to 1 + 1e-9, so one cell's log can be positive
+        # and cancel the others' in h: the margin must not shrink with it.
+        g = np.full((64, 64), 1e-10 / 4095)
+        g[0, 0] = 1.0 + 5e-10
+        g = GazeMap(g).values
+        p = g.copy()
+        p[0, 0], p[0, 1] = 1.0 - 1e-9, p[0, 1] + 1e-9 + 5e-10
+        assert_bounded(_kl_gt_side(g), [_kl_pred_side(p), _kl_pred_side(g)])
 
 
 class TestSIM:
