@@ -34,11 +34,11 @@ from .grids import GazeMap, normalize_to_simplex
 from .manifests import (
     MANIFEST_HEADER,
     MEAN_ROW_ID,
+    _write_csv,
     read_manifest_rows,
     read_metrics_table,
     write_manifest,
     write_manifest_rows,
-    write_csv,
     write_metrics_table,
 )
 from .mapio import is_map_file, load_fixations, load_map
@@ -194,7 +194,7 @@ def cmd_caption_eval(args) -> int:
 
     out_rows = [[str(row.index + 1), *cells(row.score, ""), row.error or ""] for row in report.rows]
     out_rows.append([MEAN_ROW_ID, *cells(report.means, "NA"), ""])
-    write_csv(args.out, CAPTION_SCORE_HEADER, out_rows)
+    _write_csv(args.out, CAPTION_SCORE_HEADER, out_rows)
     _diag("note: the cider column is the plain tf-idf consensus score")
     return 0
 
@@ -224,7 +224,7 @@ def cmd_fit_demo(args) -> int:
     rows = [
         [str(step.step), f"{step.loss:.17g}", f"{step.entropy:.17g}"] for step in trajectory
     ]
-    write_csv(args.out, ("step", "loss", "entropy"), rows)
+    _write_csv(args.out, ("step", "loss", "entropy"), rows)
     print(f"final loss {trajectory[-1].loss:.9g} after {args.steps} steps")
     return 0
 

@@ -17,6 +17,7 @@ that point, so the errors are those of a one-call-per-point loop.
 Gaze-loss trials that land within 1e-3 of the hinge kink are redrawn,
 since the loss is not differentiable exactly at the kink and a
 straddling finite difference would measure the kink, not the gradient.
+The kink is read from the forward pass that gives the gradient.
 """
 
 from __future__ import annotations
@@ -36,12 +37,12 @@ from .grids import gaussian_blur, normalize_to_simplex, spatial_softmax
 from .objectives import (
     GazeLossConfig,
     TokenSequence,
+    _gaze_forward,
+    _gaze_grad,
     grad_loss_caption,
-    grad_loss_gaze,
     loss_caption,
     loss_gaze,
 )
-from .saliency import kl_div
 
 __all__ = ["TOLERANCE", "GradCheckReport", "central_difference", "run_gradient_checks"]
 
@@ -119,13 +120,11 @@ def _gaze_trial(rng):
             gt = _random_map(rng, n, n)
         else:
             gt = gaussian_blur(spatial_softmax(logits * 3.0), cfg.blur_sigma)
-        pred = spatial_softmax(logits)
-        arg = kl_div(gt, gaussian_blur(pred, cfg.blur_sigma)) - kl_div(gt, pred) + cfg.hinge_margin
-        # The loss is kinked where the hinge argument crosses zero; a
-        # straddling finite difference would measure the kink itself.
+        # Redraw near the kink, where the hinge argument crosses zero.
+        g, pred, _, arg = _gaze_forward(gt, logits, cfg)
         if abs(arg) < _KINK_MARGIN:
             continue
-        return lambda z: loss_gaze(gt, z, cfg).total, logits, grad_loss_gaze(gt, logits, cfg)
+        return lambda z: loss_gaze(gt, z, cfg).total, logits, _gaze_grad(g, pred, arg, cfg)
     raise RuntimeError("could not draw a gaze instance away from the hinge kink")
 
 

@@ -22,7 +22,6 @@ __all__ = [
     "write_manifest",
     "write_metrics_table",
     "read_metrics_table",
-    "write_csv",
 ]
 
 MANIFEST_HEADER = (
@@ -47,8 +46,8 @@ def _fmt(value: float) -> str:
     return f"{value:.9g}"
 
 
-def write_csv(path, header, rows) -> None:
-    """Write a header row and data rows as CSV with LF line endings, UTF-8."""
+def _write_csv(path, header, rows) -> None:
+    # The one CSV writer: a header row and data rows, LF line endings, UTF-8.
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
@@ -59,7 +58,7 @@ def write_csv(path, header, rows) -> None:
 def write_manifest_rows(path, rows, extra_columns=()) -> None:
     """Write manifest row dicts, optionally with appended extra columns."""
     header = MANIFEST_HEADER + tuple(extra_columns)
-    write_csv(path, header, [[row.get(col, "") for col in header] for row in rows])
+    _write_csv(path, header, [[row.get(col, "") for col in header] for row in rows])
 
 
 def _read_csv(path, kind: str) -> tuple[list[str], list[list[str]]]:
@@ -117,7 +116,7 @@ def write_manifest(path, pairs, frame_paths) -> None:
                 "",
             ]
         )
-    write_csv(path, MANIFEST_HEADER, rows)
+    _write_csv(path, MANIFEST_HEADER, rows)
 
 
 def write_metrics_table(path, rows) -> None:
@@ -145,7 +144,7 @@ def write_metrics_table(path, rows) -> None:
     for name in METRICS_HEADER[1:]:
         mean_line.append(_fmt(sums[name] / counts[name]) if counts[name] else "NA")
     out.append(mean_line)
-    write_csv(path, METRICS_HEADER, out)
+    _write_csv(path, METRICS_HEADER, out)
 
 
 def read_metrics_table(path) -> tuple[list[dict], dict]:

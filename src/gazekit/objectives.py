@@ -8,10 +8,11 @@ Gaussian-blurred copy of the prediction and the raw prediction:
 
 The hinge activates when blurring increases the divergence by more than
 the margin. At hinge weight 0 the blurred copy is never computed: the
-hinge is 0 and the gradient is the bare KL term's. All gradients here
-are analytic and are validated against central finite differences by
-the gradient-check suite; at the hinge kink the subgradient 0 is used
-(the hinge contributes only when its argument is strictly positive).
+hinge is 0 and the gradient is the bare KL term's. The loss, its
+gradient and ``fit_gaze_demo`` share one forward pass. All gradients
+are analytic and validated against central finite differences by the
+gradient-check suite; at the hinge kink the subgradient 0 is used (the
+hinge contributes only when its argument is strictly positive).
 
 Both losses take one point or a stack of points along a leading axis,
 so the gradient check scores every perturbed point in one call. A
@@ -34,11 +35,9 @@ from .grids import (
     _grid_stack,
     _softmax_maps,
     entropy,
-    gaussian_blur,
     grid_values,
-    spatial_softmax,
 )
-from .saliency import DEFAULT_KL_FLOOR, _kl_from_sides, _kl_gt_side, _kl_pred_side, kl_div
+from .saliency import DEFAULT_KL_FLOOR, _kl_from_sides, _kl_gt_side, _kl_pred_side
 
 __all__ = [
     "GazeLossConfig",
@@ -146,6 +145,41 @@ def _softmax_backprop(p: np.ndarray, v: np.ndarray) -> np.ndarray:
     return p * (v - (v * p).sum())
 
 
+def _gaze_forward(gt, z: np.ndarray, cfg: GazeLossConfig):
+    # The gaze loss's one forward pass, on a logit grid or a (k, h, w) stack:
+    # (target values, prediction, GazeLossBreakdown, hinge argument or None at
+    # hinge weight 0). Logits are refused first; the blurred copy is a temporary.
+    pred = _softmax_maps(z)
+    g = grid_values(gt)
+    if g.shape != z.shape[-2:]:
+        raise ShapeMismatch(f"grid shapes differ: {g.shape} vs {z.shape[-2:]}")
+    gt_side = _kl_gt_side(g)
+    raw_kl = _kl_from_sides(gt_side, _kl_pred_side(pred))
+    hinge, arg = np.zeros_like(raw_kl), None
+    if cfg.hinge_weight > 0.0:
+        blur_kl = _kl_from_sides(gt_side, _kl_pred_side(_blur_maps(pred, float(cfg.blur_sigma))))
+        arg = blur_kl - raw_kl + cfg.hinge_margin
+        hinge = cfg.hinge_weight * np.maximum(0.0, arg)
+    total = raw_kl + hinge
+    if z.ndim == 2:
+        total, hinge = float(total), float(hinge)
+    return g, pred, GazeLossBreakdown(total=total, kl=raw_kl, hinge=hinge), arg
+
+
+def _gaze_grad(g: np.ndarray, p: np.ndarray, arg, cfg: GazeLossConfig) -> np.ndarray:
+    # The logit gradient of one grid's forward pass. An active hinge blurs
+    # ``p`` again, to the forward pass's bits, so no stack keeps its copy.
+    v = _kl_grad_wrt_pred(g, p)
+    if arg is not None and arg > 0.0:
+        # Pull the blurred copy's gradient back through the blur: the
+        # adjoint of M_h @ p @ M_w.T.
+        sigma = float(cfg.blur_sigma)
+        mh, mw = _blur_matrix(p.shape[0], sigma), _blur_matrix(p.shape[1], sigma)
+        v_blur = mh.T @ _kl_grad_wrt_pred(g, _blur_maps(p, sigma)) @ mw
+        v = v + cfg.hinge_weight * (v_blur - v)
+    return _softmax_backprop(p, v)
+
+
 def loss_gaze(gt, logits, cfg: GazeLossConfig = GazeLossConfig()) -> GazeLossBreakdown:
     """KL-plus-hinge gaze loss on a logit grid, or on each grid of a stack.
 
@@ -156,21 +190,7 @@ def loss_gaze(gt, logits, cfg: GazeLossConfig = GazeLossConfig()) -> GazeLossBre
     entries equal the loss of each grid alone, bit for bit, and it is
     refused as that grid alone would be.
     """
-    z = _grid_stack(logits)
-    pred = _softmax_maps(z)
-    g = grid_values(gt)
-    if g.shape != z.shape[-2:]:
-        raise ShapeMismatch(f"grid shapes differ: {g.shape} vs {z.shape[-2:]}")
-    gt_side = _kl_gt_side(g)
-    raw_kl = _kl_from_sides(gt_side, _kl_pred_side(pred))
-    hinge = np.zeros_like(raw_kl)
-    if cfg.hinge_weight > 0.0:
-        blur_kl = _kl_from_sides(gt_side, _kl_pred_side(_blur_maps(pred, float(cfg.blur_sigma))))
-        hinge = cfg.hinge_weight * np.maximum(0.0, blur_kl - raw_kl + cfg.hinge_margin)
-    total = raw_kl + hinge
-    if z.ndim == 3:
-        return GazeLossBreakdown(total=total, kl=raw_kl, hinge=hinge)
-    return GazeLossBreakdown(total=float(total), kl=raw_kl, hinge=float(hinge))
+    return _gaze_forward(gt, _grid_stack(logits), cfg)[2]
 
 
 def grad_loss_gaze(gt, logits, cfg: GazeLossConfig = GazeLossConfig()) -> np.ndarray:
@@ -181,22 +201,9 @@ def grad_loss_gaze(gt, logits, cfg: GazeLossConfig = GazeLossConfig()) -> np.nda
     invariant to shifting all logits, the returned components sum to
     zero up to rounding.
     """
-    g = grid_values(gt)
-    pred = spatial_softmax(logits)
-    p = pred.values
-    raw_kl = kl_div(g, p)  # also refuses mismatched shapes at hinge weight 0
-    v = _kl_grad_wrt_pred(g, p)
-    if cfg.hinge_weight > 0.0:
-        b = gaussian_blur(pred, cfg.blur_sigma).values
-        if kl_div(g, b) - raw_kl + cfg.hinge_margin > 0.0:
-            # Pull the blurred copy's gradient back through the blur: the
-            # adjoint of M_h @ p @ M_w.T.
-            h, w = p.shape
-            mh = _blur_matrix(h, float(cfg.blur_sigma))
-            mw = _blur_matrix(w, float(cfg.blur_sigma))
-            v_blur = mh.T @ _kl_grad_wrt_pred(g, b) @ mw
-            v = v + cfg.hinge_weight * (v_blur - v)
-    return _softmax_backprop(p, v)
+    # Arguments evaluate in order, so the target is refused before the logits.
+    g, p, _, arg = _gaze_forward(grid_values(gt), grid_values(logits), cfg)
+    return _gaze_grad(g, p, arg, cfg)
 
 
 def _step_logits(step_logits, target: TokenSequence) -> np.ndarray:
@@ -274,13 +281,13 @@ def fit_gaze_demo(
     cfg = GazeLossConfig() if use_hinge else GazeLossConfig(hinge_weight=0.0)
     z = np.zeros_like(gt.values)
     trajectory: list[FitStep] = []
-    # A huge rate can push a logit's softmax shift past the float range;
-    # its exp is then exactly 0, and a logit that overflows to inf is
-    # refused by spatial_softmax on the next step.
+    # One forward pass gives each step's loss, entropy and gradient. A huge
+    # rate can push a logit's softmax shift past the float range; its exp is
+    # then exactly 0, and a logit that overflows to inf is refused next step.
     with np.errstate(over="ignore"):
         for step in range(steps + 1):
-            loss = loss_gaze(gt, z, cfg).total
-            trajectory.append(FitStep(step=step, loss=loss, entropy=entropy(spatial_softmax(z))))
+            g, pred, parts, arg = _gaze_forward(gt, z, cfg)
+            trajectory.append(FitStep(step=step, loss=parts.total, entropy=entropy(pred)))
             if step < steps:
-                z = z - learning_rate * grad_loss_gaze(gt, z, cfg)
+                z = z - learning_rate * _gaze_grad(g, pred, arg, cfg)
     return trajectory

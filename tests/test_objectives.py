@@ -7,6 +7,7 @@ the hand-derivable cases.
 
 from __future__ import annotations
 
+import inspect
 import math
 
 import numpy as np
@@ -20,6 +21,7 @@ from gazekit import (
     GazeMap,
     LengthMismatch,
     LossWeights,
+    ShapeMismatch,
     TokenSequence,
     central_difference,
     entropy,
@@ -35,6 +37,7 @@ from gazekit import (
     spatial_softmax,
     total_loss,
 )
+from gazekit import gradcheck
 from gazekit.grids import _blur_matrix, _gaussian_kernel_1d
 from gazekit.objectives import GazeLossBreakdown, _kl_grad_wrt_pred, _softmax_backprop
 
@@ -231,6 +234,84 @@ class TestGradLossGaze:
             gt = random_map(rng, 6, 6)
             z = rng.normal(0.0, 2.0, size=(6, 6))
             assert abs(grad_loss_gaze(gt, z).sum()) < 1e-10
+
+
+class TestGazeRefusals:
+    """The loss and its gradient refuse as before they shared one forward pass."""
+
+    @pytest.mark.parametrize("hinge_weight", [0.0, 0.3])
+    @pytest.mark.parametrize("fn", [loss_gaze, grad_loss_gaze])
+    def test_mismatched_shapes(self, fn, hinge_weight):
+        gt = normalize_to_simplex(np.ones((4, 4)))
+        with pytest.raises(ShapeMismatch) as info:
+            fn(gt, np.zeros((5, 5)), GazeLossConfig(hinge_weight=hinge_weight))
+        assert str(info.value) == "grid shapes differ: (4, 4) vs (5, 5)"
+
+    @pytest.mark.parametrize("hinge_weight", [0.0, 0.3])
+    @pytest.mark.parametrize("target_shape", [(4,), (2, 4, 4), (0, 4)])
+    @pytest.mark.parametrize(
+        ("fn", "message"),
+        [(loss_gaze, "logits must be finite"), (grad_loss_gaze, "expected a non-empty 2-D grid")],
+    )
+    def test_a_bad_target_with_non_finite_logits(self, fn, message, target_shape, hinge_weight):
+        # The loss refuses the logits first, its gradient the target.
+        z = np.zeros((4, 4))
+        z[1, 2] = np.nan
+        with pytest.raises(ValueError) as info:
+            fn(np.full(target_shape, 0.25), z, GazeLossConfig(hinge_weight=hinge_weight))
+        assert (type(info.value), str(info.value)) == (ValueError, message)
+
+
+def hinge_argument(gt, logits, cfg) -> float:
+    """The gaze hinge's argument through the public softmax, blur and kl_div."""
+    pred = spatial_softmax(logits)
+    return kl_div(gt, gaussian_blur(pred, cfg.blur_sigma)) - kl_div(gt, pred) + cfg.hinge_margin
+
+
+def gaze_trial_reference(rng):
+    """grad-check's gaze draw, with the kink test as it was first written.
+
+    Returns the logits, target and settings of the first instance at
+    least 1e-3 from the kink, and how many instances it redrew.
+    """
+    cfg = GazeLossConfig(
+        hinge_weight=float(rng.uniform(0.1, 0.6)),
+        hinge_margin=float(rng.uniform(0.0, 0.15)),
+        blur_sigma=float(rng.uniform(0.6, 1.4)),
+    )
+    for redraws in range(50):
+        n = int(rng.integers(6, 13))
+        logits = rng.normal(0.0, 1.0, size=(n, n))
+        if rng.random() < 0.5:
+            gt = normalize_to_simplex(rng.uniform(0.05, 1.0, size=(n, n)))
+        else:
+            gt = gaussian_blur(spatial_softmax(logits * 3.0), cfg.blur_sigma)
+        if abs(hinge_argument(gt, logits, cfg)) >= 1e-3:
+            return logits, gt, cfg, redraws
+    raise AssertionError("no gaze instance away from the kink")
+
+
+class TestGazeTrialKinkTest:
+    """grad-check's gaze trial reads its kink test from the loss's forward pass."""
+
+    @pytest.mark.parametrize(("seed", "trials"), [(15, 9), (6, 69)])
+    def test_draws_as_the_public_kink_test(self, seed, trials):
+        # Over seeds 0-39 at 100 trials only trial 8 of seed 15 and trial 68
+        # of seed 6 redraw; each run reaches its redraw.
+        rng = np.random.default_rng(np.random.SeedSequence([seed, 0]))
+        reference = np.random.default_rng(np.random.SeedSequence([seed, 0]))
+        redraws = 0
+        for _ in range(trials):
+            loss, logits, grad = gradcheck._gaze_trial(rng)
+            expected_logits, gt, cfg, redrawn = gaze_trial_reference(reference)
+            redraws += redrawn
+            drawn = inspect.getclosurevars(loss).nonlocals
+            assert drawn["cfg"] == cfg
+            assert drawn["gt"].values.tobytes() == gt.values.tobytes()
+            assert logits.tobytes() == expected_logits.tobytes()
+            assert abs(hinge_argument(drawn["gt"], logits, drawn["cfg"])) >= 1e-3
+            assert grad.tobytes() == grad_loss_gaze_oracle(gt, logits, cfg).tobytes()
+        assert redraws == 1
 
 
 class TestLossCaption:

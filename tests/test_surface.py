@@ -90,3 +90,26 @@ def test_digest_file_is_complete_and_canonical():
         for workload in workloads:
             keys, expected = set(recorded[size][workload]), {str(key) for key in range(count)}
             assert keys == expected, (size, workload, sorted(keys ^ expected))
+
+
+def unused_imports(path: Path) -> list[str]:
+    # Names a module imports and never reads; a name listed in __all__ is
+    # read by the package's star import.
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                imported[alias.asname or alias.name.partition(".")[0]] = node.lineno
+    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+    used.update(module_literal(path, "__all__"))
+    return [f"{path.name}:{line} {name}" for name, line in imported.items() if name not in used]
+
+
+def test_no_module_imports_a_name_it_does_not_use():
+    paths = sorted(Path(gazekit.__file__).parent.glob("*.py"))
+    modules = [path for path in paths if path.name != "__init__.py"]
+    assert len(modules) == 13
+    assert [name for path in modules for name in unused_imports(path)] == []
