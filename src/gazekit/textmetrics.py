@@ -24,10 +24,13 @@ Cost: ``score_captions`` has one scoring loop. Each caption splits into
 units, the whole string in whole-string mode or its four fields in
 per-field mode, and every unit is scored the same way. Each distinct
 unit text is prepared once per call into a record: its tokens and one
-n-gram Counter per order, which the document frequencies, BLEU's
-clipped counts and the TF-IDF vectors all read. The IDF of every corpus
-gram is computed once per unit corpus (one corpus, or one per field),
-and each pair builds its TF-IDF vectors once, each with its norm.
+n-gram Counter per order up to max_n that has grams (no order exceeds
+the token count), which the document frequencies, BLEU's clipped counts
+and the TF-IDF vectors all read. An order with no grams adds nothing to
+any score, so the work per text does not grow with ``max_n`` past its
+length. The IDF of every corpus gram is computed once per unit corpus
+(one corpus, or one per field), and each pair builds its TF-IDF vectors
+once, each with its norm.
 ROUGE-L finds the LCS length bit-parallel, with one integer mask per
 distinct reference token and a few integer operations per candidate
 token. The public ``bleu`` and ``cider`` prepare their token lists the
@@ -83,8 +86,18 @@ def _ngrams(tokens, n: int) -> Counter:
 
 def _record(tokens, max_n: int) -> tuple[list[str], list[Counter]]:
     # A text prepared for scoring: its tokens and one n-gram Counter per
-    # order from 1 to max_n. Every metric reads these; none mutates them.
-    return tokens, [_ngrams(tokens, n) for n in range(1, max_n + 1)]
+    # order from 1 to min(max_n, len(tokens)), the orders that have grams.
+    # Every metric reads these as orders 1 to max_n, a missing order as
+    # empty; none mutates them.
+    return tokens, [_ngrams(tokens, n) for n in range(1, min(max_n, len(tokens)) + 1)]
+
+
+_NO_GRAMS: Counter = Counter()  # shared, like the records, and never mutated
+
+
+def _order(grams: list[Counter], n: int) -> Counter:
+    # A record's order-n grams, empty past its last order.
+    return grams[n - 1] if n <= len(grams) else _NO_GRAMS
 
 
 def _bleu(cand, refs, max_n: int) -> float:
@@ -99,7 +112,7 @@ def _bleu(cand, refs, max_n: int) -> float:
     orders = min(max_n, c)
     for n in range(1, orders + 1):
         # Counter union keeps each gram's largest reference count.
-        best = reduce(operator.or_, [grams[n - 1] for _, grams in refs])
+        best = reduce(operator.or_, [_order(grams, n) for _, grams in refs])
         total = c - n + 1
         clipped = sum(min(count, best.get(gram, 0)) for gram, count in cand_grams[n - 1].items())
         if clipped == 0:
@@ -158,7 +171,7 @@ def rouge_l(candidate, reference) -> float:
     return (1.0 + b2) * precision * recall / (recall + b2 * precision)
 
 
-def _doc_frequencies(corpus, max_n: int) -> tuple[dict, int]:
+def _doc_frequencies(corpus) -> tuple[dict, int]:
     # The IDF of every gram in a corpus of reference-set records, and the
     # corpus size: what ``_cider`` scores against. Document frequency counts
     # each reference set once, so df >= 1 here and the clamp is moot.
@@ -166,8 +179,8 @@ def _doc_frequencies(corpus, max_n: int) -> tuple[dict, int]:
     for ref_set in corpus:
         seen = set()
         for _, grams in ref_set:
-            for n in range(max_n):
-                seen.update(grams[n])
+            for order in grams:
+                seen.update(order)
         df.update(seen)
     n_docs = len(corpus)
     return {gram: math.log(n_docs / count) for gram, count in df.items()}, n_docs
@@ -197,11 +210,14 @@ def _cider(cand, refs, stats, max_n: int) -> float:
         raise ValueError("cider needs at least one reference")
     # A gram absent from the corpus has df 0, clamped to 1: log(n_docs / 1).
     unseen = math.log(n_docs)
+    # Past the candidate's last order every cosine is 0, and adding
+    # 0.0 / len(refs) leaves the total as it is, so the sum stops there.
     _, cand_grams = cand
     total = 0.0
-    for n in range(max_n):
-        cand_vec = _tfidf(cand_grams[n], idf, unseen)
-        total += sum(_cosine(cand_vec, _tfidf(grams[n], idf, unseen)) for _, grams in refs) / len(refs)
+    for n, grams_n in enumerate(cand_grams, start=1):
+        cand_vec = _tfidf(grams_n, idf, unseen)
+        ref_vecs = (_tfidf(_order(grams, n), idf, unseen) for _, grams in refs)
+        total += sum(_cosine(cand_vec, ref_vec) for ref_vec in ref_vecs) / len(refs)
     return 10.0 * total / max_n
 
 
@@ -217,7 +233,7 @@ def cider(candidate, references, corpus, max_n: int = 4) -> float:
     """
     _check_max_n(max_n)
     refs = [_record(list(r), max_n) for r in references]
-    stats = _doc_frequencies([[_record(r, max_n) for r in ref_set] for ref_set in corpus], max_n)
+    stats = _doc_frequencies([[_record(r, max_n) for r in ref_set] for ref_set in corpus])
     return _cider(_record(list(candidate), max_n), refs, stats, max_n)
 
 
@@ -307,7 +323,7 @@ def score_captions(pairs, corpus, max_n: int = 4, per_field: bool = False) -> Ca
         corpora = _field_corpora(corpus, split, prepare)
     else:
         split, corpora = (lambda text: [text]), [[[prepare(r) for r in ref_set] for ref_set in corpus]]
-    stats = [_doc_frequencies(unit_corpus, max_n) for unit_corpus in corpora]
+    stats = [_doc_frequencies(unit_corpus) for unit_corpus in corpora]
 
     rows: list[ScoredCaption] = []
     for index, (cand, refs) in enumerate(pairs):

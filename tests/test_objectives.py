@@ -7,8 +7,8 @@ the hand-derivable cases.
 
 from __future__ import annotations
 
-import inspect
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -39,7 +39,7 @@ from gazekit import (
 )
 from gazekit import gradcheck
 from gazekit.grids import _blur_matrix, _gaussian_kernel_1d
-from gazekit.objectives import GazeLossBreakdown, _kl_grad_wrt_pred, _softmax_backprop
+from gazekit.objectives import GazeLossBreakdown, _gaze_forward, _kl_grad_wrt_pred, _softmax_backprop
 
 
 def grad_loss_kl(gt, logits) -> np.ndarray:
@@ -305,13 +305,94 @@ class TestGazeTrialKinkTest:
             loss, logits, grad = gradcheck._gaze_trial(rng)
             expected_logits, gt, cfg, redrawn = gaze_trial_reference(reference)
             redraws += redrawn
-            drawn = inspect.getclosurevars(loss).nonlocals
-            assert drawn["cfg"] == cfg
-            assert drawn["gt"].values.tobytes() == gt.values.tobytes()
             assert logits.tobytes() == expected_logits.tobytes()
-            assert abs(hinge_argument(drawn["gt"], logits, drawn["cfg"])) >= 1e-3
+            assert abs(hinge_argument(gt, logits, cfg)) >= 1e-3
+            stack = perturbed_stack(logits)
+            assert loss(stack).tobytes() == loss_gaze(gt, stack, cfg).total.tobytes()
             assert grad.tobytes() == grad_loss_gaze_oracle(gt, logits, cfg).tobytes()
         assert redraws == 1
+
+
+def perturbed_stack(logits) -> np.ndarray:
+    """The 2n-point stack ``central_difference`` hands a trial's loss."""
+    stacks = []
+    central_difference(lambda stack: stacks.append(stack) or np.zeros(len(stack)), logits)
+    return stacks[0]
+
+
+def seed_0_draws(draw, count) -> list:
+    """The first ``count`` gaze draws of ``draw`` at grad-check's seed 0:
+    ``gradcheck._gaze_trial`` gives the trials, ``gaze_trial_reference``
+    their targets and settings."""
+    rng = np.random.default_rng(np.random.SeedSequence([0, 0]))
+    return [draw(rng) for _ in range(count)]
+
+
+def recorded_cfgs(monkeypatch) -> list:
+    """Every cfg grad-check's gaze losses are called with."""
+    cfgs = []
+    real = gradcheck.loss_gaze
+
+    def recording(gt, z, cfg):
+        cfgs.append(cfg)
+        return real(gt, z, cfg)
+
+    monkeypatch.setattr(gradcheck, "loss_gaze", recording)
+    return cfgs
+
+
+class TestGazeTrialBareKL:
+    """A gaze trial whose hinge is 0 at the drawn point differences the bare
+    KL; its losses must be the full loss's, bit for bit."""
+
+    def test_every_trial_of_seeds_0_to_39_equals_the_full_loss(self):
+        kinds = {"active": 0, "inactive": 0}
+        worst_shift = 0.0
+        for seed in range(40):
+            rng = np.random.default_rng(np.random.SeedSequence([seed, 0]))
+            reference = np.random.default_rng(np.random.SeedSequence([seed, 0]))
+            for _ in range(100):
+                loss, logits, _ = gradcheck._gaze_trial(rng)
+                _, gt, cfg, _ = gaze_trial_reference(reference)
+                stack = perturbed_stack(logits)
+                _, _, full, args = _gaze_forward(gt, stack, cfg)
+                assert loss(stack).tobytes() == full.total.tobytes()
+                _, _, base, arg = _gaze_forward(gt, logits, cfg)
+                kinds["active" if base.hinge > 0.0 else "inactive"] += 1
+                # Every perturbed argument keeps the drawn one's sign.
+                assert np.all(np.sign(args) == np.sign(arg))
+                worst_shift = max(worst_shift, float(np.abs(args - arg).max()))
+        assert kinds["active"] > 0 and kinds["inactive"] > 0
+        # The measured side of the derivation: a tenth of the kink margin.
+        assert worst_shift < 1e-4
+
+    def test_the_hinge_at_the_drawn_point_picks_the_loss(self, monkeypatch):
+        # Trial 0 of seed 0 has an active hinge, trial 1 an inactive one.
+        trials = seed_0_draws(gradcheck._gaze_trial, 2)
+        drawn = [(gt, cfg) for _, gt, cfg, _ in seed_0_draws(gaze_trial_reference, 2)]
+        cfgs = recorded_cfgs(monkeypatch)
+        for loss, logits, _ in trials:
+            loss(perturbed_stack(logits))
+        args = [hinge_argument(gt, logits, cfg) for (gt, cfg), (_, logits, _) in zip(drawn, trials)]
+        assert args[0] > 0.0 > args[1]
+        assert cfgs == [drawn[0][1], replace(drawn[1][1], hinge_weight=0.0)]
+
+    def test_a_nonzero_hinge_keeps_the_full_loss(self, monkeypatch):
+        # The forward pass reports a hinge on a draw whose argument is
+        # negative, as a wrong hinge would: the trial must not go bare.
+        real = gradcheck._gaze_forward
+
+        def wrong_hinge(gt, z, cfg):
+            g, pred, parts, arg = real(gt, z, cfg)
+            return g, pred, replace(parts, hinge=cfg.hinge_weight * abs(arg)), arg
+
+        monkeypatch.setattr(gradcheck, "_gaze_forward", wrong_hinge)
+        loss, logits, _ = seed_0_draws(gradcheck._gaze_trial, 2)[1]
+        _, gt, cfg, _ = seed_0_draws(gaze_trial_reference, 2)[1]
+        assert hinge_argument(gt, logits, cfg) < 0.0
+        cfgs = recorded_cfgs(monkeypatch)
+        loss(perturbed_stack(logits))
+        assert cfgs == [cfg]
 
 
 class TestLossCaption:

@@ -649,9 +649,9 @@ class TestCorpusStatisticsAreBuiltOnce:
         calls = []
         real = textmetrics._doc_frequencies
 
-        def counting(corpus, max_n):
+        def counting(corpus):
             calls.append(len(corpus))
-            return real(corpus, max_n)
+            return real(corpus)
 
         monkeypatch.setattr(textmetrics, "_doc_frequencies", counting)
         return calls
@@ -738,11 +738,60 @@ class TestNgramsOncePerText:
         assert len(calls) == len(set(calls))
 
     def test_nothing_is_kept_between_calls(self):
+        # Orders 1-3 of the three-token text and orders 1-2 of the two-token
+        # one: a text has no grams past its length, so none are counted.
         pairs = [("a red car", ["a red car"]), ("a dog", ["a red car"])]
         corpus = [["a red car"], ["a dog"]]
         for _ in range(2):
             calls, texts = ngram_calls(pairs, corpus, max_n=3)
-            assert len(calls) == 3 * len(texts) == 6
+            assert len(texts) == 2 and len(calls) == 3 + 2
+
+
+#: Structured captions of 1-5 words per field, an unparsable line, and a
+#: candidate that is its own reference.
+MAX_N_LINES = [
+    "Scene: a car ahead | Current: slows down now | Next: stops | Why: red light ahead",
+    "Scene: a bus | Current: turns left | Next: merges | Why: lane ends",
+    "Scene: the truck | Current: the truck merges left | Next: stops at the light | Why: lane ends",
+    "no fields here",
+]
+MAX_N_PAIRS = [
+    (MAX_N_LINES[0], [MAX_N_LINES[1], MAX_N_LINES[2]]),
+    (MAX_N_LINES[1], [MAX_N_LINES[1]]),
+    (MAX_N_LINES[2], [MAX_N_LINES[0]]),
+    (MAX_N_LINES[3], [MAX_N_LINES[0]]),
+]
+MAX_N_CORPUS = [[line] for line in MAX_N_LINES]
+
+
+class TestMaxNPastTheTextLength:
+    """A record holds only the orders that have grams, so a large max_n costs nothing more."""
+
+    @pytest.mark.parametrize("per_field", [False, True])
+    def test_equals_one_counter_per_order(self, per_field):
+        # 2,000 orders reach far past every text; the oracle counts each of
+        # them, empty or not.
+        got = score_captions(MAX_N_PAIRS, MAX_N_CORPUS, max_n=2000, per_field=per_field)
+        assert got == score_captions_oracle(MAX_N_PAIRS, MAX_N_CORPUS, max_n=2000, per_field=per_field)
+
+    @pytest.mark.parametrize("per_field", [False, True])
+    def test_a_huge_max_n_counts_only_the_orders_with_grams(self, per_field):
+        # Before, each text built 10**6 Counters from n slices each for order
+        # n, and caption-eval ran for more than five minutes on two captions.
+        longest = max(len(tokenize(line)) for line in MAX_N_LINES)
+        calls, _ = ngram_calls(MAX_N_PAIRS, MAX_N_CORPUS, max_n=10**6, per_field=per_field)
+        assert calls and max(n for _, n in calls) <= longest
+        same_orders, _ = ngram_calls(MAX_N_PAIRS, MAX_N_CORPUS, max_n=longest, per_field=per_field)
+        assert [n for _, n in calls] == [n for _, n in same_orders]
+        # Only CIDEr's average over max_n orders tells the two reports apart.
+        huge = score_captions(MAX_N_PAIRS, MAX_N_CORPUS, max_n=10**6, per_field=per_field)
+        capped = score_captions(MAX_N_PAIRS, MAX_N_CORPUS, max_n=longest, per_field=per_field)
+        for row, capped_row in zip(huge.rows, capped.rows):
+            assert row.error == capped_row.error
+            if row.score is not None:
+                assert row.score.bleu == capped_row.score.bleu
+                assert row.score.rouge_l == capped_row.score.rouge_l
+                assert row.score.cider == pytest.approx(capped_row.score.cider * longest / 10**6, rel=1e-12)
 
 
 #: Token lists over a one- to four-symbol alphabet, so tokens repeat, and
