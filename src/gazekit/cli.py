@@ -59,6 +59,19 @@ def _diag(message: str) -> None:
     print(message, file=sys.stderr)
 
 
+def _out(text: str = "", end: str = "\n") -> None:
+    # Every stdout write, flushed at once. A reader that is gone drops the
+    # rest of stdout and nothing else: the file descriptor is pointed at the
+    # null device, so neither a later write nor the interpreter's flush at
+    # exit fails, and the command ends with its own files, stderr and status.
+    try:
+        print(text, end=end, flush=True)
+    except BrokenPipeError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+
+
 def _prefix(directory: Path) -> str:
     # What ``str(directory / name)`` puts before ``name``.
     text = str(directory)
@@ -157,7 +170,7 @@ def cmd_curate(args) -> int:
     # Written before anything is printed: a failed write leaves stdout empty.
     write_manifest(args.out, pairs, frame_paths)
     for line in counts:
-        print(line)
+        _out(line)
     for message in skipped:
         _diag(message)
     return 2 if skipped else 0
@@ -204,7 +217,7 @@ def cmd_grad_check(args) -> int:
     all_passed = True
     for report in reports:
         status = "pass" if report.passed else "FAIL"
-        print(
+        _out(
             f"{report.name}: max relative error {report.max_rel_error:.3e} "
             f"over {report.trials} trials, tolerance {TOLERANCE:.0e}: {status}"
         )
@@ -225,7 +238,7 @@ def cmd_fit_demo(args) -> int:
         [str(step.step), f"{step.loss:.17g}", f"{step.entropy:.17g}"] for step in trajectory
     ]
     _write_csv(args.out, ("step", "loss", "entropy"), rows)
-    print(f"final loss {trajectory[-1].loss:.9g} after {args.steps} steps")
+    _out(f"final loss {trajectory[-1].loss:.9g} after {args.steps} steps")
     return 0
 
 
@@ -257,7 +270,7 @@ def cmd_report(args) -> int:
 
 def _prompt(stream, text: str) -> str | None:
     """Print a prompt and read one stripped line; None signals end of input."""
-    print(text, end="", flush=True)
+    _out(text, end="")
     line = stream.readline()
     if line == "":
         return None
@@ -281,7 +294,7 @@ def _ask_decision(stream, can_accept: bool) -> str | None:
         if answer == "r":
             return "reject"
         if answer != "e":
-            print("unrecognized choice")
+            _out("unrecognized choice")
             continue
         while True:
             text = _prompt(stream, "replacement caption: ")
@@ -290,7 +303,7 @@ def _ask_decision(stream, can_accept: bool) -> str | None:
             try:
                 return serialize_caption(parse_caption(text))
             except CaptionError as exc:
-                print(f"not a valid caption ({type(exc).__name__}: {exc})")
+                _out(f"not a valid caption ({type(exc).__name__}: {exc})")
 
 
 def _write_review(path, rows, decisions) -> None:
@@ -334,7 +347,7 @@ def cmd_review(args) -> int:
     pending = [i for i, d in enumerate(decisions) if d is None]
     for index in pending:
         row = rows[index]
-        print(
+        _out(
             f"row {index + 1}/{len(rows)}: video {row['video_id']} "
             f"anchor {row['anchor']} target {row['target']} delta {row['delta']} "
             f"pair_kl {row['pair_kl']}"
@@ -347,21 +360,21 @@ def cmd_review(args) -> int:
                 parse_caption(caption)
             except CaptionError as exc:
                 parse_error = f"{type(exc).__name__}: {exc}"
-        print(f"caption: {caption if caption.strip() else '(empty)'}")
+        _out(f"caption: {caption if caption.strip() else '(empty)'}")
         if parse_error:
-            print(f"caption does not parse ({parse_error}); it must be edited or rejected")
+            _out(f"caption does not parse ({parse_error}); it must be edited or rejected")
 
         decision = _ask_decision(stream, can_accept=parse_error is None)
         if decision is None:
             _write_review(out_path, rows, decisions)
-            print()
-            print(f"input ended; {sum(d is not None for d in decisions)} of {len(rows)} rows decided")
+            _out()
+            _out(f"input ended; {sum(d is not None for d in decisions)} of {len(rows)} rows decided")
             return 0
         decisions[index] = decision
         _write_review(out_path, rows, decisions)
 
     _write_review(out_path, rows, decisions)
-    print(f"{len(rows)} rows decided")
+    _out(f"{len(rows)} rows decided")
     return 0
 
 

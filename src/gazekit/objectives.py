@@ -9,10 +9,13 @@ Gaussian-blurred copy of the prediction and the raw prediction:
 The hinge activates when blurring increases the divergence by more than
 the margin. At hinge weight 0 the blurred copy is never computed: the
 hinge is 0 and the gradient is the bare KL term's. The loss, its
-gradient and ``fit_gaze_demo`` share one forward pass. All gradients
-are analytic and validated against central finite differences by the
-gradient-check suite; at the hinge kink the subgradient 0 is used (the
-hinge contributes only when its argument is strictly positive).
+gradient and ``fit_gaze_demo`` share one forward pass, which takes each
+KL inside an array it owns: the blurred copy, and a stack's softmax, so
+a stacked loss allocates no stack-sized array beyond the softmax and
+the blur. All gradients are analytic and validated against central
+finite differences by the gradient-check suite; at the hinge kink the
+subgradient 0 is used (the hinge contributes only when its argument is
+strictly positive).
 
 Both losses take one point or a stack of points along a leading axis,
 so the gradient check scores every perturbed point in one call. A
@@ -37,7 +40,7 @@ from .grids import (
     entropy,
     grid_values,
 )
-from .saliency import DEFAULT_KL_FLOOR, _kl_from_sides, _kl_gt_side, _kl_pred_side
+from .saliency import DEFAULT_KL_FLOOR, _kl_gt_side, _kl_spent
 
 __all__ = [
     "GazeLossConfig",
@@ -148,16 +151,25 @@ def _softmax_backprop(p: np.ndarray, v: np.ndarray) -> np.ndarray:
 def _gaze_forward(gt, z: np.ndarray, cfg: GazeLossConfig):
     # The gaze loss's one forward pass, on a logit grid or a (k, h, w) stack:
     # (target values, prediction, GazeLossBreakdown, hinge argument or None at
-    # hinge weight 0). Logits are refused first; the blurred copy is a temporary.
+    # hinge weight 0). Logits are refused first. Each KL is taken inside an
+    # array the pass owns: the blurred copy, read from the prediction before
+    # the raw KL, and a stack's softmax, so a stack returns None for its
+    # prediction. One grid keeps its prediction for the gradient and spends a
+    # copy.
     pred = _softmax_maps(z)
     g = grid_values(gt)
     if g.shape != z.shape[-2:]:
         raise ShapeMismatch(f"grid shapes differ: {g.shape} vs {z.shape[-2:]}")
     gt_side = _kl_gt_side(g)
-    raw_kl = _kl_from_sides(gt_side, _kl_pred_side(pred))
-    hinge, arg = np.zeros_like(raw_kl), None
+    blur_kl = None
     if cfg.hinge_weight > 0.0:
-        blur_kl = _kl_from_sides(gt_side, _kl_pred_side(_blur_maps(pred, float(cfg.blur_sigma))))
+        blur_kl = _kl_spent(gt_side, _blur_maps(pred, float(cfg.blur_sigma)))
+    if z.ndim == 2:
+        raw_kl = _kl_spent(gt_side, pred.copy())
+    else:
+        raw_kl, pred = _kl_spent(gt_side, pred), None
+    hinge, arg = np.zeros_like(raw_kl), None
+    if blur_kl is not None:
         arg = blur_kl - raw_kl + cfg.hinge_margin
         hinge = cfg.hinge_weight * np.maximum(0.0, arg)
     total = raw_kl + hinge

@@ -108,9 +108,11 @@ def kl_div(gt, pred) -> float:
 # Ownership: these helpers, like the softmax and blur cores in ``grids``,
 # write only into arrays they allocate, never into an argument or a side.
 # A side is scored many times: curate scores a frame's prediction side on
-# the curve and again against every anchor 3 to 18 frames before it, and
-# ``loss_gaze`` blurs its prediction after taking its KL. So one log array
-# can serve as both sides of a map.
+# the curve and again against every anchor 3 to 18 frames before it. So one
+# log array can serve as both sides of a map. The one exception is
+# ``_kl_spent``, which takes a prediction its caller gives up and runs every
+# step inside it, so a stack's KL allocates no stack-sized array: the gaze
+# loss spends its blurred copy and a stack's softmax on it.
 
 
 def _kl_gt_side(g: np.ndarray) -> tuple[np.ndarray | None, np.ndarray, np.ndarray]:
@@ -128,9 +130,16 @@ def _kl_gt_side(g: np.ndarray) -> tuple[np.ndarray | None, np.ndarray, np.ndarra
 def _kl_pred_side(p: np.ndarray) -> np.ndarray:
     # Flat log of the prediction, clamped at the floor and renormalized, per
     # map over the last two axes: (h, w) gives (h * w,), (k, h, w) gives (k, h * w).
-    clamped = np.maximum(p, DEFAULT_KL_FLOOR).reshape(*p.shape[:-2], -1)
-    clamped /= clamped.sum(axis=-1, keepdims=True)
-    return np.log(clamped, out=clamped)
+    flat = p.reshape(*p.shape[:-2], -1)
+    return _clamped_log(flat, np.empty_like(flat))
+
+
+def _clamped_log(flat: np.ndarray, out: np.ndarray) -> np.ndarray:
+    # The prediction side's steps on flat maps, into ``out``, which may be
+    # ``flat`` itself: clamp at the floor, renormalize each row, take the log.
+    np.maximum(flat, DEFAULT_KL_FLOOR, out=out)
+    out /= out.sum(axis=-1, keepdims=True)
+    return np.log(out, out=out)
 
 
 def _kl_sides(g: np.ndarray) -> tuple[tuple, np.ndarray]:
@@ -157,8 +166,25 @@ def _kl_from_sides(gt_side, log_q: np.ndarray):
     cells, gs, log_gs = gt_side
     if cells is not None:
         log_q = log_q.take(cells, axis=-1)
+    return _kl_totals(gs, log_gs - log_q)
+
+
+def _kl_spent(gt_side, p: np.ndarray):
+    # _kl_from_sides(gt_side, _kl_pred_side(p)) bit for bit, for a C-ordered
+    # prediction or stack that its caller no longer reads: the clamp, the
+    # renormalization, the log and the terms run in p's own buffer, or in the
+    # gathered cells when the target has zero cells. p's values are lost.
+    cells, gs, log_gs = gt_side
+    flat = p.reshape(*p.shape[:-2], -1)
+    log_q = _clamped_log(flat, flat)
+    if cells is not None:
+        log_q = log_q.take(cells, axis=-1)
+    return _kl_totals(gs, np.subtract(log_gs, log_q, out=log_q))
+
+
+def _kl_totals(gs: np.ndarray, terms: np.ndarray):
+    # The pair step's sums, from the terms' buffer holding log_gs - log_q.
     # One buffer for the terms; gs * d and d * gs are the same product.
-    terms = log_gs - log_q
     terms *= gs
     totals = terms.sum(axis=-1)
     if totals.ndim:

@@ -165,14 +165,22 @@ class TestEvaluate:
         assert outs[0] == outs[1]
 
 
-def run_cli(*argv):
+def run_cli(*argv, stdout=subprocess.PIPE):
     """The CLI in a fresh interpreter, with Python's default warning filters."""
     src = str(Path(cli.__file__).parents[1])
     env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
     env.pop("PYTHONWARNINGS", None)
     return subprocess.run(
-        [sys.executable, "-m", "gazekit.cli", *map(str, argv)], env=env, capture_output=True, text=True
+        [sys.executable, "-m", "gazekit.cli", *map(str, argv)],
+        env=env, stdout=stdout, stderr=subprocess.PIPE, text=True,
     )
+
+
+def closed_pipe() -> int:
+    """The write end of a pipe whose reader has already gone."""
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    return write_end
 
 
 class TestMapLoading:
@@ -664,6 +672,16 @@ class TestCaptionEval:
         assert not out.exists()
 
 
+def wrong_infonce_gradient(monkeypatch):
+    right = gradcheck._TRIALS["infonce"]
+
+    def wrong(rng):
+        loss, point, analytic = right(rng)
+        return loss, point, analytic + 1.0
+
+    monkeypatch.setitem(gradcheck._TRIALS, "infonce", wrong)
+
+
 class TestGradCheck:
     def test_passes_and_prints_one_line_per_path(self, capsys):
         code = main(["grad-check", "--trials", "5", "--seed", "3"])
@@ -674,13 +692,7 @@ class TestGradCheck:
         assert all("max relative error" in line and line.endswith("pass") for line in lines)
 
     def test_wrong_gradient_fails(self, capsys, monkeypatch):
-        right = gradcheck._TRIALS["infonce"]
-
-        def wrong(rng):
-            loss, point, analytic = right(rng)
-            return loss, point, analytic + 1.0
-
-        monkeypatch.setitem(gradcheck._TRIALS, "infonce", wrong)
+        wrong_infonce_gradient(monkeypatch)
         code = main(["grad-check", "--trials", "5"])
         assert code == 1
         lines = capsys.readouterr().out.strip().splitlines()
@@ -1142,3 +1154,43 @@ class TestExitCodeContract:
         assert len(err.splitlines()) == 1 and err.endswith("\n")
         assert list((tmp_path / "out").iterdir()) == []
         assert not (tmp_path / "nowhere").exists()
+
+
+class TestClosedStdout:
+    """A reader that closes its end before the first write drops the rest of
+    stdout, and nothing else: files, stderr and exit code are those of a
+    live reader, with no traceback and no error at interpreter exit."""
+
+    def run_to_closed_pipe(self, *argv):
+        write_end = closed_pipe()
+        try:
+            return run_cli(*argv, stdout=write_end)
+        finally:
+            os.close(write_end)
+
+    def test_grad_check(self):
+        done = self.run_to_closed_pipe("grad-check", "--trials", "2", "--seed", "0")
+        assert (done.returncode, done.stderr) == (0, "")
+
+    def test_curate_writes_its_manifest(self, tmp_path):
+        write_sequence_dir(tmp_path / "corpus", "vid0", two_segment_arrays())
+        out = tmp_path / "pairs.csv"
+        done = self.run_to_closed_pipe("curate", tmp_path / "corpus", "--out", out)
+        assert (done.returncode, done.stderr) == (0, "")
+        assert [row["anchor"] for row in read_manifest_rows(out)[1]] == ["9"]
+
+    def test_curate_still_reports_a_skipped_video(self, tmp_path):
+        write_sequence_dir(tmp_path / "corpus", "good", two_segment_arrays())
+        (tmp_path / "corpus" / "empty").mkdir()
+        out = tmp_path / "pairs.csv"
+        done = self.run_to_closed_pipe("curate", tmp_path / "corpus", "--out", out)
+        assert (done.returncode, done.stderr) == (2, "empty: no map files, skipped\n")
+        assert len(read_manifest_rows(out)[1]) == 1
+
+    def test_failing_grad_check_still_exits_1(self, monkeypatch):
+        wrong_infonce_gradient(monkeypatch)
+        with open(closed_pipe(), "w") as stdout:
+            monkeypatch.setattr(sys, "stdout", stdout)
+            with pytest.raises(BrokenPipeError):
+                print("probe", flush=True)
+            assert main(["grad-check", "--trials", "5"]) == 1
