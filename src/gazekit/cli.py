@@ -55,21 +55,26 @@ DECISION_COLUMN = "decision"
 CAPTION_SCORE_HEADER = ("id", "bleu", "rouge_l", "cider", "error")
 
 
+def _write(stream, text: str, end: str = "\n") -> None:
+    # Every write to stdout or stderr, flushed at once. A reader that is gone
+    # drops the rest of that stream and nothing else: its file descriptor is
+    # pointed at the null device, so neither a later write nor the
+    # interpreter's flush at exit fails, and the command ends with its own
+    # files, other stream and status.
+    try:
+        print(text, end=end, file=stream, flush=True)
+    except BrokenPipeError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, stream.fileno())
+        os.close(devnull)
+
+
 def _diag(message: str) -> None:
-    print(message, file=sys.stderr)
+    _write(sys.stderr, message)
 
 
 def _out(text: str = "", end: str = "\n") -> None:
-    # Every stdout write, flushed at once. A reader that is gone drops the
-    # rest of stdout and nothing else: the file descriptor is pointed at the
-    # null device, so neither a later write nor the interpreter's flush at
-    # exit fails, and the command ends with its own files, stderr and status.
-    try:
-        print(text, end=end, flush=True)
-    except BrokenPipeError:
-        devnull = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(devnull, sys.stdout.fileno())
-        os.close(devnull)
+    _write(sys.stdout, text, end)
 
 
 def _prefix(directory: Path) -> str:
@@ -214,15 +219,13 @@ def cmd_caption_eval(args) -> int:
 
 def cmd_grad_check(args) -> int:
     reports = run_gradient_checks(seed=args.seed, trials=args.trials)
-    all_passed = True
     for report in reports:
         status = "pass" if report.passed else "FAIL"
         _out(
             f"{report.name}: max relative error {report.max_rel_error:.3e} "
             f"over {report.trials} trials, tolerance {TOLERANCE:.0e}: {status}"
         )
-        all_passed = all_passed and report.passed
-    return 0 if all_passed else 1
+    return 0 if all(report.passed for report in reports) else 1
 
 
 def cmd_fit_demo(args) -> int:

@@ -17,12 +17,13 @@ computed: the ground-truth side (positive-cell mask, values and logs)
 and the prediction side (the log of the floored, renormalized map).
 Curve step t is scored as soon as frame t+1 is read, anchor t-1 is
 decided right after it, and an anchor's targets are scored once it is
-decided and its last target frame is read. The target search bounds
-before it scores: one dot product per target gives an estimate of its
-divergence and a worst-case rounding margin around it, and only the
-targets whose upper bound reaches the best lower bound are scored
-exactly, in offset order. A pruned target scores strictly below the
-winner, so the pick and its score are those of the exhaustive scan.
+decided and its last target frame is read. The one target search,
+shared with ``select_target``, bounds before it scores: one dot product
+per target gives an estimate of its divergence and a worst-case rounding
+margin around it, and only the targets whose upper bound reaches the
+best lower bound are scored exactly, in offset order. A pruned target
+scores strictly below the winner, so the pick and its score are those
+of the exhaustive scan.
 
 The sides live in two fixed-length windows: 3 ground-truth sides, plus
 one held by each anchor awaiting its targets, and min(n_frames,
@@ -48,7 +49,7 @@ import numpy as np
 
 from .errors import TooShort
 from .grids import GazeMap
-from .saliency import _kl_bounds, _kl_from_sides, _kl_sides, kl_div
+from .saliency import _kl_bounds, _kl_from_sides, _kl_gt_side, _kl_pred_side, _kl_sides, kl_div
 
 __all__ = [
     "CurationParams",
@@ -163,9 +164,27 @@ def select_target(
     """
     if not 0 <= anchor < len(seq):
         raise ValueError(f"anchor {anchor} outside sequence of {len(seq)} frames")
+    targets = range(anchor + params.delta_min, min(anchor + params.delta_max + 1, len(seq)))
+    # The sides kl_div computes, so each score is kl_div's, bit for bit.
+    sides = [_kl_pred_side(seq.maps[target].values) for target in targets]
+    return _best_target(_kl_gt_side(seq.maps[anchor].values), targets, sides)
+
+
+def _best_target(gt_side: tuple, targets: range, sides: list) -> tuple[int, float] | None:
+    # The target search: the first highest-scoring target with its score, or
+    # None for no target; sides[i] is the prediction side of targets[i]. Each
+    # exact score lies in [max(0, e - m), max(0, e + m)], so a target whose
+    # upper end is below another's lower end cannot win, nor tie the winner.
+    # The rest are scored exactly, in delta order.
+    if not targets:
+        return None
+    estimate, margin = _kl_bounds(gt_side, sides)
+    bar = np.maximum(0.0, estimate - margin).max()
     best: tuple[int, float] | None = None
-    for target in range(anchor + params.delta_min, min(anchor + params.delta_max + 1, len(seq))):
-        score = kl_div(seq.maps[anchor], seq.maps[target])
+    for target, side, top in zip(targets, sides, np.maximum(0.0, estimate + margin)):
+        if top < bar:
+            continue
+        score = _kl_from_sides(gt_side, side)
         if best is None or score > best[1]:
             best = (target, score)
     return best
@@ -199,23 +218,10 @@ def _curate_stream(
     def score_targets(anchor: int, peak: float, gt_side: tuple, last: int) -> None:
         first = last - len(pred_sides) + 1  # pred_sides holds frames first..last
         targets = range(anchor + params.delta_min, min(anchor + params.delta_max, last) + 1)
-        if not targets:
-            return
-        sides = [pred_sides[target - first] for target in targets]
-        # Each target's exact score lies in [max(0, e - m), max(0, e + m)], so
-        # one whose upper end is below another's lower end cannot win, nor tie
-        # the winner. The rest are scored exactly, in delta order.
-        estimate, margin = _kl_bounds(gt_side, sides)
-        bar = np.maximum(0.0, estimate - margin).max()
-        best: tuple[int, float] | None = None
-        for target, side, top in zip(targets, sides, np.maximum(0.0, estimate + margin)):
-            if top < bar:
-                continue
-            score = _kl_from_sides(gt_side, side)
-            if best is None or score > best[1]:
-                best = (target, score)
-        target, pair_kl = best
-        candidates.append(FramePair(video_id, anchor, target, target - anchor, peak, pair_kl))
+        found = _best_target(gt_side, targets, [pred_sides[target - first] for target in targets])
+        if found:
+            target, pair_kl = found
+            candidates.append(FramePair(video_id, anchor, target, target - anchor, peak, pair_kl))
 
     for j, gaze in enumerate(_same_shape(maps)):
         if not scoring:

@@ -185,13 +185,20 @@ _TRIALS = {
 
 
 def run_gradient_checks(seed: int = 0, trials: int = 100) -> list[GradCheckReport]:
-    """Run every gradient path ``trials`` times; deterministic per seed."""
+    """Run every gradient path ``trials`` times; deterministic per seed.
+
+    A NaN error, from a NaN in the analytic gradient or in a loss, is its
+    path's worst error, so the path fails.
+    """
+    if trials < 1:
+        raise ValueError("trials must be positive")
     reports = []
     for index, (name, trial) in enumerate(_TRIALS.items()):
         rng = np.random.default_rng(np.random.SeedSequence([seed, index]))
         worst = 0.0
         for _ in range(trials):
             loss, point, analytic = trial(rng)
-            worst = max(worst, _relative_error(analytic, central_difference(loss, point)))
+            error = _relative_error(analytic, central_difference(loss, point))
+            worst = float(np.maximum(worst, error))  # max would drop a NaN error
         reports.append(GradCheckReport(name=name, trials=trials, max_rel_error=worst))
     return reports

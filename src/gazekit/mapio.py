@@ -47,8 +47,6 @@ __all__ = [
     "save_fixations",
 ]
 
-_MAP_SUFFIXES = (".pgm", ".csv")
-
 _PGM_MAXVAL = 65535
 
 
@@ -61,7 +59,7 @@ def _suffix(path) -> str:
 
 
 def is_map_file(path) -> bool:
-    return _suffix(path) in _MAP_SUFFIXES
+    return _suffix(path) in _FORMATS
 
 
 # PGM header: tokens are separated by whitespace, and '#' starts a comment
@@ -143,36 +141,32 @@ def _write_csv_grid(path: Path, values: np.ndarray) -> None:
     path.write_text("\n".join(lines) + "\n", encoding="ascii")
 
 
-def _read_samples(path) -> np.ndarray:
-    # A map file's cells as stored: uint16 for a PGM, float64 for a CSV.
-    suffix = _suffix(path)
-    if suffix == ".pgm":
-        return _read_pgm16(path)
-    if suffix == ".csv":
-        return _read_csv_grid(path)
-    raise ValueError(f"{path}: unrecognized map suffix (expected one of {_MAP_SUFFIXES})")
+# Each map format's reader and writer, by suffix. A reader returns the cells
+# as stored: uint16 for a PGM, float64 for a CSV.
+_FORMATS = {".pgm": (_read_pgm16, _write_pgm16), ".csv": (_read_csv_grid, _write_csv_grid)}
+
+
+def _format(path) -> tuple:
+    try:
+        return _FORMATS[_suffix(path)]
+    except KeyError:
+        raise ValueError(f"{path}: unrecognized map suffix (expected one of {tuple(_FORMATS)})") from None
 
 
 def load_grid(path) -> np.ndarray:
     """Read raw cell values from a map file without normalizing."""
-    return _read_samples(path).astype(np.float64, copy=False)
+    return _format(path)[0](path).astype(np.float64, copy=False)
 
 
 def load_map(path) -> GazeMap:
     """Read a map file and normalize it to the simplex."""
-    return normalize_to_simplex(_read_samples(path))
+    return normalize_to_simplex(_format(path)[0](path))
 
 
 def save_map(path, gaze: GazeMap) -> None:
     """Write a gaze map in the format named by the file suffix."""
     p = Path(path)
-    suffix = _suffix(p)
-    if suffix == ".pgm":
-        _write_pgm16(p, gaze.values)
-    elif suffix == ".csv":
-        _write_csv_grid(p, gaze.values)
-    else:
-        raise ValueError(f"{p}: unrecognized map suffix (expected one of {_MAP_SUFFIXES})")
+    _format(p)[1](p, gaze.values)
 
 
 def load_fixations(path) -> FixationMap:

@@ -239,12 +239,7 @@ def nss(pred, fix) -> float:
     The prediction is shifted to zero mean and unit population standard
     deviation, then averaged over fixated cells.
     """
-    p = grid_values(pred)
-    mask = fixation_mask(fix)
-    if p.shape != mask.shape:
-        raise ShapeMismatch(f"grid shapes differ: {p.shape} vs {mask.shape}")
-    if not mask.any():
-        raise NoFixations("NSS needs at least one fixated cell")
+    p, mask = _fixated_values(pred, fix, "NSS")
     d = p - p.mean()
     std = np.sqrt((d * d).mean())
     if std < _STD_FLOOR:
@@ -277,13 +272,18 @@ def _roc_points(pos: np.ndarray, neg: np.ndarray) -> tuple[np.ndarray, np.ndarra
     return _rate_curve(neg, thresholds), _rate_curve(pos, thresholds)
 
 
-def _split_by_fixation(pred, fix) -> tuple[np.ndarray, np.ndarray]:
-    p = grid_values(pred)
-    mask = fixation_mask(fix)
+def _fixated_values(pred, fix, metric: str) -> tuple[np.ndarray, np.ndarray]:
+    # The prediction and its fixation mask, one shape and >= 1 fixated cell.
+    p, mask = grid_values(pred), fixation_mask(fix)
     if p.shape != mask.shape:
         raise ShapeMismatch(f"grid shapes differ: {p.shape} vs {mask.shape}")
     if not mask.any():
-        raise NoFixations("AUC needs at least one fixated cell")
+        raise NoFixations(f"{metric} needs at least one fixated cell")
+    return p, mask
+
+
+def _split_by_fixation(pred, fix) -> tuple[np.ndarray, np.ndarray]:
+    p, mask = _fixated_values(pred, fix, "AUC")
     if mask.all():
         raise AllFixated("AUC needs at least one non-fixated cell")
     if np.isnan(p).any():

@@ -40,7 +40,7 @@ from gazekit import (
     FixationMap,
     write_manifest,
 )
-from gazekit import cli, gradcheck
+from gazekit import cli, gradcheck, run_gradient_checks
 from gazekit.cli import build_parser, main
 from gazekit.grids import _blur_matrix
 from gazekit.objectives import _kl_grad_wrt_pred, _softmax_backprop
@@ -165,14 +165,15 @@ class TestEvaluate:
         assert outs[0] == outs[1]
 
 
-def run_cli(*argv, stdout=subprocess.PIPE):
-    """The CLI in a fresh interpreter, with Python's default warning filters."""
+def run_cli(*argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, entry=("-m", "gazekit.cli")):
+    """The CLI in a fresh interpreter, with Python's default warning filters.
+    ``entry`` is what runs it: the module, or a ``-c`` program calling ``main``."""
     src = str(Path(cli.__file__).parents[1])
     env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
     env.pop("PYTHONWARNINGS", None)
     return subprocess.run(
-        [sys.executable, "-m", "gazekit.cli", *map(str, argv)],
-        env=env, stdout=stdout, stderr=subprocess.PIPE, text=True,
+        [sys.executable, *entry, *map(str, argv)],
+        env=env, stdout=stdout, stderr=stderr, text=True,
     )
 
 
@@ -181,6 +182,15 @@ def closed_pipe() -> int:
     read_end, write_end = os.pipe()
     os.close(read_end)
     return write_end
+
+
+def run_into_closed_pipe(stream, *argv, entry=("-m", "gazekit.cli")):
+    """run_cli with ``stream``, "stdout" or "stderr", written into a closed pipe."""
+    write_end = closed_pipe()
+    try:
+        return run_cli(*argv, entry=entry, **{stream: write_end})
+    finally:
+        os.close(write_end)
 
 
 class TestMapLoading:
@@ -682,7 +692,47 @@ def wrong_infonce_gradient(monkeypatch):
     monkeypatch.setitem(gradcheck._TRIALS, "infonce", wrong)
 
 
+def spoiled_trial(monkeypatch, kind, spoil, at):
+    """Pass trial ``at`` of path ``kind`` through ``spoil(loss, point,
+    analytic)``; the other trials are drawn and returned as they are."""
+    right = gradcheck._TRIALS[kind]
+    drawn = []
+
+    def trial(rng):
+        drawn.append(None)
+        parts = right(rng)
+        return spoil(*parts) if len(drawn) - 1 == at else parts
+
+    monkeypatch.setitem(gradcheck._TRIALS, kind, trial)
+
+
+def nan_gradient(loss, point, analytic):
+    analytic = analytic.copy()
+    analytic.flat[0] = np.nan
+    return loss, point, analytic
+
+
+def nan_loss(loss, point, analytic):
+    return (lambda stack: np.where(np.arange(len(stack)) == 1, np.nan, loss(stack))), point, analytic
+
+
 class TestGradCheck:
+    @pytest.mark.parametrize("spoil", [nan_gradient, nan_loss])
+    @pytest.mark.parametrize("at", [0, 4])
+    def test_a_nan_error_fails(self, capsys, monkeypatch, spoil, at):
+        # The NaN is the path's worst error whether finite errors come
+        # before it or after it.
+        spoiled_trial(monkeypatch, "caption", spoil, at)
+        assert main(["grad-check", "--trials", "5"]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[1] == "caption: max relative error nan over 5 trials, tolerance 1e-04: FAIL"
+        assert [line.endswith(": pass") for line in lines] == [True, False, True, True]
+
+    @pytest.mark.parametrize("trials", [0, -1])
+    def test_no_trials_is_refused(self, trials):
+        with pytest.raises(ValueError, match="^trials must be positive$"):
+            run_gradient_checks(seed=0, trials=trials)
+
     def test_passes_and_prints_one_line_per_path(self, capsys):
         code = main(["grad-check", "--trials", "5", "--seed", "3"])
         assert code == 0
@@ -1156,26 +1206,68 @@ class TestExitCodeContract:
         assert not (tmp_path / "nowhere").exists()
 
 
+#: grad-check with a wrong infonce gradient, as ``wrong_infonce_gradient`` sets it.
+FAILING_GRAD_CHECK = ("-c", """
+import sys
+from gazekit import cli, gradcheck
+right = gradcheck._TRIALS["infonce"]
+def wrong(rng):
+    loss, point, analytic = right(rng)
+    return loss, point, analytic + 1.0
+gradcheck._TRIALS["infonce"] = wrong
+sys.exit(cli.main(sys.argv[1:]))
+""")
+
+
+class TestClosedStderr:
+    """A stderr whose reader has gone is handled as a closed stdout is: the
+    rest of it is dropped, and the files, stdout and exit code are those of
+    a live reader, with no traceback and no error at interpreter exit."""
+
+    def test_evaluate_writes_its_table(self, tmp_path, rng):
+        # Without --fix-dir, evaluate writes a note to stderr first.
+        maps = {f"f{i}": peaked_map(rng, 8, (2 + i, 3)) for i in range(2)}
+        pred, gt = tmp_path / "pred", tmp_path / "gt"
+        write_map_dir(pred, maps)
+        write_map_dir(gt, dict(zip(maps, reversed(maps.values()))))
+        out = tmp_path / "metrics.csv"
+        done = run_into_closed_pipe("stderr", "evaluate", "--pred-dir", pred, "--gt-dir", gt, "--out", out)
+        assert (done.returncode, done.stdout) == (0, "")
+        expected = tmp_path / "expected.csv"
+        assert main(["evaluate", "--pred-dir", str(pred), "--gt-dir", str(gt), "--out", str(expected)]) == 0
+        assert out.read_bytes() == expected.read_bytes()
+
+    def test_curate_with_a_skipped_video(self, tmp_path):
+        write_sequence_dir(tmp_path / "corpus", "good", two_segment_arrays())
+        (tmp_path / "corpus" / "empty").mkdir()
+        out = tmp_path / "pairs.csv"
+        done = run_into_closed_pipe("stderr", "curate", tmp_path / "corpus", "--out", out)
+        assert (done.returncode, done.stdout) == (2, "good: 1\n")
+        assert len(read_manifest_rows(out)[1]) == 1
+
+    def test_failing_grad_check_exits_1(self):
+        done = run_into_closed_pipe("stderr", "grad-check", "--trials", "5", entry=FAILING_GRAD_CHECK)
+        assert done.returncode == 1
+        assert [line.rsplit(" ", 1)[1] for line in done.stdout.splitlines()] == ["pass", "pass", "FAIL", "pass"]
+
+    def test_a_usage_error_exits_2(self):
+        done = run_into_closed_pipe("stderr", "grad-check", "--trials", "0")
+        assert (done.returncode, done.stdout) == (2, "")
+
+
 class TestClosedStdout:
     """A reader that closes its end before the first write drops the rest of
     stdout, and nothing else: files, stderr and exit code are those of a
     live reader, with no traceback and no error at interpreter exit."""
 
-    def run_to_closed_pipe(self, *argv):
-        write_end = closed_pipe()
-        try:
-            return run_cli(*argv, stdout=write_end)
-        finally:
-            os.close(write_end)
-
     def test_grad_check(self):
-        done = self.run_to_closed_pipe("grad-check", "--trials", "2", "--seed", "0")
+        done = run_into_closed_pipe("stdout", "grad-check", "--trials", "2", "--seed", "0")
         assert (done.returncode, done.stderr) == (0, "")
 
     def test_curate_writes_its_manifest(self, tmp_path):
         write_sequence_dir(tmp_path / "corpus", "vid0", two_segment_arrays())
         out = tmp_path / "pairs.csv"
-        done = self.run_to_closed_pipe("curate", tmp_path / "corpus", "--out", out)
+        done = run_into_closed_pipe("stdout", "curate", tmp_path / "corpus", "--out", out)
         assert (done.returncode, done.stderr) == (0, "")
         assert [row["anchor"] for row in read_manifest_rows(out)[1]] == ["9"]
 
@@ -1183,7 +1275,7 @@ class TestClosedStdout:
         write_sequence_dir(tmp_path / "corpus", "good", two_segment_arrays())
         (tmp_path / "corpus" / "empty").mkdir()
         out = tmp_path / "pairs.csv"
-        done = self.run_to_closed_pipe("curate", tmp_path / "corpus", "--out", out)
+        done = run_into_closed_pipe("stdout", "curate", tmp_path / "corpus", "--out", out)
         assert (done.returncode, done.stderr) == (2, "empty: no map files, skipped\n")
         assert len(read_manifest_rows(out)[1]) == 1
 

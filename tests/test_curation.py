@@ -169,6 +169,32 @@ class TestSelectTarget:
         with pytest.raises(ValueError):
             select_target(seq_of(maps), 5, CurationParams(min_frames=2))
 
+    @pytest.mark.parametrize("zero_cells", [False, True])
+    def test_bit_equal_targets_keep_the_smallest_offset(self, zero_cells, monkeypatch):
+        # All 16 targets of anchor 24 are the same frame: no bound separates
+        # them, each is scored exactly, and the first wins.
+        seq = identical_windows(zero_cells)
+        counts = counted_pair_steps(monkeypatch)
+        found = select_target(seq, 24)
+        assert found == select_target_reference(seq, 24, CurationParams())
+        assert found[0] == 27
+        assert counts == {"bounded": 16, "exact": 16}
+
+    def test_one_target_window(self):
+        seq = random_video(1)
+        params = CurationParams(delta_min=4, delta_max=4, min_frames=2)
+        expected = kl_div_reference(seq.maps[2].values, seq.maps[6].values)
+        assert select_target(seq, 2, params) == (6, expected)
+        assert select_target(seq, len(seq) - 4, params) is None
+
+    def test_window_running_past_the_end(self):
+        seq = random_video(3)
+        params = CurationParams(delta_min=2, delta_max=30, min_frames=2)
+        for anchor in range(len(seq) - 6, len(seq)):
+            found = select_target(seq, anchor, params)
+            assert found == select_target_reference(seq, anchor, params)
+            assert (found is None) == (anchor + 2 >= len(seq))
+
 
 class TestCurateVideo:
     def test_two_segment_sequence(self):
@@ -311,7 +337,9 @@ def random_video(seed):
 
 
 class TestPreparedKLTable:
-    """Every score curation gives equals whole kl_div calls."""
+    """Every score curation gives equals whole kl_div calls. select_target
+    runs the walk's bounded target search, so the first test checks that
+    search against the exhaustive scan at every anchor."""
 
     @pytest.mark.parametrize("seed", range(16))
     def test_curve_and_every_target_window(self, seed):
@@ -440,6 +468,24 @@ def counted_pair_steps(monkeypatch):
     return counts
 
 
+def moved_bounds(shift):
+    """_kl_bounds with each estimate moved by 0.99 of its margin: all up,
+    all down, alternating, or the winner down and the others up."""
+
+    def bounds(gt_side, log_qs):
+        estimate, margin = _kl_bounds(gt_side, log_qs)
+        if shift == "against the winner":
+            scores = [_kl_from_sides(gt_side, log_q) for log_q in log_qs]
+            sign = np.where(np.arange(len(log_qs)) == np.argmax(scores), -1.0, 1.0)
+        elif shift == "alternating":
+            sign = np.resize([1.0, -1.0], len(log_qs))
+        else:
+            sign = 1.0 if shift == "up" else -1.0
+        return estimate + 0.99 * sign * margin, margin
+
+    return bounds
+
+
 class TestBoundedTargetSearch:
     """The walk bounds every target by one dot product and scores exactly
     only those that can still win; the pairs must be the exhaustive scan's."""
@@ -474,17 +520,6 @@ class TestBoundedTargetSearch:
         # Each target's dot product moved by 0.99 of its margin, the winner
         # down and the others up in the worst case: the exact results stay
         # inside the moved intervals, so no BLAS rounding changes a pair.
-        def moved_bounds(gt_side, log_qs):
-            estimate, margin = _kl_bounds(gt_side, log_qs)
-            if shift == "against the winner":
-                scores = [_kl_from_sides(gt_side, log_q) for log_q in log_qs]
-                sign = np.where(np.arange(len(log_qs)) == np.argmax(scores), -1.0, 1.0)
-            elif shift == "alternating":
-                sign = np.resize([1.0, -1.0], len(log_qs))
-            else:
-                sign = 1.0 if shift == "up" else -1.0
-            return estimate + 0.99 * sign * margin, margin
-
         seqs = [random_video(seed) for seed in range(24)]
         seqs += [identical_windows(False), identical_windows(True), near_static(0), near_static(2)]
         params = [
@@ -492,8 +527,19 @@ class TestBoundedTargetSearch:
             for delta_min, delta_max in ((1, 10), (2, 3), (3, 18))
         ]
         expected = [[brute_force_pairs(seq, p) for p in params] for seq in seqs]
-        monkeypatch.setattr(curation, "_kl_bounds", moved_bounds)
+        monkeypatch.setattr(curation, "_kl_bounds", moved_bounds(shift))
         assert [[curate_video(seq, p) for p in params] for seq in seqs] == expected
+
+    @pytest.mark.parametrize("shift", [None, "against the winner"])
+    def test_select_target_at_every_anchor_of_near_ties(self, shift, monkeypatch):
+        # Targets a few ulps apart, or bit-equal, through select_target: the
+        # margin alone keeps the winner from being pruned.
+        seqs = [near_static(0), near_static(1), identical_windows(False), identical_windows(True)]
+        params = CurationParams(delta_min=2, delta_max=18, min_frames=2)
+        expected = [[select_target_reference(seq, a, params) for a in range(len(seq))] for seq in seqs]
+        if shift:
+            monkeypatch.setattr(curation, "_kl_bounds", moved_bounds(shift))
+        assert [[select_target(seq, a, params) for a in range(len(seq))] for seq in seqs] == expected
 
     def test_the_bound_prunes_a_drifting_video(self, monkeypatch):
         # Most targets of a drifting, jumping blob are ruled out by their

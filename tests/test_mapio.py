@@ -430,6 +430,19 @@ class TestSuffixRule:
         with pytest.raises(ValueError, match=r"m\.png: unrecognized map suffix"):
             load_grid(path)
 
+    @pytest.mark.parametrize("name", ["m.png", "m", "m.csv.gz", ".pgm"])
+    def test_every_map_call_refuses_a_suffix_alike(self, tmp_path, name):
+        # Loading and saving share one format table, and so one refusal,
+        # raised before the file is opened or written.
+        path = tmp_path / name
+        expected = f"{path}: unrecognized map suffix (expected one of ('.pgm', '.csv'))"
+        uniform = GazeMap(np.full((2, 2), 0.25))
+        for call in (load_map, load_grid, lambda p: save_map(p, uniform)):
+            with pytest.raises(ValueError) as info:
+                call(path)
+            assert str(info.value) == expected
+        assert not path.exists()
+
 
 class TestManifestIO:
     def test_round_trip(self, tmp_path):

@@ -15,6 +15,7 @@ from gazekit import (
     GazeMap,
     METRICS_HEADER,
     NoFixations,
+    ShapeMismatch,
     ZeroVariance,
     auc_borji,
     auc_judd,
@@ -605,3 +606,22 @@ class TestScoreMaps:
         got = score_maps(pred, gt, fix, n_splits=n_splits, seed=seed)
         want = score_maps_oracle(pred, gt, fix, n_splits, seed)
         assert_same_cells(got, want)
+
+
+class TestFixationInputChecks:
+    """NSS and both AUCs share one check of their inputs: the shapes first,
+    then at least one fixated cell, each metric naming itself."""
+
+    METRICS = [("NSS", nss), ("AUC", auc_judd), ("AUC", auc_borji)]
+
+    @pytest.mark.parametrize("name, metric", METRICS)
+    def test_no_fixations(self, name, metric):
+        with pytest.raises(NoFixations) as info:
+            metric(np.arange(9.0).reshape(3, 3), np.zeros((3, 3)))
+        assert str(info.value) == f"{name} needs at least one fixated cell"
+
+    @pytest.mark.parametrize("name, metric", METRICS)
+    def test_shape_mismatch_comes_first(self, name, metric):
+        with pytest.raises(ShapeMismatch) as info:
+            metric(np.arange(9.0).reshape(3, 3), FixationMap(np.zeros((3, 4), dtype=bool)))
+        assert str(info.value) == "grid shapes differ: (3, 3) vs (3, 4)"
