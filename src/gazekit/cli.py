@@ -11,9 +11,9 @@ Subcommands:
 * ``review``       step through a manifest recording accept/reject/edit
 
 Exit status is 0 on success, 1 when an internal check fails
-(grad-check), and 2 on input errors. All output files are deterministic
-for fixed inputs, flags, and seeds: CSV with LF line endings, SVG with
-fixed formatting, no timestamps.
+(grad-check), 2 on input errors, 130 for an interrupted review. All
+output files are deterministic for fixed inputs, flags, and seeds: CSV
+with LF line endings, SVG with fixed formatting, no timestamps.
 """
 
 from __future__ import annotations
@@ -35,6 +35,7 @@ from .manifests import (
     MANIFEST_HEADER,
     MEAN_ROW_ID,
     _write_csv,
+    _write_file,
     read_manifest_rows,
     read_metrics_table,
     write_manifest,
@@ -56,17 +57,17 @@ CAPTION_SCORE_HEADER = ("id", "bleu", "rouge_l", "cider", "error")
 
 
 def _write(stream, text: str, end: str = "\n") -> None:
-    # Every write to stdout or stderr, flushed at once. A reader that is gone
-    # drops the rest of that stream and nothing else: its file descriptor is
-    # pointed at the null device, so neither a later write nor the
-    # interpreter's flush at exit fails, and the command ends with its own
-    # files, other stream and status.
+    # Every write to stdout or stderr, flushed at once. A stream that fails is
+    # pointed at the null device, so no later write or flush at exit fails;
+    # only a stdout error other than a gone reader stops the command (exit 2).
     try:
         print(text, end=end, file=stream, flush=True)
-    except BrokenPipeError:
+    except OSError as exc:
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, stream.fileno())
         os.close(devnull)
+        if stream is sys.stdout and not isinstance(exc, BrokenPipeError):
+            raise
 
 
 def _diag(message: str) -> None:
@@ -212,7 +213,7 @@ def cmd_caption_eval(args) -> int:
 
     out_rows = [[str(row.index + 1), *cells(row.score, ""), row.error or ""] for row in report.rows]
     out_rows.append([MEAN_ROW_ID, *cells(report.means, "NA"), ""])
-    _write_csv(args.out, CAPTION_SCORE_HEADER, out_rows)
+    _write_csv(args.out, [CAPTION_SCORE_HEADER, *out_rows])
     _diag("note: the cider column is the plain tf-idf consensus score")
     return 0
 
@@ -237,10 +238,8 @@ def cmd_fit_demo(args) -> int:
     else:
         gt = normalize_to_simplex(np.ones((n, n)))
     trajectory = fit_gaze_demo(gt, args.steps, args.lr, use_hinge=args.hinge)
-    rows = [
-        [str(step.step), f"{step.loss:.17g}", f"{step.entropy:.17g}"] for step in trajectory
-    ]
-    _write_csv(args.out, ("step", "loss", "entropy"), rows)
+    rows = [[str(step.step), f"{step.loss:.17g}", f"{step.entropy:.17g}"] for step in trajectory]
+    _write_csv(args.out, [("step", "loss", "entropy"), *rows])
     _out(f"final loss {trajectory[-1].loss:.9g} after {args.steps} steps")
     return 0
 
@@ -265,7 +264,7 @@ def cmd_report(args) -> int:
             cells[column] = value
         means.append(cells)
     svg, degenerate = render_radar(args.labels, means)
-    Path(args.out).write_text(svg, encoding="utf-8", newline="")
+    _write_file(args.out, svg.encode("utf-8"))
     for axis in degenerate:
         _diag(f"axis {axis}: all models score the same, drawn at half radius")
     return 0
@@ -346,35 +345,39 @@ def cmd_review(args) -> int:
         queue = prior.get(key)
         decisions.append(queue.pop(0) if queue else None)
 
-    stream = sys.stdin
     pending = [i for i, d in enumerate(decisions) if d is None]
-    for index in pending:
-        row = rows[index]
-        _out(
-            f"row {index + 1}/{len(rows)}: video {row['video_id']} "
-            f"anchor {row['anchor']} target {row['target']} delta {row['delta']} "
-            f"pair_kl {row['pair_kl']}"
-        )
-        # A caption that is empty after stripping whitespace is no caption yet.
-        caption = row.get("caption", "")
-        parse_error = None
-        if caption.strip():
-            try:
-                parse_caption(caption)
-            except CaptionError as exc:
-                parse_error = f"{type(exc).__name__}: {exc}"
-        _out(f"caption: {caption if caption.strip() else '(empty)'}")
-        if parse_error:
-            _out(f"caption does not parse ({parse_error}); it must be edited or rejected")
+    try:
+        for index in pending:
+            row = rows[index]
+            _out(
+                f"row {index + 1}/{len(rows)}: video {row['video_id']} "
+                f"anchor {row['anchor']} target {row['target']} delta {row['delta']} "
+                f"pair_kl {row['pair_kl']}"
+            )
+            # A caption that is empty after stripping whitespace is no caption yet.
+            caption = row.get("caption", "")
+            parse_error = None
+            if caption.strip():
+                try:
+                    parse_caption(caption)
+                except CaptionError as exc:
+                    parse_error = f"{type(exc).__name__}: {exc}"
+            _out(f"caption: {caption if caption.strip() else '(empty)'}")
+            if parse_error:
+                _out(f"caption does not parse ({parse_error}); it must be edited or rejected")
 
-        decision = _ask_decision(stream, can_accept=parse_error is None)
-        if decision is None:
+            decision = _ask_decision(sys.stdin, can_accept=parse_error is None)
+            if decision is None:
+                _write_review(out_path, rows, decisions)
+                _out()
+                _out(f"input ended; {sum(d is not None for d in decisions)} of {len(rows)} rows decided")
+                return 0
+            decisions[index] = decision
             _write_review(out_path, rows, decisions)
-            _out()
-            _out(f"input ended; {sum(d is not None for d in decisions)} of {len(rows)} rows decided")
-            return 0
-        decisions[index] = decision
+    except KeyboardInterrupt:  # Ctrl-C: every decision made so far is saved
         _write_review(out_path, rows, decisions)
+        _diag(f"interrupted; {sum(d is not None for d in decisions)} of {len(rows)} rows decided")
+        return 130
 
     _write_review(out_path, rows, decisions)
     _out(f"{len(rows)} rows decided")
@@ -466,14 +469,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     # The one boundary for input and I/O errors: exit 2 with a one-line
     # reason. A check that fails inside grad-check returns 1 on its own.
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except (GazeKitError, ValueError, OSError) as exc:
         _diag(" ".join(str(exc).splitlines()) or type(exc).__name__)
         return 2
+    finally:  # flush stderr now: a usage message it refused must not fail the exit (status 120)
+        _write(sys.stderr, "", end="")
 
 
 if __name__ == "__main__":

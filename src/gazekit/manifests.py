@@ -1,4 +1,5 @@
-"""CSV schemas: the curation manifest and the per-frame metrics table.
+"""CSV schemas (the curation manifest and the per-frame metrics table),
+and ``_write_file``, the one writer of every file gazekit outputs.
 
 Both files are RFC-style CSV with a header row, LF line endings, no
 trailing delimiter, and fields quoted only when needed. Divergence and
@@ -8,9 +9,12 @@ deterministic: the same data always produces the same bytes.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import io
 import math
+import os
+import stat
 from pathlib import Path
 
 __all__ = [
@@ -46,19 +50,42 @@ def _fmt(value: float) -> str:
     return f"{value:.9g}"
 
 
-def _write_csv(path, header, rows) -> None:
-    # The one CSV writer: a header row and data rows, LF line endings, UTF-8.
+def _write_file(path, data: bytes) -> None:
+    # A failed or interrupted write leaves the previous file, or none: the
+    # data goes to a temporary file beside the target (a symlink's target,
+    # so the link survives), which replaces it keeping its permission bits.
+    # An existing non-regular target (/dev/stdout, a FIFO) is written in place.
+    mode = os.stat(path).st_mode if os.path.exists(path) else None
+    if mode is not None and not stat.S_ISREG(mode):
+        with open(path, "wb") as f:
+            f.write(data)
+        return
+    path = os.path.realpath(path) if os.path.islink(path) else path
+    temporary = f"{path}.{os.getpid()}.tmp"
+    fd = os.open(temporary, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    try:
+        with open(fd, "wb") as f:
+            if mode is not None:
+                os.fchmod(fd, mode & 0o777)
+            f.write(data)
+        os.replace(temporary, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.unlink(temporary)
+        raise
+
+
+def _write_csv(path, rows) -> None:
+    # The one CSV writer: rows (a header is the first, if any), LF, UTF-8.
     buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    Path(path).write_text(buf.getvalue(), encoding="utf-8", newline="")
+    csv.writer(buf, lineterminator="\n").writerows(rows)
+    _write_file(path, buf.getvalue().encode("utf-8"))
 
 
 def write_manifest_rows(path, rows, extra_columns=()) -> None:
     """Write manifest row dicts, optionally with appended extra columns."""
     header = MANIFEST_HEADER + tuple(extra_columns)
-    _write_csv(path, header, [[row.get(col, "") for col in header] for row in rows])
+    _write_csv(path, [header] + [[row.get(col, "") for col in header] for row in rows])
 
 
 def _read_csv(path, kind: str) -> tuple[list[str], list[list[str]]]:
@@ -100,7 +127,7 @@ def write_manifest(path, pairs, frame_paths) -> None:
     paths, which fill the anchor and target path columns. Captions start
     empty; review adds them later.
     """
-    rows = []
+    rows = [MANIFEST_HEADER]
     for pair in pairs:
         paths = frame_paths[pair.video_id]
         rows.append(
@@ -116,7 +143,7 @@ def write_manifest(path, pairs, frame_paths) -> None:
                 "",
             ]
         )
-    _write_csv(path, MANIFEST_HEADER, rows)
+    _write_csv(path, rows)
 
 
 def write_metrics_table(path, rows) -> None:
@@ -126,7 +153,7 @@ def write_metrics_table(path, rows) -> None:
     to floats or error labels. The final row, id "mean", averages the
     finite values per column; a column with none gets "NA".
     """
-    out = []
+    out = [METRICS_HEADER]
     sums = {name: 0.0 for name in METRICS_HEADER[1:]}
     counts = {name: 0 for name in METRICS_HEADER[1:]}
     for row_id, cells in rows:
@@ -144,7 +171,7 @@ def write_metrics_table(path, rows) -> None:
     for name in METRICS_HEADER[1:]:
         mean_line.append(_fmt(sums[name] / counts[name]) if counts[name] else "NA")
     out.append(mean_line)
-    _write_csv(path, METRICS_HEADER, out)
+    _write_csv(path, out)
 
 
 def read_metrics_table(path) -> tuple[list[dict], dict]:

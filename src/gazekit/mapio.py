@@ -37,6 +37,7 @@ from pathlib import Path
 import numpy as np
 
 from .grids import FixationMap, GazeMap, normalize_to_simplex
+from .manifests import _write_csv, _write_file
 
 __all__ = [
     "is_map_file",
@@ -110,13 +111,13 @@ def _header_int(path, token: bytes) -> int:
         raise ValueError(f"{path}: bad header field {token!r}") from None
 
 
-def _write_pgm16(path: Path, values: np.ndarray) -> None:
+def _write_pgm16(path, values: np.ndarray) -> None:
     peak = float(values.max())
     if peak <= 0.0:
         raise ValueError("cannot encode a grid with no positive cells")
     samples = np.round(values / peak * _PGM_MAXVAL).astype(">u2")
     header = f"P5\n{values.shape[1]} {values.shape[0]}\n{_PGM_MAXVAL}\n".encode("ascii")
-    path.write_bytes(header + samples.tobytes())
+    _write_file(path, header + samples.tobytes())
 
 
 def _read_csv_grid(path) -> np.ndarray:
@@ -136,9 +137,8 @@ def _read_csv_grid(path) -> np.ndarray:
         raise ValueError(f"{path}: {exc}") from None
 
 
-def _write_csv_grid(path: Path, values: np.ndarray) -> None:
-    lines = [",".join(f"{cell:.17g}" for cell in row) for row in values]
-    path.write_text("\n".join(lines) + "\n", encoding="ascii")
+def _write_csv_grid(path, values: np.ndarray) -> None:
+    _write_csv(path, ([f"{cell:.17g}" for cell in row.tolist()] for row in values))  # no header
 
 
 # Each map format's reader and writer, by suffix. A reader returns the cells
@@ -165,8 +165,7 @@ def load_map(path) -> GazeMap:
 
 def save_map(path, gaze: GazeMap) -> None:
     """Write a gaze map in the format named by the file suffix."""
-    p = Path(path)
-    _format(p)[1](p, gaze.values)
+    _format(path)[1](path, gaze.values)
 
 
 def load_fixations(path) -> FixationMap:
@@ -176,4 +175,4 @@ def load_fixations(path) -> FixationMap:
 
 def save_fixations(path, fix: FixationMap) -> None:
     """Write a fixation map as a CSV grid of zeros and ones."""
-    _write_csv_grid(Path(path), fix.fixated.astype(np.float64))
+    _write_csv_grid(path, fix.fixated.astype(np.float64))

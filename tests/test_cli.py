@@ -8,9 +8,13 @@ checked for byte determinism where the command promises it.
 from __future__ import annotations
 
 import csv
+import errno
 import io
 import os
 import re
+import resource
+import signal
+import stat
 import subprocess
 import sys
 from dataclasses import asdict, fields
@@ -165,15 +169,16 @@ class TestEvaluate:
         assert outs[0] == outs[1]
 
 
-def run_cli(*argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, entry=("-m", "gazekit.cli")):
+def run_cli(*argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, entry=("-m", "gazekit.cli"), **options):
     """The CLI in a fresh interpreter, with Python's default warning filters.
-    ``entry`` is what runs it: the module, or a ``-c`` program calling ``main``."""
+    ``entry`` is what runs it: the module, or a ``-c`` program calling ``main``.
+    ``options`` go to ``subprocess.run``, such as ``input`` or ``preexec_fn``."""
     src = str(Path(cli.__file__).parents[1])
     env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
     env.pop("PYTHONWARNINGS", None)
     return subprocess.run(
         [sys.executable, *entry, *map(str, argv)],
-        env=env, stdout=stdout, stderr=stderr, text=True,
+        env=env, stdout=stdout, stderr=stderr, text=True, **options,
     )
 
 
@@ -1224,6 +1229,9 @@ class TestClosedStderr:
     rest of it is dropped, and the files, stdout and exit code are those of
     a live reader, with no traceback and no error at interpreter exit."""
 
+    def run(self, *argv, entry=("-m", "gazekit.cli")):
+        return run_into_closed_pipe("stderr", *argv, entry=entry)
+
     def test_evaluate_writes_its_table(self, tmp_path, rng):
         # Without --fix-dir, evaluate writes a note to stderr first.
         maps = {f"f{i}": peaked_map(rng, 8, (2 + i, 3)) for i in range(2)}
@@ -1231,7 +1239,7 @@ class TestClosedStderr:
         write_map_dir(pred, maps)
         write_map_dir(gt, dict(zip(maps, reversed(maps.values()))))
         out = tmp_path / "metrics.csv"
-        done = run_into_closed_pipe("stderr", "evaluate", "--pred-dir", pred, "--gt-dir", gt, "--out", out)
+        done = self.run("evaluate", "--pred-dir", pred, "--gt-dir", gt, "--out", out)
         assert (done.returncode, done.stdout) == (0, "")
         expected = tmp_path / "expected.csv"
         assert main(["evaluate", "--pred-dir", str(pred), "--gt-dir", str(gt), "--out", str(expected)]) == 0
@@ -1241,17 +1249,23 @@ class TestClosedStderr:
         write_sequence_dir(tmp_path / "corpus", "good", two_segment_arrays())
         (tmp_path / "corpus" / "empty").mkdir()
         out = tmp_path / "pairs.csv"
-        done = run_into_closed_pipe("stderr", "curate", tmp_path / "corpus", "--out", out)
+        done = self.run("curate", tmp_path / "corpus", "--out", out)
         assert (done.returncode, done.stdout) == (2, "good: 1\n")
         assert len(read_manifest_rows(out)[1]) == 1
 
     def test_failing_grad_check_exits_1(self):
-        done = run_into_closed_pipe("stderr", "grad-check", "--trials", "5", entry=FAILING_GRAD_CHECK)
+        done = self.run("grad-check", "--trials", "5", entry=FAILING_GRAD_CHECK)
         assert done.returncode == 1
         assert [line.rsplit(" ", 1)[1] for line in done.stdout.splitlines()] == ["pass", "pass", "FAIL", "pass"]
 
+    def test_bad_input_exits_2(self, tmp_path):
+        missing = tmp_path / "missing"
+        done = self.run("evaluate", "--pred-dir", missing, "--gt-dir", missing, "--out", tmp_path / "m.csv")
+        assert (done.returncode, done.stdout) == (2, "")
+        assert os.listdir(tmp_path) == []
+
     def test_a_usage_error_exits_2(self):
-        done = run_into_closed_pipe("stderr", "grad-check", "--trials", "0")
+        done = self.run("grad-check", "--trials", "0")
         assert (done.returncode, done.stdout) == (2, "")
 
 
@@ -1286,3 +1300,252 @@ class TestClosedStdout:
             with pytest.raises(BrokenPipeError):
                 print("probe", flush=True)
             assert main(["grad-check", "--trials", "5"]) == 1
+
+
+def file_size_limit(limit):
+    """A ``preexec_fn`` that lowers the child's own RLIMIT_FSIZE to ``limit``
+    bytes, which fails its writes past that size as a full disk would (the
+    child's Python ignores SIGXFSZ, so a write gets EFBIG)."""
+    return lambda: resource.setrlimit(resource.RLIMIT_FSIZE, (limit, limit))
+
+
+#: Each command that writes a file, as argv with {in} for the inputs and
+#: {out} for its output, and the standard input it reads.
+WRITING_COMMANDS = {
+    "evaluate": ("evaluate --pred-dir {in}/pred --gt-dir {in}/gt --fix-dir {in}/fix --out {out}", ""),
+    "curate": ("curate {in}/corpus --out {out}", ""),
+    "caption-eval": ("caption-eval --candidates {in}/cand.txt --references {in}/ref.txt --out {out}", ""),
+    "fit-demo": ("fit-demo --grid 4 --steps 20 --out {out}", ""),
+    "report": ("report --tables {in}/table.csv {in}/table.csv --labels a b --out {out}", ""),
+    # One decision per session: the second session resumes at row 2.
+    "review": ("review {in}/review/pairs.csv --out {out}", "a\n"),
+}
+
+#: save_map in a fresh interpreter: exit 2 on EFBIG, 3 on another OSError.
+SAVE_MAP = ("-c", """
+import errno, sys
+import numpy as np
+from gazekit import GazeMap, save_map
+try:
+    save_map(sys.argv[1], GazeMap(np.full((16, 16), 1 / 256)))
+except OSError as exc:
+    sys.exit(2 if exc.errno == errno.EFBIG else 3)
+""")
+
+
+class TestFailedWrites:
+    """A write that fails partway, here at a lowered file-size limit, leaves
+    the previous output file byte for byte, or no file where none was, and
+    no temporary file beside it; the command exits 2 with one line."""
+
+    @pytest.fixture
+    def inputs(self, tmp_path):
+        root = tmp_path / "in"
+        _contract_inputs(root)
+        curated_manifest(root / "review")
+        return root
+
+    def argv(self, command, inputs, out):
+        template, _ = WRITING_COMMANDS[command]
+        return template.format(**{"in": inputs, "out": out}).split()
+
+    @pytest.mark.parametrize("previous", [True, False], ids=["over-a-file", "new-file"])
+    @pytest.mark.parametrize("command", sorted(WRITING_COMMANDS))
+    def test_command_keeps_the_previous_file(self, command, previous, inputs, tmp_path, monkeypatch, capsys):
+        out_dir = tmp_path / "out"
+        out_dir.mkdir()
+        out = out_dir / ("result.svg" if command == "report" else "result.csv")
+        stdin = WRITING_COMMANDS[command][1]
+        # The first run writes the file a second run replaces: no temporary
+        # is left after a write that succeeds.
+        monkeypatch.setattr("sys.stdin", io.StringIO(stdin))
+        assert main(self.argv(command, inputs, out)) == 0
+        capsys.readouterr()
+        assert os.listdir(out_dir) == [out.name]
+        before = out.read_bytes()
+        if not previous:
+            out.unlink()
+        done = run_cli(*self.argv(command, inputs, out), input=stdin, preexec_fn=file_size_limit(len(before) // 2))
+        assert done.returncode == 2
+        assert done.stderr == f"[Errno {errno.EFBIG}] File too large\n"
+        if command != "review":  # review prints its prompts before it writes
+            assert done.stdout == ""
+        if previous:
+            assert os.listdir(out_dir) == [out.name]
+            assert out.read_bytes() == before
+        else:
+            assert os.listdir(out_dir) == []
+
+    @pytest.mark.parametrize("previous", [True, False], ids=["over-a-file", "new-file"])
+    @pytest.mark.parametrize("suffix", [".pgm", ".csv"])
+    def test_save_map_keeps_the_previous_file(self, suffix, previous, tmp_path):
+        out = tmp_path / f"map{suffix}"
+        if previous:
+            save_map(out, normalize_to_simplex(np.arange(1.0, 17.0).reshape(4, 4)))
+        before = os.listdir(tmp_path), out.read_bytes() if previous else None
+        done = run_cli(out, entry=SAVE_MAP, preexec_fn=file_size_limit(64))
+        assert (done.returncode, done.stderr) == (2, "")
+        assert (os.listdir(tmp_path), out.read_bytes() if previous else None) == before
+
+    def test_review_resumes_from_a_file_a_failed_write_kept(self, inputs, tmp_path, monkeypatch, capsys):
+        out = tmp_path / "reviewed.csv"
+        manifest = inputs / "review" / "pairs.csv"
+        monkeypatch.setattr("sys.stdin", io.StringIO("r\n"))
+        assert main(["review", str(manifest), "--out", str(out)]) == 0
+        # A limit inside the saved row: a write in place would tear it.
+        limit = out.stat().st_size - 4
+        done = run_cli("review", manifest, "--out", out, input="a\n", preexec_fn=file_size_limit(limit))
+        assert done.returncode == 2
+        monkeypatch.setattr("sys.stdin", io.StringIO("a\n"))
+        assert main(["review", str(manifest), "--out", str(out)]) == 0
+        assert "row 2/2" in capsys.readouterr().out
+        assert [row["decision"] for row in read_manifest_rows(out)[1]] == ["reject", "accept"]
+
+
+class TestOutputTargets:
+    """What the one writer does with the target it replaces."""
+
+    def fit_demo(self, out):
+        return main(["fit-demo", "--grid", "3", "--steps", "5", "--out", str(out)])
+
+    def test_dev_stdout_is_written_in_place(self, tmp_path):
+        done = run_cli("fit-demo", "--grid", "3", "--steps", "5", "--out", "/dev/stdout")
+        assert done.returncode == 0
+        expected = tmp_path / "fit.csv"
+        assert self.fit_demo(expected) == 0
+        trajectory, _, summary = done.stdout.rpartition("final loss ")
+        assert trajectory == expected.read_text()
+        assert summary.endswith(" after 5 steps\n")
+
+    def test_fifo_is_written_in_place(self, tmp_path, capsys):
+        fifo = tmp_path / "fit.fifo"
+        os.mkfifo(fifo)
+        reader = subprocess.Popen(["cat", str(fifo)], stdout=subprocess.PIPE)
+        try:
+            assert self.fit_demo(fifo) == 0
+            written = reader.communicate(timeout=30)[0]
+        finally:
+            reader.kill()
+            reader.wait()
+        assert stat.S_ISFIFO(os.lstat(fifo).st_mode)
+        expected = tmp_path / "fit.csv"
+        assert self.fit_demo(expected) == 0
+        assert written == expected.read_bytes()
+
+    @pytest.mark.parametrize("dangling", [False, True])
+    def test_a_symlink_survives(self, tmp_path, capsys, dangling):
+        real, link = tmp_path / "real.csv", tmp_path / "link.csv"
+        link.symlink_to(real.name)
+        if not dangling:
+            real.write_text("previous\n")
+        assert self.fit_demo(link) == 0
+        assert os.readlink(link) == real.name
+        expected = tmp_path / "expected.csv"
+        assert self.fit_demo(expected) == 0
+        assert real.read_bytes() == expected.read_bytes()
+        assert sorted(os.listdir(tmp_path)) == ["expected.csv", "link.csv", "real.csv"]
+
+    def test_an_existing_file_keeps_its_permission_bits(self, tmp_path, capsys):
+        out = tmp_path / "fit.csv"
+        out.write_text("previous\n")
+        out.chmod(0o640)
+        assert self.fit_demo(out) == 0
+        assert stat.S_IMODE(out.stat().st_mode) == 0o640
+        assert out.read_text().startswith("step,loss,entropy\n")
+
+    @pytest.mark.parametrize("umask", [0o022, 0o077])
+    def test_a_new_file_gets_the_umask(self, tmp_path, capsys, umask):
+        out = tmp_path / "fit.csv"
+        old = os.umask(umask)
+        try:
+            assert self.fit_demo(out) == 0
+        finally:
+            os.umask(old)
+        assert stat.S_IMODE(out.stat().st_mode) == 0o666 & ~umask
+
+
+needs_dev_full = pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+
+
+@pytest.fixture(params=["buffered", "unbuffered"])
+def buffering(request, monkeypatch):
+    """Children with Python's streams buffered, its default, or unbuffered. A
+    buffered stream keeps the bytes of a failed flush, so the flush at exit
+    must not fail on them again (status 120)."""
+    if request.param == "buffered":
+        monkeypatch.delenv("PYTHONUNBUFFERED", raising=False)
+    else:
+        monkeypatch.setenv("PYTHONUNBUFFERED", "1")
+
+
+@needs_dev_full
+@pytest.mark.usefixtures("buffering")
+class TestFullStderr(TestClosedStderr):
+    """A stderr on which every write fails (ENOSPC) is handled as a closed
+    one: the files, stdout and exit code are those of a live stderr."""
+
+    def run(self, *argv, entry=("-m", "gazekit.cli")):
+        with open("/dev/full", "w") as full:
+            return run_cli(*argv, entry=entry, stderr=full)
+
+
+@needs_dev_full
+def test_a_full_stdout_exits_2(buffering):
+    # Unlike a gone reader, a stdout that fails otherwise is an I/O error.
+    with open("/dev/full", "w") as full:
+        done = run_cli("grad-check", "--trials", "2", stdout=full)
+    assert (done.returncode, done.stderr) == (2, f"[Errno {errno.ENOSPC}] No space left on device\n")
+
+
+def test_an_interrupted_write_of_a_review_is_made_again(tmp_path, monkeypatch, capsys):
+    # Ctrl-C during the write of a decision: the failed write kept the old
+    # file, and the session ends by writing the decision again.
+    manifest = curated_manifest(tmp_path)
+    out = tmp_path / "reviewed.csv"
+    write, calls = cli._write_review, []
+
+    def interrupted(*args):
+        calls.append(args)
+        if len(calls) == 1:
+            raise KeyboardInterrupt
+        write(*args)
+
+    monkeypatch.setattr(cli, "_write_review", interrupted)
+    monkeypatch.setattr("sys.stdin", io.StringIO("a\na\n"))
+    assert main(["review", str(manifest), "--out", str(out)]) == 130
+    assert capsys.readouterr().err == "interrupted; 1 of 2 rows decided\n"
+    assert [row["decision"] for row in read_manifest_rows(out)[1]] == ["accept"]
+
+
+def test_interrupted_review_saves_its_decisions_and_exits_130(tmp_path, monkeypatch, capsys):
+    manifest = curated_manifest(tmp_path)
+    out = tmp_path / "reviewed.csv"
+    src = str(Path(cli.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    child = subprocess.Popen(
+        [sys.executable, "-m", "gazekit.cli", "review", str(manifest), "--out", str(out)],
+        env=env, stdin=subprocess.PIPE, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+    )
+    try:
+        child.stdin.write("a\n")
+        child.stdin.flush()
+        # The second row's prompt comes after the first decision is saved.
+        shown = ""
+        while shown.count("? ") < 2:
+            char = child.stdout.read(1)
+            assert char, shown
+            shown += char
+        child.send_signal(signal.SIGINT)
+        rest, err = child.communicate(timeout=60)
+    finally:
+        child.kill()
+        child.wait()
+    assert child.returncode == 130
+    assert err == "interrupted; 1 of 2 rows decided\n"
+    assert "row 2/2" in shown and rest == ""
+    # A second session reads the resume file back whole and asks only row 2.
+    monkeypatch.setattr("sys.stdin", io.StringIO("r\n"))
+    assert main(["review", str(manifest), "--out", str(out)]) == 0
+    assert "row 1/2" not in capsys.readouterr().out
+    assert [row["decision"] for row in read_manifest_rows(out)[1]] == ["accept", "reject"]
+    assert not [name for name in os.listdir(tmp_path) if name.endswith(".tmp")]

@@ -113,3 +113,53 @@ def test_no_module_imports_a_name_it_does_not_use():
     modules = [path for path in paths if path.name != "__init__.py"]
     assert len(modules) == 13
     assert [name for path in modules for name in unused_imports(path)] == []
+
+
+def file_writes(path: Path) -> list[str]:
+    # "function:line" of each call that writes a file: Path.write_text or
+    # write_bytes, open() in a writing mode, or an os.open that can create or
+    # truncate one. A mode that is not a literal counts as writing.
+    found = []
+
+    def writes(call: ast.Call) -> bool:
+        func = call.func
+        name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+        if name in ("write_text", "write_bytes"):
+            return True
+        if name != "open":
+            return False
+        if isinstance(func, ast.Attribute) and getattr(func.value, "id", None) == "os":
+            flags = {n.attr for n in ast.walk(call.args[1]) if isinstance(n, ast.Attribute)}
+            return bool(flags & {"O_CREAT", "O_TRUNC"})
+        mode = call.args[1] if len(call.args) > 1 else next((k.value for k in call.keywords if k.arg == "mode"), None)
+        if mode is None:
+            return False
+        return not isinstance(mode, ast.Constant) or any(c in mode.value for c in "wax+")
+
+    def visit(node, function):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+                continue
+            if isinstance(child, ast.Call) and writes(child):
+                found.append(f"{function}:{child.lineno}")
+            visit(child, function)
+
+    visit(ast.parse(path.read_text(encoding="utf-8")), None)
+    return found
+
+
+def test_every_file_is_written_by_the_one_writer():
+    # A write elsewhere would bypass its write-then-replace policy.
+    package = Path(gazekit.__file__).parent
+    writes = {path.name: file_writes(path) for path in sorted(package.glob("*.py"))}
+    assert {name: calls for name, calls in writes.items() if calls} == {"manifests.py": writes["manifests.py"]}
+    assert {call.partition(":")[0] for call in writes["manifests.py"]} == {"_write_file"}
+    assert len(writes["manifests.py"]) == 3  # in place, the temporary's fd, its os.open
+    csv_writers = [
+        path.name
+        for path in package.glob("*.py")
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Attribute) and node.attr == "writer" and getattr(node.value, "id", None) == "csv"
+    ]
+    assert csv_writers == ["manifests.py"]
