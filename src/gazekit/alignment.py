@@ -26,6 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateNorm, ShapeMismatch
+from .grids import _exp_shifted, _softmax
 
 __all__ = [
     "DEFAULT_TEMPERATURE",
@@ -116,13 +117,14 @@ def info_nce(u_vis, u_txt, tau: float = DEFAULT_TEMPERATURE):
     texts, at temperature ``tau``. Always nonnegative, and exactly zero
     for a single-item batch. Two (batch, dim) matrices give a float; a
     (k, batch, dim) stack on either side gives (k,) losses, each bit for
-    bit that pair of batches' alone.
+    bit that pair of batches' alone. A ``tau`` so small that a score
+    overflows (below about 1e-308) is refused with ValueError.
     """
     vh, _, th, _ = _unit_pairs(u_vis, u_txt, tau)
     scores = (vh @ np.swapaxes(th, -1, -2)) / tau
     # Mean over rows of logsumexp(row) - diagonal, max-shifted for stability.
-    shift = scores.max(axis=-1, keepdims=True)
-    lse = np.log(np.exp(scores - shift).sum(axis=-1)) + shift[..., 0]
+    e, shift = _exp_shifted(scores, -1)
+    lse = np.log(e.sum(axis=-1)) + shift[..., 0]
     losses = (lse - np.diagonal(scores, axis1=-2, axis2=-1)).mean(axis=-1)
     return losses if losses.ndim else float(losses)
 
@@ -140,11 +142,7 @@ def grad_info_nce(
     vh, vn, th, tn = _unit_pairs(u_vis, u_txt, tau)
     b = vh.shape[-2]
     cos = vh @ np.swapaxes(th, -1, -2)
-    scores = cos / tau
-    shift = scores.max(axis=-1, keepdims=True)
-    expd = np.exp(scores - shift)
-    soft = expd / expd.sum(axis=-1, keepdims=True)
-    d = (soft - np.eye(b)) / (b * tau)
+    d = (_softmax(cos / tau, -1) - np.eye(b)) / (b * tau)
 
     grad_vh = d @ th
     grad_th = np.swapaxes(d, -1, -2) @ vh

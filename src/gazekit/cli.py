@@ -34,6 +34,7 @@ from .grids import GazeMap, normalize_to_simplex
 from .manifests import (
     MANIFEST_HEADER,
     MEAN_ROW_ID,
+    _read_text,
     _write_csv,
     _write_file,
     read_manifest_rows,
@@ -183,12 +184,9 @@ def cmd_curate(args) -> int:
 
 
 def _read_lines(path) -> list[str]:
-    # Lines end only at "\n", into which read_text turns "\r\n" and "\r";
+    # Lines end only at "\n", into which "\r\n" and "\r" are turned first;
     # str.splitlines would also end one at a form feed, U+0085 or U+2028.
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except UnicodeDecodeError as exc:
-        raise ValueError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
+    text = _read_text(path, "utf-8").replace("\r\n", "\n").replace("\r", "\n")
     return text.removesuffix("\n").split("\n") if text else []
 
 
@@ -399,8 +397,16 @@ def _int_at_least(minimum: int):
     return parse
 
 
+class _Parser(argparse.ArgumentParser):
+    # argparse prints help, usage and errors through this one method, and
+    # its subparsers share the class: each goes through ``_write``.
+    def _print_message(self, message, file=None):
+        if message:
+            _write(file or sys.stderr, message, end="")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="gazekit",
         description="Gaze-map metrics, objectives, curation and reporting toolkit.",
     )
@@ -477,8 +483,6 @@ def main(argv=None) -> int:
     except (GazeKitError, ValueError, OSError) as exc:
         _diag(" ".join(str(exc).splitlines()) or type(exc).__name__)
         return 2
-    finally:  # flush stderr now: a usage message it refused must not fail the exit (status 120)
-        _write(sys.stderr, "", end="")
 
 
 if __name__ == "__main__":

@@ -23,7 +23,9 @@ Conventions shared by the whole package:
 * the softmax and the blur run over the last two axes, so the gaze
   loss takes a (k, h, w) stack of grids through the same code as
   ``spatial_softmax`` and ``gaussian_blur``; each grid of a stack comes
-  out bit for bit as it would alone.
+  out bit for bit as it would alone,
+* one max-shifted exponential serves every softmax and log-sum-exp in
+  the package: the map softmax, the caption loss and InfoNCE.
 """
 
 from __future__ import annotations
@@ -171,7 +173,7 @@ def spatial_softmax(logits) -> GazeMap:
     The maximum logit is subtracted first, so the result is stable for
     large scores and exactly invariant to adding a constant.
     """
-    return _checked_gaze_map(_softmax_maps(grid_values(logits)))
+    return _checked_gaze_map(_softmax(grid_values(logits), (-2, -1)))
 
 
 def _grid_stack(grid) -> np.ndarray:
@@ -180,18 +182,24 @@ def _grid_stack(grid) -> np.ndarray:
     return v if v.ndim == 3 and v.size else grid_values(v)
 
 
-def _softmax_maps(z: np.ndarray) -> np.ndarray:
-    # spatial_softmax over the last two axes: one grid, or each grid of a
-    # stack, bit for bit as that grid alone. One min/max pass, as in
-    # ``_check_cells``: a NaN makes both extremes NaN, whichever grid holds it.
-    hi = z.max(axis=(-2, -1), keepdims=True)
+def _exp_shifted(z: np.ndarray, axis) -> tuple[np.ndarray, np.ndarray]:
+    # exp(z - hi) and hi, the max over ``axis`` kept as a dim, per group of a
+    # stack bit for bit as that group alone. One min/max pass, as in
+    # ``_check_cells``: a NaN makes both extremes NaN, whichever group holds
+    # it. ``z - hi`` is fresh, so the exp runs in it; ``z`` is never written.
+    hi = z.max(axis=axis, keepdims=True)
     if not (math.isfinite(z.min()) and math.isfinite(hi.max())):
         raise ValueError("logits must be finite")
-    # Cells lie in [0, 1] and each grid's largest is exp(0) = 1, so its sum is >= 1.
-    # ``z - hi`` is fresh, so the exp and the divide run in it; ``z`` is never written.
     e = z - hi
     np.exp(e, out=e)
-    e /= e.sum(axis=(-2, -1), keepdims=True)
+    return e, hi
+
+
+def _softmax(z: np.ndarray, axis) -> np.ndarray:
+    # Cells lie in [0, 1] and each group's largest is exp(0) = 1, so its sum
+    # is >= 1. The divide runs in the fresh exponential.
+    e, _ = _exp_shifted(z, axis)
+    e /= e.sum(axis=axis, keepdims=True)
     return e
 
 

@@ -88,13 +88,20 @@ def write_manifest_rows(path, rows, extra_columns=()) -> None:
     _write_csv(path, [header] + [[row.get(col, "") for col in header] for row in rows])
 
 
+def _read_text(path, encoding: str) -> str:
+    # Every text file is read here: the file's bytes decoded whole, with no
+    # newline translation. A byte the encoding refuses is named by its offset.
+    try:
+        return Path(path).read_bytes().decode(encoding)
+    except UnicodeDecodeError as exc:
+        raise ValueError(
+            f"{path}: not {exc.encoding.upper()} text ({exc.reason} at byte {exc.start})"
+        ) from None
+
+
 def _read_csv(path, kind: str) -> tuple[list[str], list[list[str]]]:
     # Header and data rows; every row must be as wide as the header.
-    try:
-        text = Path(path).read_bytes().decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise ValueError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
-    reader = csv.reader(io.StringIO(text, newline=""))
+    reader = csv.reader(io.StringIO(_read_text(path, "utf-8"), newline=""))
     try:
         header = next(reader, None)
         if header is None:

@@ -32,12 +32,11 @@ from __future__ import annotations
 
 import os
 import re
-from pathlib import Path
 
 import numpy as np
 
 from .grids import FixationMap, GazeMap, normalize_to_simplex
-from .manifests import _write_csv, _write_file
+from .manifests import _read_text, _write_csv, _write_file
 
 __all__ = [
     "is_map_file",
@@ -121,11 +120,7 @@ def _write_pgm16(path, values: np.ndarray) -> None:
 
 
 def _read_csv_grid(path) -> np.ndarray:
-    try:
-        text = Path(path).read_bytes().decode("ascii")
-    except UnicodeDecodeError as exc:
-        raise ValueError(f"{path}: not ASCII text ({exc.reason} at byte {exc.start})") from None
-    lines = [line for line in text.splitlines() if line.strip()]
+    lines = [line for line in _read_text(path, "ascii").splitlines() if line.strip()]
     if not lines:
         raise ValueError(f"{path}: no rows")
     commas = lines[0].count(",")

@@ -35,8 +35,9 @@ from .grids import (
     GazeMap,
     _blur_maps,
     _blur_matrix,
+    _exp_shifted,
     _grid_stack,
-    _softmax_maps,
+    _softmax,
     entropy,
     grid_values,
 )
@@ -156,7 +157,7 @@ def _gaze_forward(gt, z: np.ndarray, cfg: GazeLossConfig):
     # the raw KL, and a stack's softmax, so a stack returns None for its
     # prediction. One grid keeps its prediction for the gradient and spends a
     # copy.
-    pred = _softmax_maps(z)
+    pred = _softmax(z, (-2, -1))
     g = grid_values(gt)
     if g.shape != z.shape[-2:]:
         raise ShapeMismatch(f"grid shapes differ: {g.shape} vs {z.shape[-2:]}")
@@ -243,11 +244,10 @@ def loss_caption(step_logits, target: TokenSequence):
     stack gives (k,) losses, each bit for bit that array's alone.
     """
     rows = _step_logits(step_logits, target)
-    shifted = rows - rows.max(axis=-1, keepdims=True)
-    # The gather copies the picked logits out before the exp overwrites them.
-    picked = shifted[..., np.arange(rows.shape[-2]), list(target.tokens)]
-    lse = np.log(np.exp(shifted, out=shifted).sum(axis=-1))
-    losses = (lse - picked).sum(axis=-1)
+    e, hi = _exp_shifted(rows, -1)
+    # The picked elements of rows - hi, each the same subtraction.
+    picked = rows[..., np.arange(rows.shape[-2]), list(target.tokens)] - hi[..., 0]
+    losses = (np.log(e.sum(axis=-1)) - picked).sum(axis=-1)
     return losses if losses.ndim else float(losses)
 
 
@@ -257,8 +257,7 @@ def grad_loss_caption(step_logits, target: TokenSequence) -> np.ndarray:
     A stack of logit arrays gives the stack of their gradients.
     """
     rows = _step_logits(step_logits, target)
-    shifted = np.exp(rows - rows.max(axis=-1, keepdims=True))
-    grad = shifted / shifted.sum(axis=-1, keepdims=True)
+    grad = _softmax(rows, -1)
     grad[..., np.arange(rows.shape[-2]), list(target.tokens)] -= 1.0
     return grad
 

@@ -18,10 +18,11 @@ to ROC analysis", Alg. 1): each value set is sorted once, and one
 costs O((P + N) log(P + N)) for P fixated and N negative cells, not
 O(T * (P + N)) for T thresholds, and its rates are exactly those of
 the threshold-by-threshold definition ``(values >= t).mean()``: the
-counts are the same integers, divided by the same size. AUC-Borji builds
-the thresholds and the true-positive curve once and sorts only each
-split's sampled negatives. The predictions must hold no NaN, which has
-no place in a ">=" ranking.
+counts are the same integers, divided by the same size. One curve builds
+the thresholds and the true-positive curve once and sorts only each set
+of negatives: AUC-Judd is its one-set case, every non-fixated cell, and
+AUC-Borji passes one sampled set per split. The predictions must hold no
+NaN, which has no place in a ">=" ranking.
 
 Maps are scored exactly as given: nothing here blurs, recenters, or
 rescales its inputs first. NSS and the AUCs only use the ranking or
@@ -251,25 +252,20 @@ def _trapezoid(xs: np.ndarray, ys: np.ndarray) -> float:
     return float(((xs[1:] - xs[:-1]) * (ys[1:] + ys[:-1]) * 0.5).sum())
 
 
-def _thresholds(pos: np.ndarray) -> np.ndarray:
-    # The distinct positive values, swept descending.
-    return np.unique(pos)[::-1]
-
-
 def _rate_curve(values: np.ndarray, thresholds: np.ndarray) -> np.ndarray:
-    # Share of ``values`` >= each threshold, closed with 0 and 1 before
-    # integration. The count n - searchsorted(..., "left") is exact.
+    # Share of ``values`` (never empty) >= each threshold, closed with 0 and 1
+    # before integration. The count n - searchsorted(..., "left") is exact.
     n = values.size
-    if n:
-        rates = (n - np.searchsorted(np.sort(values), thresholds, side="left")) / n
-    else:
-        rates = np.zeros(thresholds.size)
+    rates = (n - np.searchsorted(np.sort(values), thresholds, side="left")) / n
     return np.concatenate(([0.0], rates, [1.0]))
 
 
-def _roc_points(pos: np.ndarray, neg: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    thresholds = _thresholds(pos)
-    return _rate_curve(neg, thresholds), _rate_curve(pos, thresholds)
+def _roc_area(pos: np.ndarray, negative_sets) -> list[float]:
+    # One ROC area per negative set, against one shared threshold sweep (the
+    # distinct positive values, descending) and one true-positive curve.
+    thresholds = np.unique(pos)[::-1]
+    tpr = _rate_curve(pos, thresholds)
+    return [_trapezoid(_rate_curve(neg, thresholds), tpr) for neg in negative_sets]
 
 
 def _fixated_values(pred, fix, metric: str) -> tuple[np.ndarray, np.ndarray]:
@@ -300,8 +296,7 @@ def auc_judd(pred, fix) -> float:
     invariant under strictly monotone transforms of the prediction.
     """
     pos, neg = _split_by_fixation(pred, fix)
-    fpr, tpr = _roc_points(pos, neg)
-    return _trapezoid(fpr, tpr)
+    return _roc_area(pos, [neg])[0]
 
 
 def auc_borji(pred, fix, n_splits: int = 100, seed: int = 0) -> float:
@@ -320,14 +315,9 @@ def auc_borji(pred, fix, n_splits: int = 100, seed: int = 0) -> float:
         raise InsufficientNegatives(
             f"need at least {pos.size} non-fixated cells, have {neg.size}"
         )
-    thresholds = _thresholds(pos)
-    tpr = _rate_curve(pos, thresholds)
     rng = np.random.default_rng(seed)
-    areas = []
-    for _ in range(n_splits):
-        sample = rng.choice(neg, size=pos.size, replace=False)
-        areas.append(_trapezoid(_rate_curve(sample, thresholds), tpr))
-    return float(np.mean(areas))
+    samples = (rng.choice(neg, size=pos.size, replace=False) for _ in range(n_splits))
+    return float(np.mean(_roc_area(pos, samples)))
 
 
 def score_maps(pred, gt, fix=None, n_splits: int = 100, seed: int = 0) -> dict[str, float | str]:

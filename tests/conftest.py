@@ -16,8 +16,10 @@ from gazekit import (
     grid_values,
     normalize_to_simplex,
 )
+from gazekit.alignment import _unit_pairs
 from gazekit.gradcheck import _FD_STEP
 from gazekit.grids import SIMPLEX_TOL, _fold_index, _gaussian_kernel_1d
+from gazekit.objectives import _step_logits
 
 settings.register_profile(
     "gazekit",
@@ -227,3 +229,36 @@ def align_path_loss_reference(features, weights, head, u_txt, tau: float) -> flo
         )
     pooled = np.einsum("bchw,bhw->bc", f, w)
     return info_nce_reference(pooled @ head.weight.T + head.bias, u_txt, tau)
+
+
+# The two gradients as they were before they shared the softmax core in
+# ``grids``, each with its own max shift and exponential. Kept verbatim,
+# over the input checks they still share with the losses, as exact oracles:
+# the gradients, of one point or of a stack, must hold the same bytes.
+
+
+def grad_loss_caption_reference(step_logits, target) -> np.ndarray:
+    rows = _step_logits(step_logits, target)
+    shifted = np.exp(rows - rows.max(axis=-1, keepdims=True))
+    grad = shifted / shifted.sum(axis=-1, keepdims=True)
+    grad[..., np.arange(rows.shape[-2]), list(target.tokens)] -= 1.0
+    return grad
+
+
+def grad_info_nce_reference(u_vis, u_txt, tau: float) -> tuple[np.ndarray, np.ndarray]:
+    vh, vn, th, tn = _unit_pairs(u_vis, u_txt, tau)
+    b = vh.shape[-2]
+    cos = vh @ np.swapaxes(th, -1, -2)
+    scores = cos / tau
+    shift = scores.max(axis=-1, keepdims=True)
+    expd = np.exp(scores - shift)
+    soft = expd / expd.sum(axis=-1, keepdims=True)
+    d = (soft - np.eye(b)) / (b * tau)
+
+    grad_vh = d @ th
+    grad_th = np.swapaxes(d, -1, -2) @ vh
+    radial_v = (d * cos).sum(axis=-1)
+    radial_t = (d * cos).sum(axis=-2)
+    grad_v = (grad_vh - radial_v[..., None] * vh) / vn[..., None]
+    grad_t = (grad_th - radial_t[..., None] * th) / tn[..., None]
+    return grad_v, grad_t

@@ -175,6 +175,15 @@ class TestInfoNCE:
         with pytest.raises(DegenerateNorm):
             info_nce(np.zeros((2, 3)), rng.normal(size=(2, 3)), 0.5)
 
+    @pytest.mark.parametrize("loss", [info_nce, grad_info_nce])
+    def test_a_score_that_overflows_is_refused(self, loss):
+        # cos / tau overflows below about tau = 1e-308; the shared softmax
+        # core refuses the inf score instead of returning NaN.
+        v = np.eye(2)
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            with pytest.raises(ValueError, match="^logits must be finite$"):
+                loss(v, v, 1e-320)
+
 
 class TestGradInfoNCE:
     def test_single_item_gradients_vanish(self, rng):

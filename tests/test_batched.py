@@ -24,6 +24,8 @@ from conftest import (
     align_path_loss_reference,
     blur_matrix_reference,
     central_difference_reference,
+    grad_info_nce_reference,
+    grad_loss_caption_reference,
     info_nce_reference,
     kl_div_reference,
     loss_caption_reference,
@@ -48,7 +50,7 @@ from gazekit import (
 )
 from gazekit import gradcheck
 from gazekit.curation import GazeSequence
-from gazekit.grids import _blur_maps, _blur_matrix, _softmax_maps
+from gazekit.grids import _blur_maps, _blur_matrix, _exp_shifted, _softmax
 from gazekit.objectives import _gaze_forward
 from gazekit.saliency import _kl_from_sides, _kl_gt_side, _kl_pred_side, _kl_spent
 
@@ -231,6 +233,33 @@ class TestStackedGradients:
         for i in range(3):
             assert np.array_equal(stacked[i], align_path_weight_grad(features, weights[i], head, texts, 0.3))
 
+    @given(
+        steps=st.integers(1, 9),
+        vocab=st.integers(1, 160),
+        k=st.integers(1, 4),
+        scale=st.floats(0.01, 300.0),
+        seed=SEEDS,
+    )
+    def test_caption_holds_its_reference_bytes(self, steps, vocab, k, scale, seed):
+        gen = np.random.default_rng(seed)
+        target = TokenSequence(tuple(gen.integers(0, vocab, size=steps)), vocab)
+        z = gen.normal(0.0, scale, size=(k, steps, vocab))
+        for rows in (z, *z):
+            assert snapshot(grad_loss_caption(rows, target)) == snapshot(grad_loss_caption_reference(rows, target))
+
+    @given(
+        b=st.integers(1, 6),
+        dim=st.integers(1, 150),
+        k=st.integers(1, 4),
+        tau=st.floats(0.01, 1.0),
+        seed=SEEDS,
+    )
+    def test_info_nce_holds_its_reference_bytes(self, b, dim, k, tau, seed):
+        gen = np.random.default_rng(seed)
+        v, t = gen.normal(size=(k, b, dim)), gen.normal(size=(k, b, dim))
+        for pair in ((v, t), (v, t[0]), (v[0], t), *zip(v, t)):
+            assert snapshot(*grad_info_nce(*pair, tau)) == snapshot(*grad_info_nce_reference(*pair, tau))
+
     def test_gaze_takes_one_grid(self, rng):
         gt = normalize_to_simplex(rng.uniform(0.05, 1.0, size=(4, 4)))
         with pytest.raises(ValueError, match="expected a non-empty 2-D grid"):
@@ -304,6 +333,17 @@ class TestTheStackKeepsEveryRefusal:
             lambda: align_path_loss(features, rng.uniform(size=(2, 4, 4)), head_8, texts),
         )
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("axis", [-1, (-2, -1)], ids=["rows", "grids"])
+    def test_the_softmax_core_refuses_a_non_finite_cell_anywhere(self, rng, bad, axis):
+        # Every softmax and log-sum-exp runs through this one check.
+        z = rng.normal(size=(3, 4, 5))
+        for cell in np.ndindex(z.shape):
+            spoiled = z.copy()
+            spoiled[cell] = bad
+            with pytest.raises(ValueError, match="^logits must be finite$"):
+                _exp_shifted(spoiled, axis)
+
     def test_stacks_of_different_lengths(self, rng):
         with pytest.raises(Exception, match="stacks differ in length: 3 vs 2"):
             info_nce(rng.normal(size=(3, 4, 5)), rng.normal(size=(2, 4, 5)))
@@ -337,7 +377,7 @@ class TestTheCoresLeaveTheirArgumentsAlone:
     def test_softmax(self, rng, lead):
         z = rng.normal(0.0, 3.0, size=(*lead, 6, 7))
         before = snapshot(z)
-        _softmax_maps(z)
+        _softmax(z, (-2, -1))
         assert snapshot(z) == before
 
     def test_blur(self, rng, lead):
@@ -383,7 +423,7 @@ class TestTheCoresLeaveTheirArgumentsAlone:
         gt = normalize_to_simplex(rng.uniform(0.05, 1.0, size=(6, 7)))
         z = rng.normal(0.0, 3.0, size=(6, 7))
         _, pred, _, _ = _gaze_forward(gt, z, GazeLossConfig(hinge_weight=hinge_weight))
-        assert snapshot(pred) == snapshot(_softmax_maps(z))
+        assert snapshot(pred) == snapshot(_softmax(z, (-2, -1)))
 
     def test_caption_loss(self, rng, lead):
         target = TokenSequence((2, 0, 4, 4), 6)
@@ -460,10 +500,10 @@ class TestAllocationBudget:
         return rng.normal(size=(288, 12, 12))
 
     def test_softmax(self, stack):
-        assert traced_peak(lambda: _softmax_maps(stack)) <= 1.3 * stack.nbytes
+        assert traced_peak(lambda: _softmax(stack, (-2, -1))) <= 1.3 * stack.nbytes
 
     def test_prediction_side(self, stack):
-        pred = _softmax_maps(stack)
+        pred = _softmax(stack, (-2, -1))
         assert traced_peak(lambda: _kl_pred_side(pred)) <= 1.3 * stack.nbytes
 
     def test_gaze_loss_without_its_hinge(self, rng, stack):

@@ -1224,6 +1224,7 @@ sys.exit(cli.main(sys.argv[1:]))
 """)
 
 
+@pytest.mark.usefixtures("buffering")
 class TestClosedStderr:
     """A stderr whose reader has gone is handled as a closed stdout is: the
     rest of it is dropped, and the files, stdout and exit code are those of
@@ -1268,7 +1269,13 @@ class TestClosedStderr:
         done = self.run("grad-check", "--trials", "0")
         assert (done.returncode, done.stdout) == (2, "")
 
+    def test_help_exits_0(self):
+        done = self.run("--help")
+        assert done.returncode == 0
+        assert done.stdout.startswith("usage: gazekit")
 
+
+@pytest.mark.usefixtures("buffering")
 class TestClosedStdout:
     """A reader that closes its end before the first write drops the rest of
     stdout, and nothing else: files, stderr and exit code are those of a
@@ -1292,6 +1299,12 @@ class TestClosedStdout:
         done = run_into_closed_pipe("stdout", "curate", tmp_path / "corpus", "--out", out)
         assert (done.returncode, done.stderr) == (2, "empty: no map files, skipped\n")
         assert len(read_manifest_rows(out)[1]) == 1
+
+    @pytest.mark.parametrize("argv", [["--help"], ["grad-check", "--help"]], ids=["gazekit", "grad-check"])
+    def test_help_exits_0(self, argv):
+        # argparse prints help through the same writer as every command.
+        done = run_into_closed_pipe("stdout", *argv)
+        assert (done.returncode, done.stderr) == (0, "")
 
     def test_failing_grad_check_still_exits_1(self, monkeypatch):
         wrong_infonce_gradient(monkeypatch)
@@ -1479,7 +1492,6 @@ def buffering(request, monkeypatch):
 
 
 @needs_dev_full
-@pytest.mark.usefixtures("buffering")
 class TestFullStderr(TestClosedStderr):
     """A stderr on which every write fails (ENOSPC) is handled as a closed
     one: the files, stdout and exit code are those of a live stderr."""
@@ -1494,6 +1506,15 @@ def test_a_full_stdout_exits_2(buffering):
     # Unlike a gone reader, a stdout that fails otherwise is an I/O error.
     with open("/dev/full", "w") as full:
         done = run_cli("grad-check", "--trials", "2", stdout=full)
+    assert (done.returncode, done.stderr) == (2, f"[Errno {errno.ENOSPC}] No space left on device\n")
+
+
+@needs_dev_full
+@pytest.mark.parametrize("argv", [["--help"], ["grad-check", "--help"]], ids=["gazekit", "grad-check"])
+def test_help_into_a_full_stdout_exits_2(buffering, argv):
+    # argparse prints help through the same writer as every command.
+    with open("/dev/full", "w") as full:
+        done = run_cli(*argv, stdout=full)
     assert (done.returncode, done.stderr) == (2, f"[Errno {errno.ENOSPC}] No space left on device\n")
 
 

@@ -34,7 +34,7 @@ from gazekit.saliency import (
     _kl_gt_side,
     _kl_pred_side,
     _kl_sides,
-    _roc_points,
+    _roc_area,
     _trapezoid,
 )
 
@@ -118,17 +118,17 @@ class TestSortedROCSweep:
     @given(
         seed=st.integers(0, 2**32 - 1),
         n_pos=st.integers(1, 40),
-        n_neg=st.integers(0, 60),
+        n_negs=st.lists(st.integers(1, 60), min_size=1, max_size=4),
     )
-    @example(seed=0, n_pos=1, n_neg=30)  # a single positive
-    @example(seed=1, n_pos=12, n_neg=0)  # no negatives
-    def test_roc_points_match_the_loop(self, kind, seed, n_pos, n_neg):
-        values = roc_values(kind, np.random.default_rng(seed), n_pos + n_neg)
-        pos, neg = values[:n_pos], values[n_pos:]
-        fpr, tpr = _roc_points(pos, neg)
-        fpr_ref, tpr_ref = roc_points_oracle(pos, neg)
-        assert np.array_equal(fpr, fpr_ref)
-        assert np.array_equal(tpr, tpr_ref)
+    @example(seed=0, n_pos=1, n_negs=[30])  # a single positive
+    @example(seed=1, n_pos=12, n_negs=[1, 60, 7])  # sets of several sizes
+    def test_roc_points_match_the_loop(self, kind, seed, n_pos, n_negs):
+        # The shared curve scores each negative set against one threshold
+        # sweep and one true-positive curve: every area is the loop's.
+        values = roc_values(kind, np.random.default_rng(seed), n_pos + sum(n_negs))
+        pos = values[:n_pos]
+        negs = np.split(values[n_pos:], np.cumsum(n_negs)[:-1])
+        assert _roc_area(pos, negs) == [_trapezoid(*roc_points_oracle(pos, neg)) for neg in negs]
 
     @pytest.mark.parametrize("kind", ROC_VALUE_KINDS)
     @given(
