@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateNorm, ShapeMismatch
-from .grids import _exp_shifted, _softmax
+from .grids import _exp_shifted, _frozen, _softmax
 
 __all__ = [
     "DEFAULT_TEMPERATURE",
@@ -52,16 +52,13 @@ class ProjectionHead:
     bias: np.ndarray
 
     def __post_init__(self):
-        w = np.array(np.asarray(self.weight, dtype=np.float64), order="C")
-        b = np.array(np.asarray(self.bias, dtype=np.float64), order="C")
+        w, b = _frozen(self.weight), _frozen(self.bias)
         if w.ndim != 2 or w.size == 0:
             raise ValueError("weight must be a non-empty (out_dim, in_dim) matrix")
         if b.shape != (w.shape[0],):
             raise ShapeMismatch(f"bias shape {b.shape} does not match {w.shape[0]} outputs")
         if not (np.all(np.isfinite(w)) and np.all(np.isfinite(b))):
             raise ValueError("projection parameters must be finite")
-        w.setflags(write=False)
-        b.setflags(write=False)
         object.__setattr__(self, "weight", w)
         object.__setattr__(self, "bias", b)
 
@@ -121,7 +118,9 @@ def info_nce(u_vis, u_txt, tau: float = DEFAULT_TEMPERATURE):
     overflows (below about 1e-308) is refused with ValueError.
     """
     vh, _, th, _ = _unit_pairs(u_vis, u_txt, tau)
-    scores = (vh @ np.swapaxes(th, -1, -2)) / tau
+    # A score past the float range is refused by the core, without a warning.
+    with np.errstate(over="ignore"):
+        scores = (vh @ np.swapaxes(th, -1, -2)) / tau
     # Mean over rows of logsumexp(row) - diagonal, max-shifted for stability.
     e, shift = _exp_shifted(scores, -1)
     lse = np.log(e.sum(axis=-1)) + shift[..., 0]
@@ -142,7 +141,9 @@ def grad_info_nce(
     vh, vn, th, tn = _unit_pairs(u_vis, u_txt, tau)
     b = vh.shape[-2]
     cos = vh @ np.swapaxes(th, -1, -2)
-    d = (_softmax(cos / tau, -1) - np.eye(b)) / (b * tau)
+    with np.errstate(over="ignore"):
+        scores = cos / tau
+    d = (_softmax(scores, -1) - np.eye(b)) / (b * tau)
 
     grad_vh = d @ th
     grad_th = np.swapaxes(d, -1, -2) @ vh

@@ -54,6 +54,9 @@ __all__ = ["main", "build_parser"]
 #: Column added to a manifest by the review pass.
 DECISION_COLUMN = "decision"
 
+#: What a bad input file or argument raises; the commands report it.
+_INPUT_ERRORS = (GazeKitError, ValueError, OSError)
+
 CAPTION_SCORE_HEADER = ("id", "bleu", "rouge_l", "cider", "error")
 
 
@@ -119,7 +122,7 @@ def cmd_evaluate(args) -> int:
         try:
             pred = load_map(pred_files[name])
             gt = load_map(gt_files[name])
-        except (GazeKitError, ValueError, OSError) as exc:
+        except _INPUT_ERRORS as exc:
             problems.append(f"{name}: {exc}")
             continue
         fix = None
@@ -127,7 +130,7 @@ def cmd_evaluate(args) -> int:
             # A map file name ends in its four-byte suffix.
             try:
                 fix = load_fixations(f"{fix_prefix}{name[:-4]}.csv")
-            except (GazeKitError, ValueError, OSError) as exc:
+            except _INPUT_ERRORS as exc:
                 problems.append(f"{name}: fixations: {exc}")
                 continue
         rows.append((name, score_maps(pred, gt, fix, n_splits=args.n_splits, seed=args.seed)))
@@ -168,7 +171,7 @@ def cmd_curate(args) -> int:
                 skipped.append(f"{video}: no map files, skipped")
                 continue
             selected = _curate_stream(video, len(files), map(load_map, files.values()), params)
-        except (GazeKitError, ValueError, OSError) as exc:
+        except _INPUT_ERRORS as exc:
             skipped.append(f"{video}: {exc}, skipped")
             continue
         frame_paths[video] = [f"{video}/{name}" for name in files]
@@ -307,14 +310,12 @@ def _ask_decision(stream, can_accept: bool) -> str | None:
 
 
 def _write_review(path, rows, decisions) -> None:
-    out_rows = []
-    for row, decision in zip(rows, decisions):
-        if decision is None:
-            continue
-        merged = {key: row.get(key, "") for key in MANIFEST_HEADER}
-        merged[DECISION_COLUMN] = decision
-        out_rows.append(merged)
+    out_rows = [{**row, DECISION_COLUMN: d} for row, d in zip(rows, decisions) if d is not None]
     write_manifest_rows(path, out_rows, extra_columns=(DECISION_COLUMN,))
+
+
+def _row_key(row) -> tuple:
+    return tuple(row.get(col, "") for col in MANIFEST_HEADER)
 
 
 def cmd_review(args) -> int:
@@ -334,13 +335,11 @@ def cmd_review(args) -> int:
         for row in done_rows:
             decision = row.get(DECISION_COLUMN, "")
             if decision:
-                key = tuple(row.get(col, "") for col in MANIFEST_HEADER)
-                prior.setdefault(key, []).append(decision)
+                prior.setdefault(_row_key(row), []).append(decision)
 
     decisions: list[str | None] = []
     for row in rows:
-        key = tuple(row.get(col, "") for col in MANIFEST_HEADER)
-        queue = prior.get(key)
+        queue = prior.get(_row_key(row))
         decisions.append(queue.pop(0) if queue else None)
 
     pending = [i for i, d in enumerate(decisions) if d is None]
@@ -480,7 +479,7 @@ def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
         return args.func(args)
-    except (GazeKitError, ValueError, OSError) as exc:
+    except _INPUT_ERRORS as exc:
         _diag(" ".join(str(exc).splitlines()) or type(exc).__name__)
         return 2
 

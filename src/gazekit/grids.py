@@ -36,13 +36,11 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import AllZeroGrid
+from .errors import AllZeroGrid, ShapeMismatch
 
 __all__ = [
     "GazeMap",
     "FixationMap",
-    "grid_values",
-    "fixation_mask",
     "normalize_to_simplex",
     "spatial_softmax",
     "gaussian_blur",
@@ -66,6 +64,19 @@ def _frozen(values, dtype=np.float64):
     return out
 
 
+def _grid(values, message: str, dtype=np.float64) -> np.ndarray:
+    # The one grid gate: a non-empty 2-D array (dtype None keeps its own).
+    v = np.asarray(values, dtype=dtype)
+    if v.ndim != 2 or v.size == 0:
+        raise ValueError(message)
+    return v
+
+
+def _check_shapes(a: tuple, b: tuple) -> None:
+    if a != b:
+        raise ShapeMismatch(f"grid shapes differ: {a} vs {b}")
+
+
 @dataclass(frozen=True, eq=False)
 class GazeMap:
     """Probability distribution over a rectangular cell grid."""
@@ -73,9 +84,7 @@ class GazeMap:
     values: np.ndarray
 
     def __post_init__(self):
-        v = np.asarray(self.values, dtype=np.float64)
-        if v.ndim != 2 or v.size == 0:
-            raise ValueError("gaze map needs a non-empty 2-D grid")
+        v = _grid(self.values, "gaze map needs a non-empty 2-D grid")
         _check_cells(v, "gaze map")
         # Finite cells can still sum past the float64 range; the mass check
         # below refuses the inf without numpy's overflow warning.
@@ -120,30 +129,22 @@ class FixationMap:
     fixated: np.ndarray
 
     def __post_init__(self):
-        f = np.asarray(self.fixated)
-        if f.ndim != 2 or f.size == 0:
-            raise ValueError("fixation map needs a non-empty 2-D grid")
+        f = _grid(self.fixated, "fixation map needs a non-empty 2-D grid", dtype=None)
         object.__setattr__(self, "fixated", _frozen(f != 0, dtype=bool))
 
 
-def grid_values(grid) -> np.ndarray:
-    """Return the float64 cell values of a map or bare 2-D array."""
+def _grid_values(grid) -> np.ndarray:
+    # The float64 cell values of a GazeMap or a bare 2-D array.
     if isinstance(grid, GazeMap):
         return grid.values
-    v = np.asarray(grid, dtype=np.float64)
-    if v.ndim != 2 or v.size == 0:
-        raise ValueError("expected a non-empty 2-D grid")
-    return v
+    return _grid(grid, "expected a non-empty 2-D grid")
 
 
-def fixation_mask(fix) -> np.ndarray:
-    """Return the boolean mask of a FixationMap or bare 2-D array."""
+def _fixation_mask(fix) -> np.ndarray:
+    # The boolean mask of a FixationMap or a bare 2-D array.
     if isinstance(fix, FixationMap):
         return fix.fixated
-    m = np.asarray(fix)
-    if m.ndim != 2 or m.size == 0:
-        raise ValueError("expected a non-empty 2-D fixation grid")
-    return m != 0
+    return _grid(fix, "expected a non-empty 2-D fixation grid", dtype=None) != 0
 
 
 def normalize_to_simplex(grid) -> GazeMap:
@@ -153,7 +154,7 @@ def normalize_to_simplex(grid) -> GazeMap:
     empty or blank input map, and ValueError when finite cells sum past
     the float64 range.
     """
-    v = grid_values(grid)
+    v = _grid_values(grid)
     if not (isinstance(grid, np.ndarray) and grid.dtype.kind == "u"):
         _check_cells(v, "grid")
     with np.errstate(over="ignore"):
@@ -173,13 +174,13 @@ def spatial_softmax(logits) -> GazeMap:
     The maximum logit is subtracted first, so the result is stable for
     large scores and exactly invariant to adding a constant.
     """
-    return _checked_gaze_map(_softmax(grid_values(logits), (-2, -1)))
+    return _checked_gaze_map(_softmax(_grid_values(logits), (-2, -1)))
 
 
 def _grid_stack(grid) -> np.ndarray:
-    # grid_values, or the values of a non-empty (k, h, w) stack of grids.
+    # _grid_values, or the values of a non-empty (k, h, w) stack of grids.
     v = grid.values if isinstance(grid, GazeMap) else np.asarray(grid, dtype=np.float64)
-    return v if v.ndim == 3 and v.size else grid_values(v)
+    return v if v.ndim == 3 and v.size else _grid_values(v)
 
 
 def _exp_shifted(z: np.ndarray, axis) -> tuple[np.ndarray, np.ndarray]:

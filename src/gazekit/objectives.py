@@ -30,16 +30,17 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import LengthMismatch, ShapeMismatch
+from .errors import LengthMismatch
 from .grids import (
     GazeMap,
     _blur_maps,
     _blur_matrix,
+    _check_shapes,
     _exp_shifted,
     _grid_stack,
+    _grid_values,
     _softmax,
     entropy,
-    grid_values,
 )
 from .saliency import DEFAULT_KL_FLOOR, _kl_gt_side, _kl_spent
 
@@ -158,9 +159,8 @@ def _gaze_forward(gt, z: np.ndarray, cfg: GazeLossConfig):
     # prediction. One grid keeps its prediction for the gradient and spends a
     # copy.
     pred = _softmax(z, (-2, -1))
-    g = grid_values(gt)
-    if g.shape != z.shape[-2:]:
-        raise ShapeMismatch(f"grid shapes differ: {g.shape} vs {z.shape[-2:]}")
+    g = _grid_values(gt)
+    _check_shapes(g.shape, z.shape[-2:])
     gt_side = _kl_gt_side(g)
     blur_kl = None
     if cfg.hinge_weight > 0.0:
@@ -215,18 +215,16 @@ def grad_loss_gaze(gt, logits, cfg: GazeLossConfig = GazeLossConfig()) -> np.nda
     zero up to rounding.
     """
     # Arguments evaluate in order, so the target is refused before the logits.
-    g, p, _, arg = _gaze_forward(grid_values(gt), grid_values(logits), cfg)
+    g, p, _, arg = _gaze_forward(_grid_values(gt), _grid_values(logits), cfg)
     return _gaze_grad(g, p, arg, cfg)
 
 
 def _step_logits(step_logits, target: TokenSequence) -> np.ndarray:
-    # One vocabulary-sized logit row per target token, all finite: a
-    # (steps, vocab) array, or a (k, steps, vocab) stack of them.
+    # One vocabulary-sized logit row per target token: a (steps, vocab) array,
+    # or a (k, steps, vocab) stack. The softmax core then refuses NaN and inf.
     rows = np.asarray(step_logits, dtype=np.float64)
     if rows.ndim not in (2, 3):
         raise LengthMismatch("step logits must form a (steps, vocab) array")
-    if not np.all(np.isfinite(rows)):
-        raise ValueError("logits must be finite")
     steps, vocab = rows.shape[-2:]
     if steps != len(target.tokens):
         raise LengthMismatch(f"{steps} logit rows for {len(target.tokens)} target tokens")

@@ -39,10 +39,9 @@ from .errors import (
     GazeKitError,
     InsufficientNegatives,
     NoFixations,
-    ShapeMismatch,
     ZeroVariance,
 )
-from .grids import fixation_mask, grid_values
+from .grids import _check_shapes, _fixation_mask, _grid_values
 
 __all__ = [
     "DEFAULT_KL_FLOOR",
@@ -62,10 +61,15 @@ _STD_FLOOR = 1e-12
 
 
 def _paired_values(a, b) -> tuple[np.ndarray, np.ndarray]:
-    va, vb = grid_values(a), grid_values(b)
-    if va.shape != vb.shape:
-        raise ShapeMismatch(f"grid shapes differ: {va.shape} vs {vb.shape}")
+    va, vb = _grid_values(a), _grid_values(b)
+    _check_shapes(va.shape, vb.shape)
     return va, vb
+
+
+def _centered(v: np.ndarray) -> tuple[np.ndarray, float]:
+    # The deviations from the mean and their population standard deviation.
+    d = v - v.mean()
+    return d, np.sqrt((d * d).mean())
 
 
 def cc(pred, gt) -> float:
@@ -75,10 +79,8 @@ def cc(pred, gt) -> float:
     falls below 1e-12.
     """
     p, g = _paired_values(pred, gt)
-    dp = p - p.mean()
-    dg = g - g.mean()
-    sp = np.sqrt((dp * dp).mean())
-    sg = np.sqrt((dg * dg).mean())
+    dp, sp = _centered(p)
+    dg, sg = _centered(g)
     if sp < _STD_FLOOR or sg < _STD_FLOOR:
         raise ZeroVariance("correlation needs non-constant maps")
     return float((dp * dg).mean() / (sp * sg))
@@ -241,8 +243,7 @@ def nss(pred, fix) -> float:
     deviation, then averaged over fixated cells.
     """
     p, mask = _fixated_values(pred, fix, "NSS")
-    d = p - p.mean()
-    std = np.sqrt((d * d).mean())
+    d, std = _centered(p)
     if std < _STD_FLOOR:
         raise ZeroVariance("NSS needs a non-constant prediction")
     return float((d[mask] / std).mean())
@@ -270,9 +271,8 @@ def _roc_area(pos: np.ndarray, negative_sets) -> list[float]:
 
 def _fixated_values(pred, fix, metric: str) -> tuple[np.ndarray, np.ndarray]:
     # The prediction and its fixation mask, one shape and >= 1 fixated cell.
-    p, mask = grid_values(pred), fixation_mask(fix)
-    if p.shape != mask.shape:
-        raise ShapeMismatch(f"grid shapes differ: {p.shape} vs {mask.shape}")
+    p, mask = _grid_values(pred), _fixation_mask(fix)
+    _check_shapes(p.shape, mask.shape)
     if not mask.any():
         raise NoFixations(f"{metric} needs at least one fixated cell")
     return p, mask

@@ -13,12 +13,11 @@ from gazekit import (
     GazeMap,
     LengthMismatch,
     ShapeMismatch,
-    grid_values,
     normalize_to_simplex,
 )
 from gazekit.alignment import _unit_pairs
 from gazekit.gradcheck import _FD_STEP
-from gazekit.grids import SIMPLEX_TOL, _fold_index, _gaussian_kernel_1d
+from gazekit.grids import SIMPLEX_TOL, _fold_index, _gaussian_kernel_1d, _grid_values
 from gazekit.objectives import _step_logits
 
 settings.register_profile(
@@ -108,7 +107,7 @@ def gaze_map_reference(values) -> np.ndarray:
 
 
 def spatial_softmax_reference(logits) -> np.ndarray:
-    z = grid_values(logits)
+    z = _grid_values(logits)
     if not np.all(np.isfinite(z)):
         raise ValueError("logits must be finite")
     e = np.exp(z - z.max())
@@ -157,7 +156,7 @@ def central_difference_reference(fn, x: np.ndarray) -> np.ndarray:
 
 
 def _kl_reference(gt, pred) -> float:
-    g, p = grid_values(gt), grid_values(pred)
+    g, p = _grid_values(gt), _grid_values(pred)
     if g.shape != p.shape:
         raise ShapeMismatch(f"grid shapes differ: {g.shape} vs {p.shape}")
     return kl_div_reference(g, p)

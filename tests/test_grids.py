@@ -31,7 +31,7 @@ from gazekit import (
     spatial_softmax,
 )
 from gazekit.grids import (
-    _BLUR_CACHE_SIZE, MASS_FLOOR, SIMPLEX_TOL, _blur_matrix, _gaussian_kernel_1d, grid_values,
+    _BLUR_CACHE_SIZE, MASS_FLOOR, SIMPLEX_TOL, _blur_matrix, _gaussian_kernel_1d, _grid_values,
 )
 
 
@@ -41,7 +41,7 @@ def normalize_to_simplex_reference(grid) -> GazeMap:
     Kept verbatim as the exact oracle: the map built without the second
     check must hold the same floats, and every error must read the same.
     """
-    v = grid_values(grid)
+    v = _grid_values(grid)
     if not np.all(np.isfinite(v)):
         raise ValueError("grid values must be finite")
     if np.any(v < 0.0):

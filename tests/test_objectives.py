@@ -29,7 +29,6 @@ from gazekit import (
     gaussian_blur,
     grad_loss_caption,
     grad_loss_gaze,
-    grid_values,
     kl_div,
     loss_caption,
     loss_gaze,
@@ -38,7 +37,7 @@ from gazekit import (
     total_loss,
 )
 from gazekit import gradcheck
-from gazekit.grids import _blur_matrix, _gaussian_kernel_1d
+from gazekit.grids import _blur_matrix, _gaussian_kernel_1d, _grid_values
 from gazekit.objectives import GazeLossBreakdown, _gaze_forward, _kl_grad_wrt_pred, _softmax_backprop
 
 
@@ -48,7 +47,7 @@ def grad_loss_kl(gt, logits) -> np.ndarray:
     The oracle for the gaze gradient whenever the hinge contributes
     nothing, at weight 0 or on the inactive branch.
     """
-    g = grid_values(gt)
+    g = _grid_values(gt)
     p = spatial_softmax(logits).values
     return _softmax_backprop(p, _kl_grad_wrt_pred(g, p))
 
@@ -243,9 +242,10 @@ class TestGazeRefusals:
     @pytest.mark.parametrize("fn", [loss_gaze, grad_loss_gaze])
     def test_mismatched_shapes(self, fn, hinge_weight):
         gt = normalize_to_simplex(np.ones((4, 4)))
-        with pytest.raises(ShapeMismatch) as info:
-            fn(gt, np.zeros((5, 5)), GazeLossConfig(hinge_weight=hinge_weight))
-        assert str(info.value) == "grid shapes differ: (4, 4) vs (5, 5)"
+        for shape in [(5, 5), (4, 5)]:
+            with pytest.raises(ShapeMismatch) as info:
+                fn(gt, np.zeros(shape), GazeLossConfig(hinge_weight=hinge_weight))
+            assert str(info.value) == f"grid shapes differ: (4, 4) vs {shape}"
 
     @pytest.mark.parametrize("hinge_weight", [0.0, 0.3])
     @pytest.mark.parametrize("target_shape", [(4,), (2, 4, 4), (0, 4)])
@@ -440,6 +440,12 @@ class TestGradLossCaption:
         with pytest.raises(LengthMismatch) as from_grad:
             grad_loss_caption(np.zeros(shape), target)
         assert str(from_grad.value) == str(from_loss.value)
+
+    @pytest.mark.parametrize("fn", [loss_caption, grad_loss_caption])
+    def test_a_mis_sized_array_is_refused_for_its_size_before_its_values(self, fn):
+        # The length checks run first; the softmax core refuses the NaN after them.
+        with pytest.raises(LengthMismatch, match="^3 logit rows for 2 target tokens$"):
+            fn(np.full((3, 5), np.nan), TokenSequence((1, 2), 5))
 
     def test_matches_finite_differences(self, rng):
         target = TokenSequence(tuple(rng.integers(0, 12, size=6)), 12)

@@ -608,6 +608,17 @@ class TestScoreMaps:
         assert_same_cells(got, want)
 
 
+class TestPairedInputChecks:
+    """The two-map metrics refuse two grids that do not pair cell for cell."""
+
+    @pytest.mark.parametrize("other", [(3, 4), (4, 3)])
+    @pytest.mark.parametrize("metric", [cc, kl_div, sim])
+    def test_shape_mismatch(self, metric, other):
+        with pytest.raises(ShapeMismatch) as info:
+            metric(np.full((3, 3), 1 / 9), np.full(other, 1 / 12))
+        assert str(info.value) == f"grid shapes differ: (3, 3) vs {other}"
+
+
 class TestFixationInputChecks:
     """NSS and both AUCs share one check of their inputs: the shapes first,
     then at least one fixated cell, each metric naming itself."""

@@ -163,3 +163,14 @@ def test_every_file_is_written_by_the_one_writer():
         if isinstance(node, ast.Attribute) and node.attr == "writer" and getattr(node.value, "id", None) == "csv"
     ]
     assert csv_writers == ["manifests.py"]
+
+
+def test_each_argument_check_has_one_implementation():
+    # The grid gate, the shape check and the frozen copy live in grids, and
+    # the softmax core alone refuses non-finite caption logits.
+    package = Path(gazekit.__file__).parent
+    sources = {path.name: path.read_text(encoding="utf-8") for path in sorted(package.glob("*.py"))}
+    assert sum(text.count("grid shapes differ") for text in sources.values()) == 1
+    assert [name for name, text in sources.items() if "non-empty 2-D" in text] == ["grids.py"]
+    assert "np.isfinite" not in sources["objectives.py"]
+    assert [name for name, text in sources.items() if "setflags(write=False)" in text] == ["grids.py"]
