@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateNorm, ShapeMismatch
-from .grids import _exp_shifted, _frozen, _softmax
+from .grids import _cross_entropy_grad, _exp_shifted, _frozen, _grid
 
 __all__ = [
     "DEFAULT_TEMPERATURE",
@@ -53,8 +53,7 @@ class ProjectionHead:
 
     def __post_init__(self):
         w, b = _frozen(self.weight), _frozen(self.bias)
-        if w.ndim != 2 or w.size == 0:
-            raise ValueError("weight must be a non-empty (out_dim, in_dim) matrix")
+        _grid(w, "weight must be a non-empty (out_dim, in_dim) matrix")
         if b.shape != (w.shape[0],):
             raise ShapeMismatch(f"bias shape {b.shape} does not match {w.shape[0]} outputs")
         if not (np.all(np.isfinite(w)) and np.all(np.isfinite(b))):
@@ -84,10 +83,10 @@ def _unit_rows(m: np.ndarray, label: str) -> tuple[np.ndarray, np.ndarray]:
 
 def _unit_pairs(u_vis, u_txt, tau: float):
     # The prologue both the loss and its gradient share: check tau and the
-    # two batches, then normalize every row. Returns (vh, vn, th, tn).
-    # Either batch may be a (k, batch, dim) stack; its every batch is
-    # checked as one batch alone, and a single batch pairs with each of a
-    # stack's.
+    # two batches, normalize every row and score every pair. Returns (vh,
+    # vn, th, tn, cos, scores), scores = cos / tau. Either batch may be a
+    # (k, batch, dim) stack; its every batch is checked as one batch alone,
+    # and a single batch pairs with each of a stack's.
     if not tau > 0.0:
         raise ValueError("tau must be positive")
     v = np.asarray(u_vis, dtype=np.float64)
@@ -103,7 +102,11 @@ def _unit_pairs(u_vis, u_txt, tau: float):
         raise ShapeMismatch(f"stacks differ in length: {len(v)} vs {len(t)}")
     vh, vn = _unit_rows(v, "visual")
     th, tn = _unit_rows(t, "text")
-    return vh, vn, th, tn
+    cos = vh @ np.swapaxes(th, -1, -2)
+    # A score past the float range is refused by the core, without a warning.
+    with np.errstate(over="ignore"):
+        scores = cos / tau
+    return vh, vn, th, tn, cos, scores
 
 
 def info_nce(u_vis, u_txt, tau: float = DEFAULT_TEMPERATURE):
@@ -117,10 +120,7 @@ def info_nce(u_vis, u_txt, tau: float = DEFAULT_TEMPERATURE):
     bit that pair of batches' alone. A ``tau`` so small that a score
     overflows (below about 1e-308) is refused with ValueError.
     """
-    vh, _, th, _ = _unit_pairs(u_vis, u_txt, tau)
-    # A score past the float range is refused by the core, without a warning.
-    with np.errstate(over="ignore"):
-        scores = (vh @ np.swapaxes(th, -1, -2)) / tau
+    *_, scores = _unit_pairs(u_vis, u_txt, tau)
     # Mean over rows of logsumexp(row) - diagonal, max-shifted for stability.
     e, shift = _exp_shifted(scores, -1)
     lse = np.log(e.sum(axis=-1)) + shift[..., 0]
@@ -138,12 +138,9 @@ def grad_info_nce(
     row: rescaling an embedding does not change the loss. Stacked
     batches, as ``info_nce`` takes them, give each loss's gradients.
     """
-    vh, vn, th, tn = _unit_pairs(u_vis, u_txt, tau)
+    vh, vn, th, tn, cos, scores = _unit_pairs(u_vis, u_txt, tau)
     b = vh.shape[-2]
-    cos = vh @ np.swapaxes(th, -1, -2)
-    with np.errstate(over="ignore"):
-        scores = cos / tau
-    d = (_softmax(scores, -1) - np.eye(b)) / (b * tau)
+    d = _cross_entropy_grad(scores, np.arange(b)) / (b * tau)
 
     grad_vh = d @ th
     grad_th = np.swapaxes(d, -1, -2) @ vh

@@ -59,9 +59,9 @@ def parse_caption(text: str) -> StructuredCaption:
     """Parse a serialized caption, raising a CaptionError subclass on failure.
 
     Raises MissingField when a labeled field is absent, OrderViolation
-    when all fields are present but out of order (or duplicated), and
-    EmptyField when a field has no content after trimming. Parsing never
-    partially succeeds: the result is a valid caption or an exception.
+    when all fields are present but out of order (or duplicated), then
+    the first bad field's InvalidCharacter (a newline) or EmptyField (no
+    content after trimming). Parsing never partially succeeds.
     """
     labels: list[str | None] = []
     values: list[str] = []
@@ -78,9 +78,6 @@ def parse_caption(text: str) -> StructuredCaption:
             raise MissingField(f"missing field: {want}")
     if tuple(labels) != FIELD_LABELS:
         raise OrderViolation(f"fields must appear in order {', '.join(FIELD_LABELS)}")
-    for label, value in zip(labels, values):
-        if not value:
-            raise EmptyField(f"{label} is empty")
     return StructuredCaption(*values)
 
 

@@ -204,6 +204,14 @@ def _softmax(z: np.ndarray, axis) -> np.ndarray:
     return e
 
 
+def _cross_entropy_grad(z: np.ndarray, picked) -> np.ndarray:
+    # Logit gradient of each row's cross-entropy at its picked index: the row
+    # softmax minus the one-hot, in place (unpicked cells keep their bits).
+    grad = _softmax(z, -1)
+    grad[..., np.arange(z.shape[-2]), picked] -= 1.0
+    return grad
+
+
 def _gaussian_kernel_1d(sigma: float) -> np.ndarray:
     # Normalized Gaussian taps at integer offsets in [-r, r], r = ceil(3 sigma).
     if not (sigma > 0.0 and math.isfinite(sigma)):
@@ -248,7 +256,7 @@ def gaussian_blur(gaze, sigma: float) -> GazeMap:
     entirely in bounds: the total stays exactly one, the uniform map is
     a fixed point, and the transform is linear in its input.
     """
-    v = gaze.values if isinstance(gaze, GazeMap) else GazeMap(np.asarray(gaze)).values
+    v = gaze.values if isinstance(gaze, GazeMap) else GazeMap(gaze).values
     return _checked_gaze_map(_blur_maps(v, float(sigma)))
 
 
@@ -263,6 +271,6 @@ def _blur_maps(v: np.ndarray, sigma: float) -> np.ndarray:
 
 def entropy(gaze) -> float:
     """Shannon entropy in nats; zero-mass cells contribute nothing."""
-    v = gaze.values if isinstance(gaze, GazeMap) else GazeMap(np.asarray(gaze)).values
+    v = gaze.values if isinstance(gaze, GazeMap) else GazeMap(gaze).values
     nz = v[v > 0.0]
     return float(-(nz * np.log(nz)).sum())

@@ -36,7 +36,7 @@ import re
 import numpy as np
 
 from .grids import FixationMap, GazeMap, normalize_to_simplex
-from .manifests import _read_text, _write_csv, _write_file
+from .manifests import _read_text, _write_file
 
 __all__ = [
     "is_map_file",
@@ -133,7 +133,9 @@ def _read_csv_grid(path) -> np.ndarray:
 
 
 def _write_csv_grid(path, values: np.ndarray) -> None:
-    _write_csv(path, ([f"{cell:.17g}" for cell in row.tolist()] for row in values))  # no header
+    # No header, and no cell needs quoting: each row is its cells joined by commas.
+    rows = (",".join([f"{cell:.17g}" for cell in row.tolist()]) + "\n" for row in values)
+    _write_file(path, "".join(rows).encode("ascii"))
 
 
 # Each map format's reader and writer, by suffix. A reader returns the cells

@@ -36,13 +36,14 @@ from .grids import (
     _blur_maps,
     _blur_matrix,
     _check_shapes,
+    _cross_entropy_grad,
     _exp_shifted,
     _grid_stack,
     _grid_values,
     _softmax,
     entropy,
 )
-from .saliency import DEFAULT_KL_FLOOR, _kl_gt_side, _kl_spent
+from .saliency import _kl_grad_wrt_pred, _kl_gt_side, _kl_spent
 
 __all__ = [
     "GazeLossConfig",
@@ -134,15 +135,6 @@ class FitStep(NamedTuple):
     step: int
     loss: float
     entropy: float
-
-
-def _kl_grad_wrt_pred(g: np.ndarray, p: np.ndarray) -> np.ndarray:
-    # Gradient of KL(g, clamp-renormalize(p)) with respect to p. Cells
-    # sitting below the floor are flattened by the clamp and get zero
-    # gradient; the renormalization contributes the 1/Z term.
-    clamped = np.maximum(p, DEFAULT_KL_FLOOR)
-    z = clamped.sum()
-    return np.where(p >= DEFAULT_KL_FLOOR, 1.0 / z - g / clamped, 0.0)
 
 
 def _softmax_backprop(p: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -254,10 +246,7 @@ def grad_loss_caption(step_logits, target: TokenSequence) -> np.ndarray:
 
     A stack of logit arrays gives the stack of their gradients.
     """
-    rows = _step_logits(step_logits, target)
-    grad = _softmax(rows, -1)
-    grad[..., np.arange(rows.shape[-2]), list(target.tokens)] -= 1.0
-    return grad
+    return _cross_entropy_grad(_step_logits(step_logits, target), list(target.tokens))
 
 
 def total_loss(

@@ -145,6 +145,13 @@ def _clamped_log(flat: np.ndarray, out: np.ndarray) -> np.ndarray:
     return np.log(out, out=out)
 
 
+def _kl_grad_wrt_pred(g: np.ndarray, p: np.ndarray) -> np.ndarray:
+    # Gradient of KL(g, clamp-renormalize(p)) with respect to one map p: cells
+    # below the floor are flattened by the clamp; renormalizing adds 1/Z.
+    clamped = np.maximum(p, DEFAULT_KL_FLOOR)
+    return np.where(p >= DEFAULT_KL_FLOOR, 1.0 / clamped.sum() - g / clamped, 0.0)
+
+
 def _kl_sides(g: np.ndarray) -> tuple[tuple, np.ndarray]:
     # (_kl_gt_side(g), _kl_pred_side(g)) bit for bit, for curate's frames.
     # When no cell is below the floor the clamp is the identity, so the

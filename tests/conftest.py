@@ -245,7 +245,7 @@ def grad_loss_caption_reference(step_logits, target) -> np.ndarray:
 
 
 def grad_info_nce_reference(u_vis, u_txt, tau: float) -> tuple[np.ndarray, np.ndarray]:
-    vh, vn, th, tn = _unit_pairs(u_vis, u_txt, tau)
+    vh, vn, th, tn, _, _ = _unit_pairs(u_vis, u_txt, tau)
     b = vh.shape[-2]
     cos = vh @ np.swapaxes(th, -1, -2)
     scores = cos / tau

@@ -64,6 +64,13 @@ class TestParse:
         with pytest.raises(EmptyField, match="current"):
             parse_caption("Scene: x | Current: | Next: a | Why: z")
 
+    def test_the_first_bad_field_is_named(self):
+        # The fields are checked in order, each for a newline and then for content.
+        with pytest.raises(InvalidCharacter, match="current must not contain newlines"):
+            parse_caption("Scene: x | Current: y\nz | Next: | Why: w")
+        with pytest.raises(EmptyField, match="current is empty"):
+            parse_caption("Scene: x | Current: | Next: a\nb | Why: w")
+
     def test_unlabeled_junk(self):
         with pytest.raises(MissingField):
             parse_caption("just some prose with no labels")

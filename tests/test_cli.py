@@ -47,7 +47,8 @@ from gazekit import (
 from gazekit import cli, gradcheck, run_gradient_checks
 from gazekit.cli import build_parser, main
 from gazekit.grids import _blur_matrix
-from gazekit.objectives import _kl_grad_wrt_pred, _softmax_backprop
+from gazekit.objectives import _softmax_backprop
+from gazekit.saliency import _kl_grad_wrt_pred
 
 
 def write_map_dir(directory, maps, suffix=".pgm"):
@@ -1557,10 +1558,15 @@ def test_interrupted_review_saves_its_decisions_and_exits_130(tmp_path, monkeypa
             assert char, shown
             shown += char
         child.send_signal(signal.SIGINT)
-        rest, err = child.communicate(timeout=60)
+        # stdin stays open until the child exits: at EOF it would end the
+        # session with exit 0 if it read the EOF before the signal landed.
+        child.wait(timeout=60)
+        rest, err = child.stdout.read(), child.stderr.read()
     finally:
         child.kill()
         child.wait()
+        for pipe in (child.stdin, child.stdout, child.stderr):
+            pipe.close()
     assert child.returncode == 130
     assert err == "interrupted; 1 of 2 rows decided\n"
     assert "row 2/2" in shown and rest == ""

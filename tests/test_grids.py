@@ -242,6 +242,15 @@ class TestTrustedMaps:
     def test_gaussian_blur_output(self, gaze, sigma):
         assert_trusted_simplex(gaussian_blur(gaze, sigma).values, gaze.values)
 
+    @pytest.mark.parametrize("grid", ["ab", [["0.5", "x"]], b"ab", [[0.5, 0.5], [1.0]]])
+    def test_a_bare_array_is_refused_as_gaze_map_refuses_it(self, grid):
+        with pytest.raises(Exception) as expected:
+            GazeMap(grid)
+        for transform in (lambda g: gaussian_blur(g, 1.0), entropy):
+            with pytest.raises(expected.type) as got:
+                transform(grid)
+            assert str(got.value) == str(expected.value)
+
 
 class TestSpatialSoftmax:
     def test_all_zero_logits_give_uniform(self):

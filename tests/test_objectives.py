@@ -38,7 +38,8 @@ from gazekit import (
 )
 from gazekit import gradcheck
 from gazekit.grids import _blur_matrix, _gaussian_kernel_1d, _grid_values
-from gazekit.objectives import GazeLossBreakdown, _gaze_forward, _kl_grad_wrt_pred, _softmax_backprop
+from gazekit.objectives import GazeLossBreakdown, _gaze_forward, _softmax_backprop
+from gazekit.saliency import _kl_grad_wrt_pred
 
 
 def grad_loss_kl(gt, logits) -> np.ndarray:

@@ -31,6 +31,7 @@ from gazekit.saliency import (
     DEFAULT_KL_FLOOR,
     _kl_bounds,
     _kl_from_sides,
+    _kl_grad_wrt_pred,
     _kl_gt_side,
     _kl_pred_side,
     _kl_sides,
@@ -239,6 +240,27 @@ class TestKL:
     def test_equals_the_single_body_bit_for_bit(self, pair):
         g, p = pair
         assert kl_div(g, p) == kl_div_reference(g, p)
+
+    def test_gradient_matches_central_differences_near_the_floor(self):
+        def central(g, p, cell, step):
+            up, down = p.copy(), p.copy()
+            up[cell] += step
+            down[cell] -= step
+            return (kl_div(g, up) - kl_div(g, down)) / (2 * step)
+
+        # Cells at 1.5 and 0.5 times the floor: the clamp passes the first
+        # and flattens the second, whose gradient is zero.
+        g = np.array([[0.4, 0.3], [0.3, 0.0]])
+        p = np.array([[0.6, 1.5 * DEFAULT_KL_FLOOR], [0.4, 0.5 * DEFAULT_KL_FLOOR]])
+        grad = _kl_grad_wrt_pred(g, p)
+        for cell in np.ndindex(p.shape):
+            assert central(g, p, cell, 1e-10) == pytest.approx(grad[cell], rel=1e-3, abs=1e-3)
+        assert grad[1, 1] == 0.0
+        # A delta on 10^4 cells: the floored cells' mass adds 1e-4 to Z.
+        delta = np.zeros((100, 100))
+        delta[0, 0] = 1.0
+        grad = _kl_grad_wrt_pred(delta, delta)
+        assert central(delta, delta, (0, 0), 1e-6) == pytest.approx(grad[0, 0], rel=1e-4)
 
 
 KL_SIDES_REGIMES = ("sums to 1", "sums off 1", "below the floor", "zero cells")

@@ -174,3 +174,31 @@ def test_each_argument_check_has_one_implementation():
     assert [name for name, text in sources.items() if "non-empty 2-D" in text] == ["grids.py"]
     assert "np.isfinite" not in sources["objectives.py"]
     assert [name for name, text in sources.items() if "setflags(write=False)" in text] == ["grids.py"]
+
+
+def test_each_loss_gradient_step_has_one_implementation():
+    # Read as syntax, so a comment naming a pattern does not count. The
+    # cross-entropy gradient subtracts a one-hot in grids, InfoNCE scores
+    # its pairs once, only saliency knows the KL floor, the grid gate alone
+    # asks for two dimensions, and StructuredCaption alone refuses an empty field.
+    package = Path(gazekit.__file__).parent
+    paths = sorted(package.glob("*.py"))
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8")) for path in paths}
+
+    def where(match):
+        return [name for name, tree in trees.items() for node in ast.walk(tree) if match(node)]
+
+    def is_name(node, name):
+        return isinstance(node, ast.Name) and node.id == name
+
+    np_eye = where(lambda n: isinstance(n, ast.Attribute) and n.attr == "eye" and is_name(n.value, "np"))
+    assert np_eye == []
+    floor = "DEFAULT_KL_FLOOR"
+    named = where(lambda n: is_name(n, floor) or (isinstance(n, ast.alias) and n.name == floor))
+    assert set(named) == {"saliency.py"}
+    by_tau = where(lambda n: isinstance(n, ast.BinOp) and ast.unparse(n).endswith(" / tau"))
+    assert by_tau == ["alignment.py"]
+    two_dims = where(lambda n: isinstance(n, ast.Compare) and ast.unparse(n).endswith(".ndim != 2"))
+    assert two_dims == ["grids.py"]
+    empty = where(lambda n: isinstance(n, ast.Raise) and is_name(getattr(n.exc, "func", None), "EmptyField"))
+    assert empty == ["captions.py"]
