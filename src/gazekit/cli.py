@@ -11,9 +11,10 @@ Subcommands:
 * ``review``       step through a manifest recording accept/reject/edit
 
 Exit status is 0 on success, 1 when an internal check fails
-(grad-check), 2 on input errors, 130 for an interrupted review. All
-output files are deterministic for fixed inputs, flags, and seeds: CSV
-with LF line endings, SVG with fixed formatting, no timestamps.
+(grad-check), 2 on input errors (memory exhaustion included), 130 on
+Ctrl-C; ``main`` alone maps what a command raises to them. All output
+files are deterministic for fixed inputs, flags, and seeds: CSV with LF
+line endings, SVG with fixed formatting, no timestamps.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from .grids import GazeMap, normalize_to_simplex
 from .manifests import (
     MANIFEST_HEADER,
     MEAN_ROW_ID,
-    _read_text,
+    _read_lines,
     _write_csv,
     _write_file,
     read_manifest_rows,
@@ -104,8 +105,7 @@ def cmd_evaluate(args) -> int:
         pred_files = _map_files(pred_dir)
         gt_files = _map_files(gt_dir)
     except OSError as exc:
-        _diag(f"cannot list inputs: {exc}")
-        return 2
+        raise ValueError(f"cannot list inputs: {exc}") from None
 
     problems = []
     for name in sorted(set(pred_files) - set(gt_files)):
@@ -156,8 +156,7 @@ def cmd_curate(args) -> int:
         with os.scandir(root) as entries:
             videos = sorted(e.name for e in entries if e.is_dir())
     except OSError as exc:
-        _diag(f"cannot list {root}: {exc}")
-        return 2
+        raise ValueError(f"cannot list {root}: {exc}") from None
 
     pairs, counts, skipped = [], [], []
     frame_paths: dict[str, list[str]] = {}
@@ -186,22 +185,12 @@ def cmd_curate(args) -> int:
     return 2 if skipped else 0
 
 
-def _read_lines(path) -> list[str]:
-    # Lines end only at "\n", into which "\r\n" and "\r" are turned first;
-    # str.splitlines would also end one at a form feed, U+0085 or U+2028.
-    text = _read_text(path, "utf-8").replace("\r\n", "\n").replace("\r", "\n")
-    return text.removesuffix("\n").split("\n") if text else []
-
-
 def cmd_caption_eval(args) -> int:
-    candidates = _read_lines(args.candidates)
-    references = _read_lines(args.references)
+    candidates = _read_lines(args.candidates, "utf-8")
+    references = _read_lines(args.references, "utf-8")
     if len(candidates) != len(references):
-        _diag(
-            f"line counts differ: {len(candidates)} candidates, {len(references)} references"
-        )
-        return 2
-    corpus_lines = _read_lines(args.corpus) if args.corpus else references
+        raise ValueError(f"line counts differ: {len(candidates)} candidates, {len(references)} references")
+    corpus_lines = _read_lines(args.corpus, "utf-8") if args.corpus else references
     corpus = [[line] for line in corpus_lines]
 
     pairs = [(cand, [ref]) for cand, ref in zip(candidates, references)]
@@ -247,11 +236,9 @@ def cmd_fit_demo(args) -> int:
 
 def cmd_report(args) -> int:
     if len(args.tables) < 2:
-        _diag("at least two metrics tables are required")
-        return 2
+        raise ValueError("at least two metrics tables are required")
     if len(args.labels) != len(args.tables):
-        _diag(f"{len(args.tables)} tables but {len(args.labels)} labels")
-        return 2
+        raise ValueError(f"{len(args.tables)} tables but {len(args.labels)} labels")
     means = []
     for path in args.tables:
         _, mean_row = read_metrics_table(path)
@@ -260,8 +247,7 @@ def cmd_report(args) -> int:
             value = mean_row.get(column)
             if not isinstance(value, float) or not math.isfinite(value):
                 what = "finite" if isinstance(value, float) else "numeric"
-                _diag(f"{path}: mean of column {column} is not {what} ({value!r})")
-                return 2
+                raise ValueError(f"{path}: mean of column {column} is not {what} ({value!r})")
             cells[column] = value
         means.append(cells)
     svg, degenerate = render_radar(args.labels, means)
@@ -330,8 +316,7 @@ def cmd_review(args) -> int:
         try:
             _, done_rows = read_manifest_rows(out_path)
         except (ValueError, OSError) as exc:
-            _diag(f"cannot resume from {out_path}: {exc}")
-            return 2
+            raise ValueError(f"cannot resume from {out_path}: {exc}") from None
         for row in done_rows:
             decision = row.get(DECISION_COLUMN, "")
             if decision:
@@ -373,8 +358,8 @@ def cmd_review(args) -> int:
             _write_review(out_path, rows, decisions)
     except KeyboardInterrupt:  # Ctrl-C: every decision made so far is saved
         _write_review(out_path, rows, decisions)
-        _diag(f"interrupted; {sum(d is not None for d in decisions)} of {len(rows)} rows decided")
-        return 130
+        decided = sum(d is not None for d in decisions)
+        raise KeyboardInterrupt(f"interrupted; {decided} of {len(rows)} rows decided") from None
 
     _write_review(out_path, rows, decisions)
     _out(f"{len(rows)} rows decided")
@@ -474,14 +459,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    # The one boundary for input and I/O errors: exit 2 with a one-line
-    # reason. A check that fails inside grad-check returns 1 on its own.
+    # The one exit boundary, with a one-line reason: exit 2 for an input or
+    # I/O error or for memory exhaustion (numpy's message names the size and
+    # shape), 130 for Ctrl-C. A failed grad-check returns 1 on its own.
     try:
         args = build_parser().parse_args(argv)
         return args.func(args)
-    except _INPUT_ERRORS as exc:
+    except (*_INPUT_ERRORS, MemoryError) as exc:
         _diag(" ".join(str(exc).splitlines()) or type(exc).__name__)
         return 2
+    except KeyboardInterrupt as exc:
+        _diag(str(exc) or "interrupted")
+        return 130
 
 
 if __name__ == "__main__":

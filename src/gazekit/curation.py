@@ -40,7 +40,6 @@ same pairs in the same order.
 
 from __future__ import annotations
 
-import math
 from collections import deque
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
@@ -48,7 +47,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import TooShort
-from .grids import GazeMap
+from .grids import GazeMap, _require_finite
 from .saliency import _kl_bounds, _kl_from_sides, _kl_gt_side, _kl_pred_side, _kl_sides, kl_div
 
 __all__ = [
@@ -83,8 +82,7 @@ class CurationParams:
             raise ValueError("top_k must be at least 1")
         if self.peak_floor < 0.0:
             raise ValueError("peak_floor must be nonnegative")
-        if not math.isfinite(self.peak_floor):
-            raise ValueError(f"peak_floor must be finite, got {self.peak_floor}")
+        _require_finite(self)
 
 
 @dataclass(frozen=True, eq=False)

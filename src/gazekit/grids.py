@@ -31,7 +31,7 @@ Conventions shared by the whole package:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import lru_cache
 
 import numpy as np
@@ -75,6 +75,15 @@ def _grid(values, message: str, dtype=np.float64) -> np.ndarray:
 def _check_shapes(a: tuple, b: tuple) -> None:
     if a != b:
         raise ShapeMismatch(f"grid shapes differ: {a} vs {b}")
+
+
+def _require_finite(settings, noun: str = "") -> None:
+    # A settings dataclass's last check: NaN slips past every range check, an
+    # infinite setting makes a loss or a window unbounded; ints are finite.
+    for field in fields(settings):
+        value = getattr(settings, field.name)
+        if not isinstance(value, int) and not math.isfinite(value):
+            raise ValueError(f"{field.name}{noun} must be finite, got {value}")
 
 
 @dataclass(frozen=True, eq=False)

@@ -99,6 +99,15 @@ def _read_text(path, encoding: str) -> str:
         ) from None
 
 
+def _read_lines(path, encoding: str) -> list[str]:
+    # Lines end only at "\n", "\r\n" or "\r", not also at "\v", "\f", "\x1c" to
+    # "\x1e", U+0085 or U+2028 as with str.splitlines. Most hold no "\r".
+    text = _read_text(path, encoding)
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    return text.removesuffix("\n").split("\n") if text else []
+
+
 def _read_csv(path, kind: str) -> tuple[list[str], list[list[str]]]:
     # Header and data rows; every row must be as wide as the header.
     reader = csv.reader(io.StringIO(_read_text(path, "utf-8"), newline=""))

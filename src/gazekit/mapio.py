@@ -1,4 +1,4 @@
-"""Reading and writing gaze maps and fixation grids.
+r"""Reading and writing gaze maps and fixation grids.
 
 Two on-disk map formats are supported, chosen by file suffix:
 
@@ -11,16 +11,18 @@ Two on-disk map formats are supported, chosen by file suffix:
   check that CSV cells get.
 * ``.csv``: comma-separated decimal floats, one row per line ("CSVF").
   Values round-trip exactly. The file must be ASCII (another byte is
-  refused with the path and its offset); blank lines are skipped and
-  every other line must hold the same number of commas.
+  refused with the path and its offset). Lines end only at LF, CRLF or
+  CR, not at a vertical tab, form feed or ``\x1c`` to ``\x1e``. Blank
+  lines are skipped and every other line must hold the same number of
+  commas.
   A cell is a decimal or exponent float, ``inf``, ``infinity`` or
   ``nan`` in any case, optionally signed, with spaces or tabs around
   it. Cells are parsed by ``np.loadtxt``, which rounds correctly and
   so gives the same float as ``float()`` with two exceptions: digits
-  grouped by underscores (``1_0``) are refused, and a ``\x1f`` byte
-  next to a number is taken as whitespace. A cell that does not parse
-  is named as numpy names it: by its row among the non-blank lines,
-  counted from 0, and its column, counted from 1.
+  grouped by underscores (``1_0``) are refused, and a ``\x1c`` to
+  ``\x1f`` byte next to a number is taken as whitespace. A cell that
+  does not parse is named as numpy names it: by its row among the
+  non-blank lines, counted from 0, and its column, counted from 1.
 
 Loaded maps are always normalized to the simplex; a file with no mass
 raises AllZeroGrid, and one whose cells sum past the float64 range
@@ -36,7 +38,7 @@ import re
 import numpy as np
 
 from .grids import FixationMap, GazeMap, normalize_to_simplex
-from .manifests import _read_text, _write_file
+from .manifests import _read_lines, _write_file
 
 __all__ = [
     "is_map_file",
@@ -120,7 +122,7 @@ def _write_pgm16(path, values: np.ndarray) -> None:
 
 
 def _read_csv_grid(path) -> np.ndarray:
-    lines = [line for line in _read_text(path, "ascii").splitlines() if line.strip()]
+    lines = [line for line in _read_lines(path, "ascii") if line.strip()]
     if not lines:
         raise ValueError(f"{path}: no rows")
     commas = lines[0].count(",")

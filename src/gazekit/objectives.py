@@ -25,7 +25,7 @@ stacked entry equals the loss of its point alone, bit for bit.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -40,6 +40,7 @@ from .grids import (
     _exp_shifted,
     _grid_stack,
     _grid_values,
+    _require_finite,
     _softmax,
     entropy,
 )
@@ -60,15 +61,6 @@ __all__ = [
 ]
 
 
-def _require_finite(settings, noun: str) -> None:
-    # NaN fails every ordered comparison, so it slips past a range check,
-    # and an infinite setting makes the loss inf or NaN.
-    for field in fields(settings):
-        value = getattr(settings, field.name)
-        if not math.isfinite(value):
-            raise ValueError(f"{field.name}{noun} must be finite, got {value}")
-
-
 @dataclass(frozen=True)
 class GazeLossConfig:
     """Hinge and blur settings for the gaze loss."""
@@ -84,7 +76,7 @@ class GazeLossConfig:
             raise ValueError("hinge_margin must be nonnegative")
         if not self.blur_sigma > 0.0:
             raise ValueError("blur_sigma must be positive")
-        _require_finite(self, "")
+        _require_finite(self)
 
 
 @dataclass(frozen=True)

@@ -1167,6 +1167,7 @@ def _contract_inputs(root):
         "anchor_map_path,target_map_path,caption\nv,4,8\n",
         encoding="utf-8",
     )
+    (root / "no_rows.csv").write_text(",".join(MANIFEST_HEADER) + "\n", encoding="utf-8")
 
 
 #: (argv with {in} for the inputs and {out} for an output path) per case
@@ -1188,6 +1189,13 @@ CONTRACT_CASES = {
     "curate-peak-floor-inf": "curate {in}/corpus --peak-floor inf --out {out}.csv",
     "fit-demo-negative-steps": "fit-demo --grid 2 --steps -1 --out {out}.csv",
     "fit-demo-lr-inf": "fit-demo --grid 1 --steps 1 --lr inf --out {out}.csv",
+    "evaluate-missing-pred-dir": "evaluate --pred-dir {missing} --gt-dir {in}/gt --fix-dir {in}/fix --out {out}.csv",
+    "curate-missing-root": "curate {missing} --out {out}.csv",
+    "caption-eval-line-counts-differ": "caption-eval --candidates {in}/cand.txt --references {in}/empty.csv"
+    " --out {out}.csv",
+    "report-one-table": "report --tables {in}/table.csv --labels a --out {out}.svg",
+    "report-three-labels": "report --tables {in}/table.csv {in}/table.csv --labels a b c --out {out}.svg",
+    "review-unreadable-resume-file": "review {in}/no_rows.csv --out {in}/short_row.csv",
 }
 
 
@@ -1576,3 +1584,92 @@ def test_interrupted_review_saves_its_decisions_and_exits_130(tmp_path, monkeypa
     assert "row 1/2" not in capsys.readouterr().out
     assert [row["decision"] for row in read_manifest_rows(out)[1]] == ["accept", "reject"]
     assert not [name for name in os.listdir(tmp_path) if name.endswith(".tmp")]
+
+
+#: Per command, a function it calls, from which the interrupt or the memory
+#: exhaustion is raised in the tests below.
+RAISED_FROM = {
+    "evaluate": "score_maps",
+    "curate": "_curate_stream",
+    "caption-eval": "score_captions",
+    "grad-check": "run_gradient_checks",
+    "fit-demo": "fit_gaze_demo",
+    "report": "render_radar",
+    "review": "_ask_decision",
+}
+
+#: grad-check whose gradient checks send the process SIGINT, as Ctrl-C does.
+SELF_INTERRUPTED_GRAD_CHECK = ("-c", """
+import os, signal, sys
+from gazekit import cli
+def interrupted(**kwargs):
+    os.kill(os.getpid(), signal.SIGINT)
+    raise AssertionError("SIGINT was not delivered")
+cli.run_gradient_checks = interrupted
+sys.exit(cli.main(sys.argv[1:]))
+""")
+
+
+class TestInterruptsAndMemoryExhaustion:
+    """Ctrl-C in any command exits 130 and memory exhaustion exits 2, each
+    with one line on stderr and no traceback. The output file a command
+    replaces is kept byte for byte, with no temporary left beside it."""
+
+    @pytest.mark.parametrize(
+        ("error", "code"), [(KeyboardInterrupt, 130), (MemoryError, 2)], ids=["ctrl-c", "memory"]
+    )
+    @pytest.mark.parametrize("command", sorted(RAISED_FROM))
+    def test_every_command(self, command, error, code, tmp_path, monkeypatch, capsys):
+        inputs = tmp_path / "in"
+        _contract_inputs(inputs)
+        curated_manifest(inputs / "review")
+        out_dir = tmp_path / "out"
+        out_dir.mkdir()
+        template, stdin = WRITING_COMMANDS.get(command, ("grad-check --trials 1", ""))
+        out = out_dir / ("result.svg" if command == "report" else "result.csv")
+        argv = template.format(**{"in": inputs, "out": out}).split()
+        # The first run writes the file the second replaces; review decides
+        # its first row, so the second run asks for the other one.
+        monkeypatch.setattr("sys.stdin", io.StringIO(stdin))
+        assert main(argv) == 0
+        before = {name: (out_dir / name).read_bytes() for name in os.listdir(out_dir)}
+        capsys.readouterr()
+
+        def raising(*args, **kwargs):
+            raise error
+
+        monkeypatch.setattr(cli, RAISED_FROM[command], raising)
+        monkeypatch.setattr("sys.stdin", io.StringIO(stdin))
+        try:
+            got = main(argv)
+        except (KeyboardInterrupt, MemoryError) as exc:
+            # Escaping, a KeyboardInterrupt would end the whole test session.
+            pytest.fail(f"main raised {exc!r}")
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert len(err.splitlines()) == 1 and err.endswith("\n")
+        if error is MemoryError:
+            assert err == "MemoryError\n"
+        else:
+            assert err == ("interrupted; 1 of 2 rows decided\n" if command == "review" else "interrupted\n")
+        assert got == code
+        assert {name: (out_dir / name).read_bytes() for name in os.listdir(out_dir)} == before
+
+    def test_sigint_exits_130(self):
+        done = run_cli("grad-check", entry=SELF_INTERRUPTED_GRAD_CHECK)
+        assert (done.returncode, done.stdout, done.stderr) == (130, "", "interrupted\n")
+
+    def test_a_grid_too_large_for_memory_exits_2(self, tmp_path, monkeypatch):
+        # 4 GiB of address space for the child alone; one BLAS thread keeps
+        # the start-up well below it.
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        limit = 4 << 30
+        out = tmp_path / "huge.csv"
+        done = run_cli(
+            "fit-demo", "--grid", "200000", "--out", out,
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
+        )
+        assert (done.returncode, done.stdout) == (2, "")
+        assert done.stderr.startswith("Unable to allocate") and done.stderr.count("\n") == 1, done.stderr
+        assert done.stderr.endswith("\n") and "Traceback" not in done.stderr
+        assert os.listdir(tmp_path) == []

@@ -312,6 +312,32 @@ class TestCurateCorpus:
         with pytest.raises(ValueError):
             CurationParams(top_k=0)
 
+    @pytest.mark.parametrize(
+        ("field", "value", "message"),
+        [
+            ("delta_min", float("nan"), "delta_min must be finite, got nan"),
+            ("delta_min", float("-inf"), "delta_min must be at least 1"),
+            ("delta_max", float("nan"), "delta_max must be finite, got nan"),
+            ("delta_max", float("inf"), "delta_max must be finite, got inf"),
+            ("min_frames", float("nan"), "min_frames must be finite, got nan"),
+            ("min_frames", float("inf"), "min_frames must be finite, got inf"),
+            ("top_k", float("nan"), "top_k must be finite, got nan"),
+            ("top_k", float("inf"), "top_k must be finite, got inf"),
+            ("peak_floor", float("nan"), "peak_floor must be finite, got nan"),
+            ("peak_floor", float("inf"), "peak_floor must be finite, got inf"),
+            ("peak_floor", float("-inf"), "peak_floor must be nonnegative"),
+        ],
+    )
+    def test_params_are_finite(self, field, value, message):
+        # The range checks come first; NaN slips past them, and then every
+        # non-finite field is refused by name.
+        with pytest.raises(ValueError) as info:
+            CurationParams(**{field: value})
+        assert str(info.value) == message
+
+    def test_an_int_past_the_float_range_is_a_window(self):
+        assert CurationParams(delta_max=10**400).delta_max == 10**400
+
 
 def random_video(seed):
     """A random sequence on a 4-40 cell grid: smooth frames for even seeds,

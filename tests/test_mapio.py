@@ -209,6 +209,22 @@ class TestCSVGrid:
         path.write_text("0.25,0.25\n\n0.25,0.25\n\n")
         np.testing.assert_array_equal(load_map(path).values, np.full((2, 2), 0.25))
 
+    @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
+    def test_lf_crlf_and_cr_end_a_row(self, tmp_path, newline):
+        path = tmp_path / "n.csv"
+        path.write_bytes(newline.join(["0.25,0.5", "", "1,2", ""]).encode("ascii"))
+        assert load_grid(path).tolist() == [[0.25, 0.5], [1.0, 2.0]]
+
+    @pytest.mark.parametrize("separator", ["\v", "\f", "\x1c", "\x1d", "\x1e"], ids=["vt", "ff", "fs", "gs", "rs"])
+    def test_no_other_line_break_ends_a_row(self, tmp_path, separator):
+        # str.splitlines would read this one line as a 2x2 grid.
+        path = tmp_path / "s.csv"
+        path.write_bytes(f"0.1,0.2{separator}0.3,0.4\n".encode("ascii"))
+        with pytest.raises(ValueError) as info:
+            load_grid(path)
+        cell = f"0.2{separator}0.3"
+        assert str(info.value) == f"{path}: could not convert string {cell!r} to float64 at row 0, column 2."
+
     def test_ragged_rows_rejected(self, tmp_path):
         path = tmp_path / "r.csv"
         path.write_text("1,2\n3\n")

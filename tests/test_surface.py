@@ -202,3 +202,25 @@ def test_each_loss_gradient_step_has_one_implementation():
     assert two_dims == ["grids.py"]
     empty = where(lambda n: isinstance(n, ast.Raise) and is_name(getattr(n.exc, "func", None), "EmptyField"))
     assert empty == ["captions.py"]
+
+
+def test_main_alone_maps_errors_to_exit_codes():
+    # Read as syntax. The Ctrl-C code is written only in main, and a command
+    # returns 2 only after it has printed one line per problem of several:
+    # evaluate's unpaired or unreadable files, curate's skipped videos.
+    tree = ast.parse((Path(gazekit.__file__).parent / "cli.py").read_text(encoding="utf-8"))
+
+    def holders(match):
+        # The top-level definitions holding a node that matches.
+        return [getattr(top, "name", "<module>") for top in tree.body if any(map(match, ast.walk(top)))]
+
+    def is_int(node, value):
+        return isinstance(node, ast.Constant) and type(node.value) is int and node.value == value
+
+    def returns_2(node):
+        return isinstance(node, ast.Return) and node.value is not None and any(
+            is_int(n, 2) for n in ast.walk(node.value)
+        )
+
+    assert holders(lambda n: is_int(n, 130)) == ["main"]
+    assert holders(returns_2) == ["cmd_evaluate", "cmd_curate", "main"]
