@@ -313,6 +313,8 @@ def cmd_review(args) -> int:
     # rows are matched positionally via a per-key queue.
     prior: dict[tuple, list[str]] = {}
     if out_path.exists():
+        if os.path.samefile(args.manifest, out_path):
+            raise ValueError(f"{out_path}: --out is the manifest under review; choose another file")
         try:
             _, done_rows = read_manifest_rows(out_path)
         except (ValueError, OSError) as exc:

@@ -79,10 +79,17 @@ def _check_shapes(a: tuple, b: tuple) -> None:
 
 def _require_finite(settings, noun: str = "") -> None:
     # A settings dataclass's last check: NaN slips past every range check, an
-    # infinite setting makes a loss or a window unbounded; ints are finite.
+    # infinite setting makes a loss or a window unbounded. An int field is
+    # finite at any size; a float field refuses an int float() cannot hold.
     for field in fields(settings):
         value = getattr(settings, field.name)
-        if not isinstance(value, int) and not math.isfinite(value):
+        if isinstance(value, int) and field.type != "float":
+            continue
+        try:
+            finite = math.isfinite(value)
+        except OverflowError:
+            value, finite = "an int past the float range", False
+        if not finite:
             raise ValueError(f"{field.name}{noun} must be finite, got {value}")
 
 

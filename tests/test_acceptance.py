@@ -12,7 +12,6 @@ import math
 import time
 
 import numpy as np
-import pytest
 
 from test_curation import brute_force_video
 from gazekit import (

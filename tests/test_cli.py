@@ -7,6 +7,7 @@ checked for byte determinism where the command promises it.
 
 from __future__ import annotations
 
+import argparse
 import csv
 import errno
 import io
@@ -19,12 +20,13 @@ import subprocess
 import sys
 from dataclasses import asdict, fields
 from pathlib import Path
+from typing import NamedTuple
 from xml.etree import ElementTree
 
 import numpy as np
 import pytest
 
-from conftest import gaussian_blur_reference, gaze_map_reference, random_map, spatial_softmax_reference
+from conftest import gaussian_blur_reference, gaze_map_reference, spatial_softmax_reference
 from gazekit import (
     MANIFEST_HEADER,
     CurationParams,
@@ -44,7 +46,7 @@ from gazekit import (
     FixationMap,
     write_manifest,
 )
-from gazekit import cli, gradcheck, run_gradient_checks
+from gazekit import cli, gradcheck, manifests, run_gradient_checks
 from gazekit.cli import build_parser, main
 from gazekit.grids import _blur_matrix
 from gazekit.objectives import _softmax_backprop
@@ -188,15 +190,6 @@ def closed_pipe() -> int:
     read_end, write_end = os.pipe()
     os.close(read_end)
     return write_end
-
-
-def run_into_closed_pipe(stream, *argv, entry=("-m", "gazekit.cli")):
-    """run_cli with ``stream``, "stdout" or "stderr", written into a closed pipe."""
-    write_end = closed_pipe()
-    try:
-        return run_cli(*argv, entry=entry, **{stream: write_end})
-    finally:
-        os.close(write_end)
 
 
 class TestMapLoading:
@@ -1150,75 +1143,285 @@ def _contract_inputs(root):
         write_map_dir(root / sub, {"f0": gaze})
     (root / "fix").mkdir()
     save_fixations(root / "fix" / "f0.csv", FixationMap(gaze.values == gaze.values.max()))
-    write_sequence_dir(root / "corpus", "vid0", two_segment_arrays(3, 3))
+    # A video with a pair, and one that curate skips: exit 2, after its manifest.
+    write_sequence_dir(root / "corpus", "vid0", two_segment_arrays())
+    (root / "corpus" / "empty").mkdir()
     (root / "cand.txt").write_text("a red car\n", encoding="utf-8")
     (root / "ref.txt").write_text("a red car stops\n", encoding="utf-8")
     write_metrics_file(root / "table.csv", 0.5, 0.2)
     (root / "empty.csv").write_text("", encoding="utf-8")
-    (root / "nan_mean.csv").write_text(
-        "id,cc,kl,sim,auc_j,auc_b,nss\nf0,0.5,0.2,0.5,0.7,0.6,1\nmean,nan,0.2,0.5,0.7,0.6,1\n",
-        encoding="utf-8",
-    )
-    (root / "huge_field.csv").write_text(
-        ",".join(MANIFEST_HEADER) + "\nv,4,8,4,1.5,2.5,,," + "x" * 200_000 + "\n", encoding="utf-8"
-    )
-    (root / "short_row.csv").write_text(
-        "video_id,anchor,target,delta,anchor_peak_kl,pair_kl,"
-        "anchor_map_path,target_map_path,caption\nv,4,8\n",
-        encoding="utf-8",
-    )
-    (root / "no_rows.csv").write_text(",".join(MANIFEST_HEADER) + "\n", encoding="utf-8")
+    nan_mean = "id,cc,kl,sim,auc_j,auc_b,nss\nf0,0.5,0.2,0.5,0.7,0.6,1\nmean,nan,0.2,0.5,0.7,0.6,1\n"
+    (root / "nan_mean.csv").write_text(nan_mean, encoding="utf-8")
+    header = ",".join(MANIFEST_HEADER)
+    (root / "huge_field.csv").write_text(header + "\nv,4,8,4,1.5,2.5,,," + "x" * 200_000 + "\n", encoding="utf-8")
+    (root / "short_row.csv").write_text(header + "\nv,4,8\n", encoding="utf-8")
+    (root / "no_rows.csv").write_text(header + "\n", encoding="utf-8")
+    # A two-row manifest to review, and two other names for it.
+    (root / "pairs.csv").write_text(header + "\nv0,4,8,4,1.5,2.5,,,\nv1,4,8,4,1.5,2.5,,,\n", encoding="utf-8")
+    (root / "pairs_symlink.csv").symlink_to("pairs.csv")
+    os.link(root / "pairs.csv", root / "pairs_link.csv")
 
 
-#: (argv with {in} for the inputs and {out} for an output path) per case
-#: of bad input that must end in exit 2 with a one-line reason.
-CONTRACT_CASES = {
-    "report-empty-table": "report --tables {in}/empty.csv {in}/table.csv --labels a b --out {out}.svg",
-    "report-nan-mean": "report --tables {in}/nan_mean.csv {in}/table.csv --labels a b --out {out}.svg",
-    "review-short-row": "review {in}/short_row.csv --out {out}.csv",
-    "review-huge-field": "review {in}/huge_field.csv --out {out}.csv",
-    "evaluate-out-missing-dir": "evaluate --pred-dir {in}/pred --gt-dir {in}/gt --fix-dir {in}/fix"
-    " --out {missing}.csv",
-    "curate-out-missing-dir": "curate {in}/corpus --out {missing}.csv",
-    "fit-demo-out-missing-dir": "fit-demo --grid 2 --steps 1 --out {missing}.csv",
-    "caption-eval-out-missing-dir": "caption-eval --candidates {in}/cand.txt --references {in}/ref.txt"
-    " --out {missing}.csv",
-    "curate-delta-min-0": "curate {in}/corpus --delta-min 0 --out {out}.csv",
-    "curate-top-k-0": "curate {in}/corpus --top-k 0 --out {out}.csv",
-    "curate-peak-floor-nan": "curate {in}/corpus --peak-floor nan --out {out}.csv",
-    "curate-peak-floor-inf": "curate {in}/corpus --peak-floor inf --out {out}.csv",
-    "fit-demo-negative-steps": "fit-demo --grid 2 --steps -1 --out {out}.csv",
-    "fit-demo-lr-inf": "fit-demo --grid 1 --steps 1 --lr inf --out {out}.csv",
-    "evaluate-missing-pred-dir": "evaluate --pred-dir {missing} --gt-dir {in}/gt --fix-dir {in}/fix --out {out}.csv",
-    "curate-missing-root": "curate {missing} --out {out}.csv",
-    "caption-eval-line-counts-differ": "caption-eval --candidates {in}/cand.txt --references {in}/empty.csv"
-    " --out {out}.csv",
-    "report-one-table": "report --tables {in}/table.csv --labels a --out {out}.svg",
-    "report-three-labels": "report --tables {in}/table.csv {in}/table.csv --labels a b c --out {out}.svg",
-    "review-unreadable-resume-file": "review {in}/no_rows.csv --out {in}/short_row.csv",
+class Row(NamedTuple):
+    """A command's row of the exit-contract table: its argv, with {in} for the
+    inputs and {out} for its file; its stdin; that file's name; a function of
+    ``cli`` it calls, to raise Ctrl-C and memory exhaustion from; and per case
+    of bad input an argv, with {out} for a name in the output directory and
+    {missing} for one under a missing directory."""
+
+    argv: str
+    stdin: str
+    out: str | None
+    raised_from: str
+    bad_input: dict
+
+
+CONTRACT = {
+    "evaluate": Row(
+        "evaluate --pred-dir {in}/pred --gt-dir {in}/gt --fix-dir {in}/fix --out {out}", "", "result.csv", "score_maps",
+        {
+            "evaluate-out-missing-dir": "evaluate --pred-dir {in}/pred --gt-dir {in}/gt --fix-dir {in}/fix"
+            " --out {missing}.csv",
+            "evaluate-missing-pred-dir": "evaluate --pred-dir {missing} --gt-dir {in}/gt --fix-dir {in}/fix"
+            " --out {out}.csv",
+        },
+    ),
+    "curate": Row(
+        "curate {in}/corpus --out {out}", "", "result.csv", "_curate_stream",
+        {
+            "curate-out-missing-dir": "curate {in}/corpus --out {missing}.csv",
+            "curate-delta-min-0": "curate {in}/corpus --delta-min 0 --out {out}.csv",
+            "curate-top-k-0": "curate {in}/corpus --top-k 0 --out {out}.csv",
+            "curate-peak-floor-nan": "curate {in}/corpus --peak-floor nan --out {out}.csv",
+            "curate-peak-floor-inf": "curate {in}/corpus --peak-floor inf --out {out}.csv",
+            "curate-missing-root": "curate {missing} --out {out}.csv",
+        },
+    ),
+    "caption-eval": Row(
+        "caption-eval --candidates {in}/cand.txt --references {in}/ref.txt --out {out}", "", "result.csv",
+        "score_captions",
+        {
+            "caption-eval-out-missing-dir": "caption-eval --candidates {in}/cand.txt --references {in}/ref.txt"
+            " --out {missing}.csv",
+            "caption-eval-line-counts-differ": "caption-eval --candidates {in}/cand.txt --references {in}/empty.csv"
+            " --out {out}.csv",
+        },
+    ),
+    "grad-check": Row("grad-check --trials 1", "", None, "run_gradient_checks", {}),
+    "fit-demo": Row(
+        "fit-demo --grid 4 --steps 20 --out {out}", "", "result.csv", "fit_gaze_demo",
+        {
+            "fit-demo-out-missing-dir": "fit-demo --grid 2 --steps 1 --out {missing}.csv",
+            "fit-demo-negative-steps": "fit-demo --grid 2 --steps -1 --out {out}.csv",
+            "fit-demo-lr-inf": "fit-demo --grid 1 --steps 1 --lr inf --out {out}.csv",
+        },
+    ),
+    "report": Row(
+        "report --tables {in}/table.csv {in}/table.csv --labels a b --out {out}", "", "result.svg", "render_radar",
+        {
+            "report-empty-table": "report --tables {in}/empty.csv {in}/table.csv --labels a b --out {out}.svg",
+            "report-nan-mean": "report --tables {in}/nan_mean.csv {in}/table.csv --labels a b --out {out}.svg",
+            "report-one-table": "report --tables {in}/table.csv --labels a --out {out}.svg",
+            "report-three-labels": "report --tables {in}/table.csv {in}/table.csv --labels a b c --out {out}.svg",
+        },
+    ),
+    # One decision per session: the second session resumes at row 2.
+    "review": Row(
+        "review {in}/pairs.csv --out {out}", "a\n", "result.csv", "_ask_decision",
+        {
+            "review-short-row": "review {in}/short_row.csv --out {out}.csv",
+            "review-huge-field": "review {in}/huge_field.csv --out {out}.csv",
+            "review-unreadable-resume-file": "review {in}/no_rows.csv --out {in}/short_row.csv",
+            "review-out-is-the-manifest": "review {in}/pairs.csv --out {in}/pairs.csv",
+            "review-out-is-a-symlink-to-the-manifest": "review {in}/pairs.csv --out {in}/pairs_symlink.csv",
+            "review-out-is-a-hard-link-to-the-manifest": "review {in}/pairs.csv --out {in}/pairs_link.csv",
+        },
+    ),
 }
 
+STREAMS = ("closed-stdout", "closed-stderr", "full-stdout", "full-stderr")
+CONDITIONS = ("bad-input", *STREAMS, "file-size-limit", "ctrl-c", "memory")
 
-class TestExitCodeContract:
-    @pytest.mark.parametrize("case", sorted(CONTRACT_CASES))
-    def test_bad_input_exits_2_with_one_line(self, case, tmp_path, monkeypatch, capsys):
-        _contract_inputs(tmp_path / "in")
-        (tmp_path / "out").mkdir()
-        argv = CONTRACT_CASES[case].format(
-            **{"in": tmp_path / "in", "out": tmp_path / "out" / "result", "missing": tmp_path / "nowhere" / "result"}
-        ).split()
-        monkeypatch.setattr("sys.stdin", io.StringIO(""))
-        assert main(argv) == 2
-        captured = capsys.readouterr()
+#: The cells that do not apply, with the reason.
+NOT_APPLICABLE = {
+    ("grad-check", "bad-input"): "its only inputs are --seed and --trials, which argparse refuses"
+    " (TestParserPlumbing)",
+    ("grad-check", "file-size-limit"): "it writes no file",
+}
+
+CELLS = [
+    pytest.param(command, condition, case, id=case or f"{command}-{condition}")
+    for command, row in CONTRACT.items()
+    for condition in CONDITIONS
+    if (command, condition) not in NOT_APPLICABLE
+    for case in (row.bad_input if condition == "bad-input" else [None])
+]
+
+
+class Outcome(NamedTuple):
+    """A run's exit code, its stdout and stderr (None for one that went to a
+    closed pipe or a full device) and its output directory's files."""
+
+    code: int | None
+    stdout: str | None
+    stderr: str | None
+    files: dict
+
+
+def _files(directory):
+    return {name: (directory / name).read_bytes() for name in sorted(os.listdir(directory))}
+
+
+def _errno_line(code):
+    return f"[Errno {code}] {os.strerror(code)}\n"
+
+
+def failing_stream(kind):
+    """A writable file on a pipe whose reader has gone, or on /dev/full."""
+    if kind == "full" and not os.path.exists("/dev/full"):
+        pytest.skip("needs /dev/full")
+    return open(closed_pipe() if kind == "closed" else "/dev/full", "w")
+
+
+def run_main(monkeypatch, argv, stdin, out_dir, **streams):
+    """main(argv) in process, reading ``stdin``; stdout and stderr go to the
+    files given in ``streams``, or to buffers whose text is returned."""
+    buffers = {name: io.StringIO() for name in ("stdout", "stderr") if name not in streams}
+    monkeypatch.setattr(sys, "stdin", io.StringIO(stdin))
+    for name, stream in {**buffers, **streams}.items():
+        monkeypatch.setattr(sys, name, stream)
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # argparse's help and usage errors
+        code = exc.code
+    except (KeyboardInterrupt, MemoryError) as exc:
+        # Escaping, a KeyboardInterrupt would end the whole test session.
+        pytest.fail(f"main raised {exc!r}")
+    text = {name: buffer.getvalue() for name, buffer in buffers.items()}
+    return Outcome(code, text.get("stdout"), text.get("stderr"), _files(out_dir))
+
+
+def live_run(monkeypatch, argv, stdin, out_dir, raised_from=None):
+    """A run of main, and its outcome so far at three moments: its first
+    stdout write ("print"), its first file write ("write") and its first
+    call of ``raised_from`` ("raise")."""
+    moments = {}
+
+    def watched(function, moment):
+        def call(*args, **kwargs):
+            if moment != "print" or args[0] is sys.stdout:
+                so_far = Outcome(None, sys.stdout.getvalue(), sys.stderr.getvalue(), _files(out_dir))
+                moments.setdefault(moment, so_far)
+            return function(*args, **kwargs)
+
+        return call
+
+    with monkeypatch.context() as patch:
+        watch = [(cli, "_write", "print"), (cli, "_write_file", "write"), (manifests, "_write_file", "write")]
+        for module, name, moment in watch + ([(cli, raised_from, "raise")] if raised_from else []):
+            patch.setattr(module, name, watched(getattr(module, name), moment))
+        return run_main(patch, argv, stdin, out_dir), moments
+
+
+def stream_expectation(condition, live, moments):
+    """What a run gives with the stream of ``condition`` closed or full."""
+    if condition == "full-stdout" and "print" in moments:
+        # An I/O error at the first stdout write: what was written before stays.
+        at = moments["print"]
+        return Outcome(2, None, at.stderr + _errno_line(errno.ENOSPC), at.files)
+    # Otherwise the stream's text is dropped, and all else is the live run's.
+    return live._replace(**{condition.split("-")[1]: None})
+
+
+def test_the_contract_table_has_a_row_per_command():
+    commands = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)).choices
+    assert list(CONTRACT) == list(commands)
+    for command, row in CONTRACT.items():
+        assert callable(getattr(cli, row.raised_from))
+        assert all(case.startswith(f"{command}-") for case in row.bad_input)
+        assert (not row.bad_input) == ((command, "bad-input") in NOT_APPLICABLE)
+        assert (row.out is None) == ((command, "file-size-limit") in NOT_APPLICABLE)
+    assert all(NOT_APPLICABLE.values())
+
+
+@pytest.mark.parametrize(("command", "condition", "case"), CELLS)
+def test_the_exit_contract(command, condition, case, tmp_path, monkeypatch):
+    """Every command under every condition. A failed stream changes only
+    what the stream receives, unless it is a full stdout: an I/O error. An
+    error gives its code and one more line on stderr, and keeps the files."""
+    row = CONTRACT[command]
+    inputs, out_dir = tmp_path / "in", tmp_path / "out"
+    _contract_inputs(inputs)
+    out_dir.mkdir()
+    if condition == "bad-input":
+        names = {"in": inputs, "out": out_dir / "result", "missing": tmp_path / "nowhere" / "result"}
+        given = {path: path.read_bytes() for path in inputs.rglob("*") if path.is_file()}
+        got = run_main(monkeypatch, row.bad_input[case].format(**names).split(), "", out_dir)
         # Nothing reaches stdout: curate prints its counts only after the
         # manifest is written.
-        assert captured.out == ""
-        err = captured.err
-        assert "Traceback" not in err
-        assert len(err.splitlines()) == 1 and err.endswith("\n")
-        assert list((tmp_path / "out").iterdir()) == []
+        assert (got.code, got.stdout, got.files) == (2, "", {})
+        assert "Traceback" not in got.stderr
+        assert len(got.stderr.splitlines()) == 1 and got.stderr.endswith("\n")
         assert not (tmp_path / "nowhere").exists()
+        assert {path: path.read_bytes() for path in inputs.rglob("*") if path.is_file()} == given
+        return
 
+    out = out_dir / row.out if row.out else None
+    argv = row.argv.format(**{"in": inputs, "out": out}).split()
+    # A first run, from an empty directory, writes the file the live run
+    # replaces; no temporary is left after a write that succeeds.
+    first, first_moments = live_run(monkeypatch, argv, row.stdin, out_dir, row.raised_from)
+    before = first.files
+    assert list(before) == ([row.out] if row.out else [])
+    live, moments = live_run(monkeypatch, argv, row.stdin, out_dir, row.raised_from)
+    for name, data in before.items():
+        (out_dir / name).write_bytes(data)
+
+    if condition in STREAMS:
+        kind, stream = condition.split("-")
+        with failing_stream(kind) as target:
+            got = run_main(monkeypatch, argv, row.stdin, out_dir, **{stream: target})
+        assert got == stream_expectation(condition, live, moments)
+    elif condition == "file-size-limit":
+        # A write that fails partway, at half the file's size, over the
+        # previous file and then where none was, in a child whose Python
+        # ignores SIGXFSZ: the write gets EFBIG.
+        for start, at in ((before, moments["write"]), ({}, first_moments["write"])):
+            if not start:
+                out.unlink()
+            done = run_cli(*argv, input=row.stdin, preexec_fn=file_size_limit(len(before[row.out]) // 2))
+            got = Outcome(done.returncode, done.stdout, done.stderr, _files(out_dir))
+            assert got == Outcome(2, at.stdout, at.stderr + _errno_line(errno.EFBIG), start)
+    else:
+        errors = {"ctrl-c": (KeyboardInterrupt, 130, "interrupted"), "memory": (MemoryError, 2, "MemoryError")}
+        error, code, line = errors[condition]
+        if (command, condition) == ("review", "ctrl-c"):  # review saves its decisions again, and counts them
+            line = "interrupted; 1 of 2 rows decided"
+
+        def raising(*args, **kwargs):
+            raise error
+
+        monkeypatch.setattr(cli, row.raised_from, raising)
+        got = run_main(monkeypatch, argv, row.stdin, out_dir)
+        at = moments["raise"]
+        assert got == Outcome(code, at.stdout, at.stderr + line + "\n", before)
+        if condition == "ctrl-c":
+            # And a real SIGINT, which the child sends itself from that function.
+            done = run_cli(row.raised_from, *argv, input=row.stdin, entry=SELF_INTERRUPTED)
+            assert Outcome(done.returncode, done.stdout, done.stderr, _files(out_dir)) == got
+
+
+#: The CLI with the function of ``cli`` its first argument names sending the
+#: process SIGINT, as Ctrl-C does, not a timer.
+SELF_INTERRUPTED = ("-c", """
+import os, signal, sys
+from gazekit import cli
+def interrupted(*args, **kwargs):
+    os.kill(os.getpid(), signal.SIGINT)
+    raise AssertionError("SIGINT was not delivered")
+setattr(cli, sys.argv[1], interrupted)
+sys.exit(cli.main(sys.argv[2:]))
+""")
 
 #: grad-check with a wrong infonce gradient, as ``wrong_infonce_gradient`` sets it.
 FAILING_GRAD_CHECK = ("-c", """
@@ -1233,95 +1436,60 @@ sys.exit(cli.main(sys.argv[1:]))
 """)
 
 
-@pytest.mark.usefixtures("buffering")
-class TestClosedStderr:
-    """A stderr whose reader has gone is handled as a closed stdout is: the
-    rest of it is dropped, and the files, stdout and exit code are those of
-    a live reader, with no traceback and no error at interpreter exit."""
-
-    def run(self, *argv, entry=("-m", "gazekit.cli")):
-        return run_into_closed_pipe("stderr", *argv, entry=entry)
-
-    def test_evaluate_writes_its_table(self, tmp_path, rng):
-        # Without --fix-dir, evaluate writes a note to stderr first.
-        maps = {f"f{i}": peaked_map(rng, 8, (2 + i, 3)) for i in range(2)}
-        pred, gt = tmp_path / "pred", tmp_path / "gt"
-        write_map_dir(pred, maps)
-        write_map_dir(gt, dict(zip(maps, reversed(maps.values()))))
-        out = tmp_path / "metrics.csv"
-        done = self.run("evaluate", "--pred-dir", pred, "--gt-dir", gt, "--out", out)
-        assert (done.returncode, done.stdout) == (0, "")
-        expected = tmp_path / "expected.csv"
-        assert main(["evaluate", "--pred-dir", str(pred), "--gt-dir", str(gt), "--out", str(expected)]) == 0
-        assert out.read_bytes() == expected.read_bytes()
-
-    def test_curate_with_a_skipped_video(self, tmp_path):
-        write_sequence_dir(tmp_path / "corpus", "good", two_segment_arrays())
-        (tmp_path / "corpus" / "empty").mkdir()
-        out = tmp_path / "pairs.csv"
-        done = self.run("curate", tmp_path / "corpus", "--out", out)
-        assert (done.returncode, done.stdout) == (2, "good: 1\n")
-        assert len(read_manifest_rows(out)[1]) == 1
-
-    def test_failing_grad_check_exits_1(self):
-        done = self.run("grad-check", "--trials", "5", entry=FAILING_GRAD_CHECK)
-        assert done.returncode == 1
-        assert [line.rsplit(" ", 1)[1] for line in done.stdout.splitlines()] == ["pass", "pass", "FAIL", "pass"]
-
-    def test_bad_input_exits_2(self, tmp_path):
-        missing = tmp_path / "missing"
-        done = self.run("evaluate", "--pred-dir", missing, "--gt-dir", missing, "--out", tmp_path / "m.csv")
-        assert (done.returncode, done.stdout) == (2, "")
-        assert os.listdir(tmp_path) == []
-
-    def test_a_usage_error_exits_2(self):
-        done = self.run("grad-check", "--trials", "0")
-        assert (done.returncode, done.stdout) == (2, "")
-
-    def test_help_exits_0(self):
-        done = self.run("--help")
-        assert done.returncode == 0
-        assert done.stdout.startswith("usage: gazekit")
+#: What a child runs for the flush at interpreter exit, its exit code and the
+#: streams it fails: every exit code, and each way a line reaches stderr.
+EXIT_RUNS = {
+    "failing-grad-check": ("grad-check --trials 5", 1, ("stdout", "stderr")),
+    "help": ("--help", 0, ("stdout", "stderr")),
+    "grad-check-help": ("grad-check --help", 0, ("stdout",)),
+    # Without --fix-dir, evaluate writes a note to stderr before its table.
+    "note-first": ("evaluate --pred-dir {in}/pred --gt-dir {in}/gt --out {out}/m.csv", 0, ("stderr",)),
+    "refusal": ("evaluate --pred-dir {missing} --gt-dir {missing} --out {out}/m.csv", 2, ("stderr",)),
+    "usage-error": ("grad-check --trials 0", 2, ("stderr",)),
+}
 
 
 @pytest.mark.usefixtures("buffering")
-class TestClosedStdout:
-    """A reader that closes its end before the first write drops the rest of
-    stdout, and nothing else: files, stderr and exit code are those of a
-    live reader, with no traceback and no error at interpreter exit."""
-
-    def test_grad_check(self):
-        done = run_into_closed_pipe("stdout", "grad-check", "--trials", "2", "--seed", "0")
-        assert (done.returncode, done.stderr) == (0, "")
-
-    def test_curate_writes_its_manifest(self, tmp_path):
-        write_sequence_dir(tmp_path / "corpus", "vid0", two_segment_arrays())
-        out = tmp_path / "pairs.csv"
-        done = run_into_closed_pipe("stdout", "curate", tmp_path / "corpus", "--out", out)
-        assert (done.returncode, done.stderr) == (0, "")
-        assert [row["anchor"] for row in read_manifest_rows(out)[1]] == ["9"]
-
-    def test_curate_still_reports_a_skipped_video(self, tmp_path):
-        write_sequence_dir(tmp_path / "corpus", "good", two_segment_arrays())
-        (tmp_path / "corpus" / "empty").mkdir()
-        out = tmp_path / "pairs.csv"
-        done = run_into_closed_pipe("stdout", "curate", tmp_path / "corpus", "--out", out)
-        assert (done.returncode, done.stderr) == (2, "empty: no map files, skipped\n")
-        assert len(read_manifest_rows(out)[1]) == 1
-
-    @pytest.mark.parametrize("argv", [["--help"], ["grad-check", "--help"]], ids=["gazekit", "grad-check"])
-    def test_help_exits_0(self, argv):
-        # argparse prints help through the same writer as every command.
-        done = run_into_closed_pipe("stdout", *argv)
-        assert (done.returncode, done.stderr) == (0, "")
-
-    def test_failing_grad_check_still_exits_1(self, monkeypatch):
+@pytest.mark.parametrize(
+    ("condition", "run"), [(c, run) for c in STREAMS for run, spec in EXIT_RUNS.items() if c.endswith(spec[2])]
+)
+def test_the_flush_at_exit(condition, run, tmp_path, monkeypatch):
+    """A child's failed stream is flushed again at interpreter exit: the
+    child still gives what the same run gives in process."""
+    inputs, out_dir = tmp_path / "in", tmp_path / "out"
+    _contract_inputs(inputs)
+    out_dir.mkdir()
+    kind, stream = condition.split("-")
+    template, code, _ = EXIT_RUNS[run]
+    argv = template.format(**{"in": inputs, "out": out_dir, "missing": tmp_path / "missing"}).split()
+    entry = ("-m", "gazekit.cli")
+    if run == "failing-grad-check":
         wrong_infonce_gradient(monkeypatch)
-        with open(closed_pipe(), "w") as stdout:
-            monkeypatch.setattr(sys, "stdout", stdout)
-            with pytest.raises(BrokenPipeError):
-                print("probe", flush=True)
-            assert main(["grad-check", "--trials", "5"]) == 1
+        entry = FAILING_GRAD_CHECK
+    live, moments = live_run(monkeypatch, argv, "", out_dir)
+    assert live.code == code
+    for name in live.files:
+        (out_dir / name).unlink()
+    with failing_stream(kind) as target:
+        done = run_cli(*argv, entry=entry, **{stream: target})
+    got = Outcome(done.returncode, done.stdout, done.stderr, _files(out_dir))
+    assert got == stream_expectation(condition, live, moments)
+
+
+def test_a_grid_too_large_for_memory_exits_2(tmp_path, monkeypatch):
+    # 4 GiB of address space for the child alone; one BLAS thread keeps
+    # the start-up well below it.
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    limit = 4 << 30
+    out = tmp_path / "huge.csv"
+    done = run_cli(
+        "fit-demo", "--grid", "200000", "--out", out,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
+    )
+    assert (done.returncode, done.stdout) == (2, "")
+    assert done.stderr.startswith("Unable to allocate") and done.stderr.count("\n") == 1, done.stderr
+    assert done.stderr.endswith("\n") and "Traceback" not in done.stderr
+    assert os.listdir(tmp_path) == []
 
 
 def file_size_limit(limit):
@@ -1330,18 +1498,6 @@ def file_size_limit(limit):
     child's Python ignores SIGXFSZ, so a write gets EFBIG)."""
     return lambda: resource.setrlimit(resource.RLIMIT_FSIZE, (limit, limit))
 
-
-#: Each command that writes a file, as argv with {in} for the inputs and
-#: {out} for its output, and the standard input it reads.
-WRITING_COMMANDS = {
-    "evaluate": ("evaluate --pred-dir {in}/pred --gt-dir {in}/gt --fix-dir {in}/fix --out {out}", ""),
-    "curate": ("curate {in}/corpus --out {out}", ""),
-    "caption-eval": ("caption-eval --candidates {in}/cand.txt --references {in}/ref.txt --out {out}", ""),
-    "fit-demo": ("fit-demo --grid 4 --steps 20 --out {out}", ""),
-    "report": ("report --tables {in}/table.csv {in}/table.csv --labels a b --out {out}", ""),
-    # One decision per session: the second session resumes at row 2.
-    "review": ("review {in}/review/pairs.csv --out {out}", "a\n"),
-}
 
 #: save_map in a fresh interpreter: exit 2 on EFBIG, 3 on another OSError.
 SAVE_MAP = ("-c", """
@@ -1357,46 +1513,8 @@ except OSError as exc:
 
 class TestFailedWrites:
     """A write that fails partway, here at a lowered file-size limit, leaves
-    the previous output file byte for byte, or no file where none was, and
-    no temporary file beside it; the command exits 2 with one line."""
-
-    @pytest.fixture
-    def inputs(self, tmp_path):
-        root = tmp_path / "in"
-        _contract_inputs(root)
-        curated_manifest(root / "review")
-        return root
-
-    def argv(self, command, inputs, out):
-        template, _ = WRITING_COMMANDS[command]
-        return template.format(**{"in": inputs, "out": out}).split()
-
-    @pytest.mark.parametrize("previous", [True, False], ids=["over-a-file", "new-file"])
-    @pytest.mark.parametrize("command", sorted(WRITING_COMMANDS))
-    def test_command_keeps_the_previous_file(self, command, previous, inputs, tmp_path, monkeypatch, capsys):
-        out_dir = tmp_path / "out"
-        out_dir.mkdir()
-        out = out_dir / ("result.svg" if command == "report" else "result.csv")
-        stdin = WRITING_COMMANDS[command][1]
-        # The first run writes the file a second run replaces: no temporary
-        # is left after a write that succeeds.
-        monkeypatch.setattr("sys.stdin", io.StringIO(stdin))
-        assert main(self.argv(command, inputs, out)) == 0
-        capsys.readouterr()
-        assert os.listdir(out_dir) == [out.name]
-        before = out.read_bytes()
-        if not previous:
-            out.unlink()
-        done = run_cli(*self.argv(command, inputs, out), input=stdin, preexec_fn=file_size_limit(len(before) // 2))
-        assert done.returncode == 2
-        assert done.stderr == f"[Errno {errno.EFBIG}] File too large\n"
-        if command != "review":  # review prints its prompts before it writes
-            assert done.stdout == ""
-        if previous:
-            assert os.listdir(out_dir) == [out.name]
-            assert out.read_bytes() == before
-        else:
-            assert os.listdir(out_dir) == []
+    the previous file byte for byte, or none, and no temporary beside it;
+    each command's cell is in the contract table."""
 
     @pytest.mark.parametrize("previous", [True, False], ids=["over-a-file", "new-file"])
     @pytest.mark.parametrize("suffix", [".pgm", ".csv"])
@@ -1409,9 +1527,9 @@ class TestFailedWrites:
         assert (done.returncode, done.stderr) == (2, "")
         assert (os.listdir(tmp_path), out.read_bytes() if previous else None) == before
 
-    def test_review_resumes_from_a_file_a_failed_write_kept(self, inputs, tmp_path, monkeypatch, capsys):
+    def test_review_resumes_from_a_file_a_failed_write_kept(self, tmp_path, monkeypatch, capsys):
         out = tmp_path / "reviewed.csv"
-        manifest = inputs / "review" / "pairs.csv"
+        manifest = curated_manifest(tmp_path)
         monkeypatch.setattr("sys.stdin", io.StringIO("r\n"))
         assert main(["review", str(manifest), "--out", str(out)]) == 0
         # A limit inside the saved row: a write in place would tear it.
@@ -1486,9 +1604,6 @@ class TestOutputTargets:
         assert stat.S_IMODE(out.stat().st_mode) == 0o666 & ~umask
 
 
-needs_dev_full = pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
-
-
 @pytest.fixture(params=["buffered", "unbuffered"])
 def buffering(request, monkeypatch):
     """Children with Python's streams buffered, its default, or unbuffered. A
@@ -1498,33 +1613,6 @@ def buffering(request, monkeypatch):
         monkeypatch.delenv("PYTHONUNBUFFERED", raising=False)
     else:
         monkeypatch.setenv("PYTHONUNBUFFERED", "1")
-
-
-@needs_dev_full
-class TestFullStderr(TestClosedStderr):
-    """A stderr on which every write fails (ENOSPC) is handled as a closed
-    one: the files, stdout and exit code are those of a live stderr."""
-
-    def run(self, *argv, entry=("-m", "gazekit.cli")):
-        with open("/dev/full", "w") as full:
-            return run_cli(*argv, entry=entry, stderr=full)
-
-
-@needs_dev_full
-def test_a_full_stdout_exits_2(buffering):
-    # Unlike a gone reader, a stdout that fails otherwise is an I/O error.
-    with open("/dev/full", "w") as full:
-        done = run_cli("grad-check", "--trials", "2", stdout=full)
-    assert (done.returncode, done.stderr) == (2, f"[Errno {errno.ENOSPC}] No space left on device\n")
-
-
-@needs_dev_full
-@pytest.mark.parametrize("argv", [["--help"], ["grad-check", "--help"]], ids=["gazekit", "grad-check"])
-def test_help_into_a_full_stdout_exits_2(buffering, argv):
-    # argparse prints help through the same writer as every command.
-    with open("/dev/full", "w") as full:
-        done = run_cli(*argv, stdout=full)
-    assert (done.returncode, done.stderr) == (2, f"[Errno {errno.ENOSPC}] No space left on device\n")
 
 
 def test_an_interrupted_write_of_a_review_is_made_again(tmp_path, monkeypatch, capsys):
@@ -1584,92 +1672,3 @@ def test_interrupted_review_saves_its_decisions_and_exits_130(tmp_path, monkeypa
     assert "row 1/2" not in capsys.readouterr().out
     assert [row["decision"] for row in read_manifest_rows(out)[1]] == ["accept", "reject"]
     assert not [name for name in os.listdir(tmp_path) if name.endswith(".tmp")]
-
-
-#: Per command, a function it calls, from which the interrupt or the memory
-#: exhaustion is raised in the tests below.
-RAISED_FROM = {
-    "evaluate": "score_maps",
-    "curate": "_curate_stream",
-    "caption-eval": "score_captions",
-    "grad-check": "run_gradient_checks",
-    "fit-demo": "fit_gaze_demo",
-    "report": "render_radar",
-    "review": "_ask_decision",
-}
-
-#: grad-check whose gradient checks send the process SIGINT, as Ctrl-C does.
-SELF_INTERRUPTED_GRAD_CHECK = ("-c", """
-import os, signal, sys
-from gazekit import cli
-def interrupted(**kwargs):
-    os.kill(os.getpid(), signal.SIGINT)
-    raise AssertionError("SIGINT was not delivered")
-cli.run_gradient_checks = interrupted
-sys.exit(cli.main(sys.argv[1:]))
-""")
-
-
-class TestInterruptsAndMemoryExhaustion:
-    """Ctrl-C in any command exits 130 and memory exhaustion exits 2, each
-    with one line on stderr and no traceback. The output file a command
-    replaces is kept byte for byte, with no temporary left beside it."""
-
-    @pytest.mark.parametrize(
-        ("error", "code"), [(KeyboardInterrupt, 130), (MemoryError, 2)], ids=["ctrl-c", "memory"]
-    )
-    @pytest.mark.parametrize("command", sorted(RAISED_FROM))
-    def test_every_command(self, command, error, code, tmp_path, monkeypatch, capsys):
-        inputs = tmp_path / "in"
-        _contract_inputs(inputs)
-        curated_manifest(inputs / "review")
-        out_dir = tmp_path / "out"
-        out_dir.mkdir()
-        template, stdin = WRITING_COMMANDS.get(command, ("grad-check --trials 1", ""))
-        out = out_dir / ("result.svg" if command == "report" else "result.csv")
-        argv = template.format(**{"in": inputs, "out": out}).split()
-        # The first run writes the file the second replaces; review decides
-        # its first row, so the second run asks for the other one.
-        monkeypatch.setattr("sys.stdin", io.StringIO(stdin))
-        assert main(argv) == 0
-        before = {name: (out_dir / name).read_bytes() for name in os.listdir(out_dir)}
-        capsys.readouterr()
-
-        def raising(*args, **kwargs):
-            raise error
-
-        monkeypatch.setattr(cli, RAISED_FROM[command], raising)
-        monkeypatch.setattr("sys.stdin", io.StringIO(stdin))
-        try:
-            got = main(argv)
-        except (KeyboardInterrupt, MemoryError) as exc:
-            # Escaping, a KeyboardInterrupt would end the whole test session.
-            pytest.fail(f"main raised {exc!r}")
-        err = capsys.readouterr().err
-        assert "Traceback" not in err
-        assert len(err.splitlines()) == 1 and err.endswith("\n")
-        if error is MemoryError:
-            assert err == "MemoryError\n"
-        else:
-            assert err == ("interrupted; 1 of 2 rows decided\n" if command == "review" else "interrupted\n")
-        assert got == code
-        assert {name: (out_dir / name).read_bytes() for name in os.listdir(out_dir)} == before
-
-    def test_sigint_exits_130(self):
-        done = run_cli("grad-check", entry=SELF_INTERRUPTED_GRAD_CHECK)
-        assert (done.returncode, done.stdout, done.stderr) == (130, "", "interrupted\n")
-
-    def test_a_grid_too_large_for_memory_exits_2(self, tmp_path, monkeypatch):
-        # 4 GiB of address space for the child alone; one BLAS thread keeps
-        # the start-up well below it.
-        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
-        limit = 4 << 30
-        out = tmp_path / "huge.csv"
-        done = run_cli(
-            "fit-demo", "--grid", "200000", "--out", out,
-            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
-        )
-        assert (done.returncode, done.stdout) == (2, "")
-        assert done.stderr.startswith("Unable to allocate") and done.stderr.count("\n") == 1, done.stderr
-        assert done.stderr.endswith("\n") and "Traceback" not in done.stderr
-        assert os.listdir(tmp_path) == []

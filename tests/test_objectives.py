@@ -515,10 +515,29 @@ class TestSettingsAreFinite:
             LossWeights(**{field: value})
         assert str(info.value) == f"{field} weight must be finite, got {value}"
 
+    # An int that float() cannot hold is infinite to a float setting; a
+    # negative one keeps its range message, as -inf does.
+    @pytest.mark.parametrize(
+        ("settings", "field", "value", "message"),
+        [
+            (GazeLossConfig, "hinge_weight", 10**400, "hinge_weight must be finite, got an int past the float range"),
+            (GazeLossConfig, "hinge_margin", -(10**400), "hinge_margin must be nonnegative"),
+            (GazeLossConfig, "blur_sigma", 10**400, "blur_sigma must be finite, got an int past the float range"),
+            (LossWeights, "gaze", 10**400, "gaze weight must be finite, got an int past the float range"),
+            (LossWeights, "align", -(10**400), "align weight must be finite, got an int past the float range"),
+        ],
+        ids=["hinge_weight", "negative-hinge_margin", "blur_sigma", "gaze", "negative-align"],
+    )
+    def test_an_int_past_the_float_range(self, settings, field, value, message):
+        with pytest.raises(ValueError) as info:
+            settings(**{field: value})
+        assert str(info.value) == message
+
     def test_finite_settings_are_accepted(self):
         cfg = GazeLossConfig(hinge_weight=0.0, hinge_margin=0.0, blur_sigma=1e-3)
         assert (cfg.hinge_weight, cfg.hinge_margin, cfg.blur_sigma) == (0.0, 0.0, 1e-3)
         assert total_loss(1.0, 2.0, 3.0, LossWeights(-1.0, 0.0, 2.0)) == 5.0
+        assert total_loss(1.0, 2.0, 3.0, LossWeights(10**300, 0, -1)) == 1e300
 
 
 class TestFitGazeDemo:
