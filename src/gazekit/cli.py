@@ -76,7 +76,7 @@ def _write(stream, text: str, end: str = "\n") -> None:
 
 
 def _diag(message: str) -> None:
-    _write(sys.stderr, message)
+    _write(sys.stderr, " ".join(message.splitlines()))
 
 
 def _out(text: str = "", end: str = "\n") -> None:
@@ -468,7 +468,7 @@ def main(argv=None) -> int:
         args = build_parser().parse_args(argv)
         return args.func(args)
     except (*_INPUT_ERRORS, MemoryError) as exc:
-        _diag(" ".join(str(exc).splitlines()) or type(exc).__name__)
+        _diag(str(exc) or type(exc).__name__)
         return 2
     except KeyboardInterrupt as exc:
         _diag(str(exc) or "interrupted")

@@ -61,8 +61,14 @@ def _write_file(path, data: bytes) -> None:
             f.write(data)
         return
     path = os.path.realpath(path) if os.path.islink(path) else path
-    temporary = f"{path}.{os.getpid()}.tmp"
-    fd = os.open(temporary, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    temporary, n = f"{path}.{os.getpid()}.tmp", 0
+    while True:
+        try:
+            fd = os.open(temporary, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+            break
+        except FileExistsError:  # a killed run's, not ours to remove: take the next name
+            n += 1
+            temporary = f"{path}.{os.getpid()}.{n}.tmp"
     try:
         with open(fd, "wb") as f:
             if mode is not None:

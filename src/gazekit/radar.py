@@ -36,6 +36,10 @@ _RADIUS = 190.0
 _WIDTH = 640
 _HEIGHT = 540
 
+# With the lone surrogates, what XML 1.0's Char production leaves out: C0
+# controls but tab, LF and CR, U+FFFE and U+FFFF. Escaping cannot carry them.
+_NOT_XML = {*map(chr, range(0x20)), "\ufffe", "\uffff"} - {*"\t\n\r"}
+
 
 def _normalize_axis(values: list[float], invert: bool) -> list[float] | None:
     # Min-max normalize one axis's scores to [0, 1]; inversion maps the
@@ -84,6 +88,9 @@ def render_radar(labels, means) -> tuple[str, list[str]]:
         raise ValueError("one label per metrics dict is required")
     if len(means) < 2:
         raise ValueError("a comparison needs at least two models")
+    for label in labels:
+        if any(c in _NOT_XML or "\ud800" <= c <= "\udfff" for c in str(label)):
+            raise ValueError(f"label {label!r} holds a character an SVG cannot hold")
 
     normalized = []  # one list per axis, one value per model
     degenerate = []

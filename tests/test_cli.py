@@ -457,6 +457,16 @@ class TestCurate:
         _, rows = read_manifest_rows(out)
         assert [row["video_id"] for row in rows] == ["v0"]
 
+    def test_a_video_name_with_a_newline_gives_one_line(self, tmp_path, capsys):
+        root = tmp_path / "corpus"
+        (root / "v\nx").mkdir(parents=True)
+        frame = root / "v\nx" / "frame_000.pgm"
+        save_map(frame, GazeMap(two_segment_arrays()[0]))
+        frame.write_bytes(frame.read_bytes()[:-3])
+        assert main(["curate", str(root), "--out", str(tmp_path / "pairs.csv")]) == 2
+        line = f"v x: {root}/v x/frame_000.pgm: raster holds 125 bytes, expected 128, skipped\n"
+        assert capsys.readouterr().err == line
+
     @pytest.mark.parametrize(
         "window, counts, pairs",
         [
@@ -1141,6 +1151,7 @@ def _contract_inputs(root):
     gaze = peaked_map(np.random.default_rng(0), 6, (2, 3))
     for sub in ("pred", "gt"):
         write_map_dir(root / sub, {"f0": gaze})
+    write_map_dir(root / "pred_unpaired", {"f0": gaze, "a\nb": gaze})
     (root / "fix").mkdir()
     save_fixations(root / "fix" / "f0.csv", FixationMap(gaze.values == gaze.values.max()))
     # A video with a pair, and one that curate skips: exit 2, after its manifest.
@@ -1184,6 +1195,9 @@ CONTRACT = {
             " --out {missing}.csv",
             "evaluate-missing-pred-dir": "evaluate --pred-dir {missing} --gt-dir {in}/gt --fix-dir {in}/fix"
             " --out {out}.csv",
+            # Its one problem names a file whose name holds a newline.
+            "evaluate-unpaired-name-with-a-newline": "evaluate --pred-dir {in}/pred_unpaired --gt-dir {in}/gt"
+            " --fix-dir {in}/fix --out {out}.csv",
         },
     ),
     "curate": Row(
@@ -1223,6 +1237,8 @@ CONTRACT = {
             "report-nan-mean": "report --tables {in}/nan_mean.csv {in}/table.csv --labels a b --out {out}.svg",
             "report-one-table": "report --tables {in}/table.csv --labels a --out {out}.svg",
             "report-three-labels": "report --tables {in}/table.csv {in}/table.csv --labels a b c --out {out}.svg",
+            "report-control-character-label": "report --tables {in}/table.csv {in}/table.csv --labels a\x01b b"
+            " --out {out}.svg",
         },
     ),
     # One decision per session: the second session resumes at row 2.
@@ -1592,6 +1608,27 @@ class TestOutputTargets:
         assert self.fit_demo(out) == 0
         assert stat.S_IMODE(out.stat().st_mode) == 0o640
         assert out.read_text().startswith("step,loss,entropy\n")
+
+    @pytest.mark.parametrize("previous", [False, True], ids=["new-file", "over-a-file"])
+    def test_a_leftover_temporary_is_kept_and_passed_over(self, tmp_path, capsys, previous):
+        # A run killed mid-write leaves its temporary behind, and a later run
+        # can have the same PID (PID 1 in a container, on every run).
+        leftovers = {f"fit.csv.{os.getpid()}.tmp": b"killed\n", f"fit.csv.{os.getpid()}.1.tmp": b""}
+        for name, data in leftovers.items():
+            (tmp_path / name).write_bytes(data)
+        out = tmp_path / "fit.csv"
+        if previous:
+            out.write_text("previous\n")
+            out.chmod(0o640)
+        old = os.umask(0o077)
+        try:
+            assert self.fit_demo(out) == 0
+        finally:
+            os.umask(old)
+        assert stat.S_IMODE(out.stat().st_mode) == (0o640 if previous else 0o600)
+        assert out.read_text().startswith("step,loss,entropy\n")
+        assert {name: (tmp_path / name).read_bytes() for name in leftovers} == leftovers
+        assert sorted(os.listdir(tmp_path)) == sorted([*leftovers, "fit.csv"])
 
     @pytest.mark.parametrize("umask", [0o022, 0o077])
     def test_a_new_file_gets_the_umask(self, tmp_path, capsys, umask):

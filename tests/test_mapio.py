@@ -5,6 +5,7 @@ tables, and the radar SVG. Everything here must be byte-deterministic.
 from __future__ import annotations
 
 import math
+import re
 import struct
 from pathlib import Path, PurePosixPath
 from xml.etree import ElementTree
@@ -622,6 +623,17 @@ class TestRadar:
     def test_deterministic_text(self):
         args = (["a", "b"], radar_means(**self.BASE))
         assert render_radar(*args) == render_radar(*args)
+
+    @pytest.mark.parametrize("char", ["\x00", "\x01", "\x0b", "\x1f", "\ud800", "\udc80", "\ufffe", "\uffff"])
+    def test_a_label_xml_cannot_hold_is_refused(self, char):
+        # Escaping cannot carry a character outside XML 1.0's Char production.
+        with pytest.raises(ValueError, match=f"^label {re.escape(repr(f'a{char}b'))} "):
+            render_radar([f"a{char}b", "b"], radar_means(**self.BASE))
+
+    @pytest.mark.parametrize("char", ["\t", "\n", "\r", "\ud7ff", "\ue000", "\ufffd", "\U00010000"])
+    def test_a_label_xml_can_hold_gives_a_well_formed_svg(self, char):
+        svg, _ = render_radar([f"a{char}b", "b"], radar_means(**self.BASE))
+        ElementTree.fromstring(svg.encode("utf-8"))
 
     @given(labels=st.lists(st.text(st.characters(min_codepoint=0x20, max_codepoint=0x17F)), min_size=2, max_size=4))
     def test_legend_reads_back_every_label(self, labels):

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -395,46 +394,6 @@ def cider_oracle(candidate, references, corpus, max_n=4):
     return _oracle_cider(list(candidate), refs, _oracle_corpus_stats(corpus, max_n), max_n)
 
 
-def oracle_cider_column(pairs, corpus, max_n, per_field):
-    """The cider value ``score_captions`` must give each row (None if unscored)."""
-    if not per_field:
-        corpus_tokens = [[tokenize(r) for r in ref_set] for ref_set in corpus]
-        return [
-            cider_oracle(tokenize(cand), [tokenize(r) for r in refs], corpus_tokens, max_n)
-            for cand, refs in pairs
-        ]
-    corpora = {label: [] for label in FIELD_LABELS}
-    for ref_set in corpus:
-        parsed = []
-        for ref in ref_set:
-            try:
-                parsed.append(parse_caption(ref))
-            except CaptionError:
-                pass
-        if parsed:
-            for label in FIELD_LABELS:
-                corpora[label].append([tokenize(getattr(c, label)) for c in parsed])
-    column = []
-    for cand, refs in pairs:
-        try:
-            cand_parsed = parse_caption(cand)
-            refs_parsed = [parse_caption(r) for r in refs]
-        except CaptionError:
-            column.append(None)
-            continue
-        values = [
-            cider_oracle(
-                tokenize(getattr(cand_parsed, label)),
-                [tokenize(getattr(r, label)) for r in refs_parsed],
-                corpora[label],
-                max_n,
-            )
-            for label in FIELD_LABELS
-        ]
-        column.append(sum(values) / len(values))
-    return column
-
-
 # Few distinct words, so n-grams repeat within and across captions.
 # "--" and "..." tokenize to nothing, which gives empty token lists.
 VOCAB = ["a", "b", "c", "the", "car.", "Car", "--", "..."]
@@ -460,7 +419,7 @@ def caption_lines(draw):
     return " | ".join(f"{label}: {value}" for label, value in zip(labels, values))
 
 
-def _parses(line):
+def parses(line):
     try:
         parse_caption(line)
     except CaptionError:
@@ -475,7 +434,7 @@ def caption_cases(draw, per_field):
     if per_field:
         # At least one corpus row parses, or the corpus is rejected up front.
         corpus = draw(st.lists(ref_sets, max_size=5))
-        corpus.append([draw(caption_lines().filter(_parses))])
+        corpus.append([draw(caption_lines().filter(parses))])
     else:
         corpus = draw(st.lists(ref_sets, min_size=1, max_size=6))
     corpus_lines = [line for ref_set in corpus for line in ref_set]
@@ -486,20 +445,6 @@ def caption_cases(draw, per_field):
 
 
 class TestCiderOracle:
-    @given(case=caption_cases(per_field=False))
-    def test_score_captions_whole_string_equals_oracle(self, case):
-        pairs, corpus, max_n = case
-        report = score_captions(pairs, corpus, max_n=max_n)
-        got = [row.score.cider for row in report.rows]
-        assert got == oracle_cider_column(pairs, corpus, max_n, per_field=False)
-
-    @given(case=caption_cases(per_field=True))
-    def test_score_captions_per_field_equals_oracle(self, case):
-        pairs, corpus, max_n = case
-        report = score_captions(pairs, corpus, max_n=max_n, per_field=True)
-        got = [None if row.score is None else row.score.cider for row in report.rows]
-        assert got == oracle_cider_column(pairs, corpus, max_n, per_field=True)
-
     @given(
         cand=token_lists,
         refs=st.lists(token_lists, min_size=1, max_size=3),
@@ -627,124 +572,94 @@ def score_captions_oracle(pairs, corpus, max_n: int = 4, per_field: bool = False
     return CaptionSetReport(rows=tuple(rows), means=means)
 
 
+#: What a call of each counted function of ``textmetrics`` is recorded as:
+#: the text it tokenizes or parses, its tokens (by id, as the records keep
+#: them for the call), their count and the order, or the corpus size.
+RECORDED = {
+    "tokenize": lambda text: text,
+    "parse_caption": lambda text: text,
+    "_ngrams": lambda tokens, n: (id(tokens), len(tokens), n),
+    "_doc_frequencies": len,
+}
+
+
+def counted_run(pairs, corpus, **options):
+    """score_captions' report, and what each call of a function of RECORDED
+    recorded during the run, in call order, by name."""
+    calls = {name: [] for name in RECORDED}
+
+    def counting(name, real):
+        def call(*args):
+            calls[name].append(RECORDED[name](*args))
+            return real(*args)
+
+        return call
+
+    with pytest.MonkeyPatch.context() as patch:
+        for name in RECORDED:
+            patch.setattr(textmetrics, name, counting(name, getattr(textmetrics, name)))
+        report = score_captions(pairs, corpus, **options)
+    return report, calls
+
+
 class TestScoreCaptionsOracle:
-    @given(case=caption_cases(per_field=False))
-    def test_whole_string_report_equals_oracle(self, case):
-        pairs, corpus, max_n = case
-        assert score_captions(pairs, corpus, max_n=max_n) == score_captions_oracle(
-            pairs, corpus, max_n=max_n
-        )
-
-    @given(case=caption_cases(per_field=True))
-    def test_per_field_report_equals_oracle(self, case):
-        pairs, corpus, max_n = case
-        assert score_captions(pairs, corpus, max_n=max_n, per_field=True) == score_captions_oracle(
-            pairs, corpus, max_n=max_n, per_field=True
-        )
-
-
-class TestCorpusStatisticsAreBuiltOnce:
-    @pytest.fixture
-    def df_calls(self, monkeypatch):
-        calls = []
-        real = textmetrics._doc_frequencies
-
-        def counting(corpus):
-            calls.append(len(corpus))
-            return real(corpus)
-
-        monkeypatch.setattr(textmetrics, "_doc_frequencies", counting)
-        return calls
-
-    @pytest.mark.parametrize("n", [1, 10, 50])
-    def test_whole_string_builds_once(self, df_calls, n):
-        lines = [f"w{i} w{i % 7} shared words" for i in range(n)]
-        score_captions([(line, [line]) for line in lines], [[line] for line in lines])
-        assert df_calls == [n]
-
-    @pytest.mark.parametrize("n", [1, 10, 50])
-    def test_per_field_builds_once_per_field(self, df_calls, n):
-        lines = [f"Scene: s{i} | Current: c{i % 3} | Next: n{i} | Why: w{i % 5}" for i in range(n)]
-        score_captions(
-            [(line, [line]) for line in lines], [[line] for line in lines], per_field=True
-        )
-        assert df_calls == [n] * len(FIELD_LABELS)
-
-
-def tokenized_texts(score, *args, **kwargs) -> list[str]:
-    """Every text ``tokenize`` is called with while ``score`` runs."""
-    texts = []
-    real = textmetrics.tokenize
-
-    def counting(text):
-        texts.append(text)
-        return real(text)
-
-    with mock.patch.object(textmetrics, "tokenize", counting):
-        score(*args, **kwargs)
-    return texts
-
-
-class TestTokenizeOncePerCall:
-    @given(case=caption_cases(per_field=False))
-    def test_whole_string_tokenizes_each_text_once(self, case):
-        pairs, corpus, max_n = case
-        needed = {line for ref_set in corpus for line in ref_set}
-        needed.update(text for cand, refs in pairs for text in (cand, *refs))
-        assert sorted(tokenized_texts(score_captions, pairs, corpus, max_n=max_n)) == sorted(needed)
-
-    @given(case=caption_cases(per_field=True))
-    def test_per_field_tokenizes_each_field_text_once(self, case):
-        pairs, corpus, max_n = case
-        texts = tokenized_texts(score_captions, pairs, corpus, max_n=max_n, per_field=True)
-        assert len(texts) == len(set(texts))
-
-    def test_nothing_is_kept_between_calls(self):
-        pairs = [("a red car", ["a red car"]), ("a dog", ["a red car"])]
-        corpus = [["a red car"], ["a dog"]]
-        for _ in range(2):
-            assert sorted(tokenized_texts(score_captions, pairs, corpus)) == ["a dog", "a red car"]
-
-
-def ngram_calls(*args, **kwargs) -> tuple[list[tuple[int, int]], set[str]]:
-    """Each ``_ngrams`` call, as (id of its tokens, order), and each text tokenized."""
-    calls, texts = [], set()
-    real_ngrams, real_tokenize = textmetrics._ngrams, textmetrics.tokenize
-
-    def counting_ngrams(tokens, n):
-        calls.append((id(tokens), n))
-        return real_ngrams(tokens, n)
-
-    def counting_tokenize(text):
-        texts.add(text)
-        return real_tokenize(text)
-
-    with mock.patch.object(textmetrics, "_ngrams", counting_ngrams), mock.patch.object(
-        textmetrics, "tokenize", counting_tokenize
-    ):
-        score_captions(*args, **kwargs)
-    return calls, texts
-
-
-class TestNgramsOncePerText:
-    """Each distinct unit text's n-grams are built once per order per call."""
+    """One instrumented run per example: the report, and the work that made it."""
 
     @pytest.mark.parametrize("per_field", [False, True])
     @given(data=st.data())
-    def test_at_most_max_n_calls_per_distinct_text(self, per_field, data):
+    def test_report_equals_oracle_with_each_step_done_once(self, per_field, data):
         pairs, corpus, max_n = data.draw(caption_cases(per_field=per_field))
-        calls, texts = ngram_calls(pairs, corpus, max_n=max_n, per_field=per_field)
-        assert len(calls) <= max_n * len(texts)
-        assert len(calls) == len(set(calls))
+        report, calls = counted_run(pairs, corpus, max_n=max_n, per_field=per_field)
+        assert report == score_captions_oracle(pairs, corpus, max_n=max_n, per_field=per_field)
+
+        # Each unit text is tokenized once per call: in whole-string mode
+        # every corpus, candidate and reference line, and nothing else.
+        texts = calls["tokenize"]
+        assert len(texts) == len(set(texts))
+        if not per_field:
+            needed = {line for ref_set in corpus for line in ref_set}
+            needed.update(text for cand, refs in pairs for text in (cand, *refs))
+            assert sorted(texts) == sorted(needed)
+
+        # Each distinct text's n-grams are counted once per order, and only
+        # for the orders it has: up to its token count.
+        grams = calls["_ngrams"]
+        assert len(grams) == len(set(grams))
+        assert all(n <= min(max_n, length) for _, length, n in grams)
+        assert len({tokens for tokens, _, _ in grams}) <= len(texts)
+
+        # A caption that parses is parsed once; one that fails raises again
+        # each time it is asked for. Whole-string mode parses nothing.
+        parsed = Counter(calls["parse_caption"])
+        assert all(n == 1 for text, n in parsed.items() if parses(text))
+        assert per_field or not parsed
+
+        # The statistics are built once per unit corpus, with its size: in
+        # per-field mode once per field, over the reference sets that parse.
+        if per_field:
+            sizes = [sum(any(parses(ref) for ref in ref_set) for ref_set in corpus)] * len(FIELD_LABELS)
+        else:
+            sizes = [len(corpus)]
+        assert calls["_doc_frequencies"] == sizes
+
+    @pytest.mark.parametrize("per_field", [False, True])
+    @pytest.mark.parametrize("n", [1, 10, 50])
+    def test_statistics_are_built_once_per_unit_corpus(self, per_field, n):
+        lines = [f"Scene: s{i} | Current: c{i % 3} | Next: n{i} | Why: w{i % 5}" for i in range(n)]
+        _, calls = counted_run([(line, [line]) for line in lines], [[line] for line in lines], per_field=per_field)
+        assert calls["_doc_frequencies"] == [n] * (len(FIELD_LABELS) if per_field else 1)
 
     def test_nothing_is_kept_between_calls(self):
-        # Orders 1-3 of the three-token text and orders 1-2 of the two-token
-        # one: a text has no grams past its length, so none are counted.
         pairs = [("a red car", ["a red car"]), ("a dog", ["a red car"])]
-        corpus = [["a red car"], ["a dog"]]
+        good = "Scene: a | Current: b | Next: c | Why: d"
         for _ in range(2):
-            calls, texts = ngram_calls(pairs, corpus, max_n=3)
-            assert len(texts) == 2 and len(calls) == 3 + 2
+            _, calls = counted_run(pairs, [["a red car"], ["a dog"]], max_n=3)
+            assert sorted(calls["tokenize"]) == ["a dog", "a red car"]
+            # Orders 1-3 of the three-token text and orders 1-2 of the two-token
+            # one: a text has no grams past its length, so none are counted.
+            assert len(calls["_ngrams"]) == 3 + 2
+            _, calls = counted_run([(good, [good])], [[good]], per_field=True)
+            assert calls["parse_caption"] == [good]
 
 
 #: Structured captions of 1-5 words per field, an unparsable line, and a
@@ -779,13 +694,12 @@ class TestMaxNPastTheTextLength:
         # Before, each text built 10**6 Counters from n slices each for order
         # n, and caption-eval ran for more than five minutes on two captions.
         longest = max(len(tokenize(line)) for line in MAX_N_LINES)
-        calls, _ = ngram_calls(MAX_N_PAIRS, MAX_N_CORPUS, max_n=10**6, per_field=per_field)
-        assert calls and max(n for _, n in calls) <= longest
-        same_orders, _ = ngram_calls(MAX_N_PAIRS, MAX_N_CORPUS, max_n=longest, per_field=per_field)
-        assert [n for _, n in calls] == [n for _, n in same_orders]
+        huge, calls = counted_run(MAX_N_PAIRS, MAX_N_CORPUS, max_n=10**6, per_field=per_field)
+        orders = [n for *_, n in calls["_ngrams"]]
+        assert orders and max(orders) <= longest
+        capped, calls = counted_run(MAX_N_PAIRS, MAX_N_CORPUS, max_n=longest, per_field=per_field)
+        assert orders == [n for *_, n in calls["_ngrams"]]
         # Only CIDEr's average over max_n orders tells the two reports apart.
-        huge = score_captions(MAX_N_PAIRS, MAX_N_CORPUS, max_n=10**6, per_field=per_field)
-        capped = score_captions(MAX_N_PAIRS, MAX_N_CORPUS, max_n=longest, per_field=per_field)
         for row, capped_row in zip(huge.rows, capped.rows):
             assert row.error == capped_row.error
             if row.score is not None:
@@ -832,47 +746,6 @@ class TestPublicMetricsEqualOracles:
             bleu(None, [], 0)
         with pytest.raises(ValueError, match="bleu needs at least one reference"):
             bleu(None, [])
-
-
-def parsed_texts(*args, **kwargs) -> list[str]:
-    """Every text ``parse_caption`` is called with while score_captions runs."""
-    texts = []
-    real = textmetrics.parse_caption
-
-    def counting(text):
-        texts.append(text)
-        return real(text)
-
-    with mock.patch.object(textmetrics, "parse_caption", counting):
-        score_captions(*args, **kwargs)
-    return texts
-
-
-def parses(text: str) -> bool:
-    try:
-        parse_caption(text)
-    except CaptionError:
-        return False
-    return True
-
-
-class TestParseOncePerCall:
-    @given(case=caption_cases(per_field=True))
-    def test_each_caption_that_parses_is_parsed_once(self, case):
-        # A caption that fails raises again each time it is asked for.
-        pairs, corpus, max_n = case
-        counts = Counter(parsed_texts(pairs, corpus, max_n=max_n, per_field=True))
-        assert all(n == 1 for text, n in counts.items() if parses(text))
-
-    @given(case=caption_cases(per_field=False))
-    def test_whole_string_mode_parses_nothing(self, case):
-        pairs, corpus, max_n = case
-        assert parsed_texts(pairs, corpus, max_n=max_n) == []
-
-    def test_nothing_is_kept_between_calls(self):
-        good = "Scene: a | Current: b | Next: c | Why: d"
-        for _ in range(2):
-            assert parsed_texts([(good, [good])], [[good]], per_field=True) == [good]
 
 
 class TestExceptionPrecedence:
