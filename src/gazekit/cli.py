@@ -175,7 +175,7 @@ def cmd_curate(args) -> int:
             continue
         frame_paths[video] = [f"{video}/{name}" for name in files]
         pairs.extend(selected)
-        counts.append(f"{video}: {len(selected)}")
+        counts.append(" ".join(f"{video}: {len(selected)}".splitlines()))
     # Written before anything is printed: a failed write leaves stdout empty.
     write_manifest(args.out, pairs, frame_paths)
     for line in counts:

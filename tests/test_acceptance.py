@@ -13,7 +13,7 @@ import time
 
 import numpy as np
 
-from test_curation import brute_force_video
+from test_curation import brute_force_pairs
 from gazekit import (
     CurationParams,
     FixationMap,
@@ -111,8 +111,7 @@ def test_criterion_04_curation_matches_brute_force():
             f"s{seed}",
             tuple(_random_simplex(rng, side=8) for _ in range(n)),
         )
-        got = [(p.anchor, p.target, p.pair_kl, p.anchor_peak_kl) for p in curate_video(seq, params)]
-        assert got == brute_force_video(seq, params), f"seed {seed} diverged"
+        assert curate_video(seq, params) == brute_force_pairs(seq, params), f"seed {seed} diverged"
     _line(4, "curation equals brute force")
 
 

@@ -458,14 +458,19 @@ class TestCurate:
         assert [row["video_id"] for row in rows] == ["v0"]
 
     def test_a_video_name_with_a_newline_gives_one_line(self, tmp_path, capsys):
+        # Its count line or its skip line; the manifest keeps the real name.
         root = tmp_path / "corpus"
-        (root / "v\nx").mkdir(parents=True)
+        write_sequence_dir(root, "w\ny", two_segment_arrays())
+        (root / "v\nx").mkdir()
         frame = root / "v\nx" / "frame_000.pgm"
         save_map(frame, GazeMap(two_segment_arrays()[0]))
         frame.write_bytes(frame.read_bytes()[:-3])
-        assert main(["curate", str(root), "--out", str(tmp_path / "pairs.csv")]) == 2
+        out = tmp_path / "pairs.csv"
+        assert main(["curate", str(root), "--out", str(out)]) == 2
         line = f"v x: {root}/v x/frame_000.pgm: raster holds 125 bytes, expected 128, skipped\n"
-        assert capsys.readouterr().err == line
+        assert capsys.readouterr() == ("w y: 1\n", line)
+        _, rows = read_manifest_rows(out)
+        assert [row["video_id"] for row in rows] == ["w\ny"]
 
     @pytest.mark.parametrize(
         "window, counts, pairs",
@@ -534,13 +539,17 @@ class TestCurate:
 class TestCaptionEval:
     SENTS = ["alpha beta gamma delta", "eps zeta eta theta", "iota kappa lam mu"]
 
-    def test_identity_scores(self, tmp_path, capsys):
+    # Each caption's four n-gram orders score 10 in CIDEr, and the orders
+    # past its four tokens score 0 but still count in the mean: a huge
+    # --max-n costs what the longest caption does.
+    @pytest.mark.parametrize("flags, cider", [([], 10.0), (["--max-n", "1000000"], 40 / 10**6)])
+    def test_identity_scores(self, tmp_path, capsys, flags, cider):
         cand = tmp_path / "cand.txt"
         refs = tmp_path / "refs.txt"
         cand.write_text("\n".join(self.SENTS) + "\n")
         refs.write_text("\n".join(self.SENTS) + "\n")
         out = tmp_path / "scores.csv"
-        code = main(["caption-eval", "--candidates", str(cand), "--references", str(refs), "--out", str(out)])
+        code = main(["caption-eval", "--candidates", str(cand), "--references", str(refs), "--out", str(out), *flags])
         assert code == 0
         assert "tf-idf" in capsys.readouterr().err
         rows = read_csv_rows(out)
@@ -549,7 +558,7 @@ class TestCaptionEval:
         mean = rows[-1]
         assert float(mean[1]) == pytest.approx(1.0)
         assert float(mean[2]) == pytest.approx(1.0)
-        assert float(mean[3]) == pytest.approx(10.0)
+        assert float(mean[3]) == pytest.approx(cider)
 
     def test_line_count_mismatch(self, tmp_path, capsys):
         cand = tmp_path / "cand.txt"

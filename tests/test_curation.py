@@ -1,14 +1,20 @@
 """Frame-pair selection behavior.
 
 The deterministic fixtures exercise each rule (strict peaks, scan
-window, tie-breaking, separation, top-k) in isolation; a flat-loop
-reimplementation of the whole procedure then confirms the composed
-pipeline on random sequences.
+window, tie-breaking, separation, top-k) in isolation. One flat-loop
+reimplementation of the whole procedure, ``brute_force_pairs``, is the
+oracle for the composed walk: one sweep checks every entry point
+(``curate_video``, ``_curate_stream`` fed a generator, ``kl_curve`` and
+``select_target``) against it on one list of sequences and one table of
+windows. The bounded target search's own tests move its bounds and count
+its pair steps.
 """
 
 from __future__ import annotations
 
 import tracemalloc
+import weakref
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -57,9 +63,21 @@ def repeated_jump_arrays(side=8):
     return ([a] * 30 + [b] * 30) * 2
 
 
+# Each frame pair's kl_div_reference, computed once per sequence: the sweep
+# asks for the same pairs under every window.
+_reference_scores: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
+def reference_kl(seq, anchor, target):
+    scores = _reference_scores.setdefault(seq, {})
+    if (anchor, target) not in scores:
+        scores[anchor, target] = kl_div_reference(seq.maps[anchor].values, seq.maps[target].values)
+    return scores[anchor, target]
+
+
 def kl_curve_reference(seq):
     """kl_curve with one whole kl_div call per step."""
-    return [kl_div_reference(seq.maps[t].values, seq.maps[t + 1].values) for t in range(len(seq) - 1)]
+    return [reference_kl(seq, t, t + 1) for t in range(len(seq) - 1)]
 
 
 def select_target_reference(seq, anchor, params):
@@ -69,16 +87,15 @@ def select_target_reference(seq, anchor, params):
         target = anchor + delta
         if target >= len(seq):
             break
-        score = kl_div_reference(seq.maps[anchor].values, seq.maps[target].values)
+        score = reference_kl(seq, anchor, target)
         if best is None or score > best[1]:
             best = (target, score)
     return best
 
 
-def brute_force_video(seq, params):
+def brute_force_pairs(seq, params):
     """Plain-loop restatement of the selection procedure."""
-    n = len(seq.maps)
-    if n < params.min_frames:
+    if len(seq) < params.min_frames:
         return []
     curve = kl_curve_reference(seq)
     picked = []
@@ -89,24 +106,16 @@ def brute_force_video(seq, params):
             continue
         found = select_target_reference(seq, a, params)
         if found is not None:
-            picked.append((a, found[0], found[1], curve[a]))
-    picked.sort(key=lambda c: (-c[2], c[0]))
+            target, score = found
+            picked.append(FramePair(seq.video_id, a, target, target - a, curve[a], score))
+    picked.sort(key=lambda p: (-p.pair_kl, p.anchor))
     kept = []
     for cand in picked:
         if len(kept) == params.top_k:
             break
-        if all(abs(cand[0] - k[0]) >= params.delta_max for k in kept):
+        if all(abs(cand.anchor - k.anchor) >= params.delta_max for k in kept):
             kept.append(cand)
-    kept.sort(key=lambda c: c[0])
-    return kept
-
-
-def brute_force_pairs(seq, params):
-    """brute_force_video's selection as FramePair records."""
-    return [
-        FramePair(seq.video_id, anchor, target, target - anchor, peak, score)
-        for anchor, target, score, peak in brute_force_video(seq, params)
-    ]
+    return sorted(kept, key=lambda p: p.anchor)
 
 
 class TestKLCurve:
@@ -144,6 +153,7 @@ class TestFindAnchors:
         curve = [0.0, 5.0, 0.0, 7.0, 0.0]
         assert find_anchors(curve) == [1, 3]
         assert find_anchors(curve, peak_floor=6.0) == [3]
+        assert find_anchors(curve, peak_floor=7.0) == [3]
 
 
 class TestSelectTarget:
@@ -168,32 +178,6 @@ class TestSelectTarget:
         maps = [np.full((4, 4), 1 / 16.0)] * 5
         with pytest.raises(ValueError):
             select_target(seq_of(maps), 5, CurationParams(min_frames=2))
-
-    @pytest.mark.parametrize("zero_cells", [False, True])
-    def test_bit_equal_targets_keep_the_smallest_offset(self, zero_cells, monkeypatch):
-        # All 16 targets of anchor 24 are the same frame: no bound separates
-        # them, each is scored exactly, and the first wins.
-        seq = identical_windows(zero_cells)
-        counts = counted_pair_steps(monkeypatch)
-        found = select_target(seq, 24)
-        assert found == select_target_reference(seq, 24, CurationParams())
-        assert found[0] == 27
-        assert counts == {"bounded": 16, "exact": 16}
-
-    def test_one_target_window(self):
-        seq = random_video(1)
-        params = CurationParams(delta_min=4, delta_max=4, min_frames=2)
-        expected = kl_div_reference(seq.maps[2].values, seq.maps[6].values)
-        assert select_target(seq, 2, params) == (6, expected)
-        assert select_target(seq, len(seq) - 4, params) is None
-
-    def test_window_running_past_the_end(self):
-        seq = random_video(3)
-        params = CurationParams(delta_min=2, delta_max=30, min_frames=2)
-        for anchor in range(len(seq) - 6, len(seq)):
-            found = select_target(seq, anchor, params)
-            assert found == select_target_reference(seq, anchor, params)
-            assert (found is None) == (anchor + 2 >= len(seq))
 
 
 class TestCurateVideo:
@@ -261,27 +245,6 @@ class TestCurateVideo:
         assert [(p.anchor + 7, p.target + 7, p.pair_kl) for p in before] == [
             (p.anchor, p.target, p.pair_kl) for p in shifted
         ]
-
-
-class TestBruteForceEquivalence:
-    @pytest.mark.parametrize("seed", range(30))
-    def test_random_sequences(self, seed):
-        rng = np.random.default_rng(seed)
-        n = int(rng.integers(40, 91))
-        maps = [normalize_to_simplex(rng.uniform(0.05, 1.0, size=(6, 6))).values for _ in range(n)]
-        seq = seq_of(maps, video_id=f"s{seed}")
-        got = [(p.anchor, p.target, p.pair_kl, p.anchor_peak_kl) for p in curate_video(seq)]
-        assert got == brute_force_video(seq, CurationParams())
-
-    def test_nondefault_params(self):
-        rng = np.random.default_rng(99)
-        maps = [normalize_to_simplex(rng.uniform(0.05, 1.0, size=(5, 5))).values for _ in range(70)]
-        seq = seq_of(maps)
-        params = CurationParams(delta_min=2, delta_max=9, min_frames=20, top_k=4, peak_floor=0.01)
-        got = [(p.anchor, p.target, p.pair_kl, p.anchor_peak_kl) for p in curate_video(seq, params)]
-        expect = brute_force_video(seq, params)
-        assert got == expect
-        assert len(got) > 2  # the relaxed separation actually admits more pairs
 
 
 class TestCurateCorpus:
@@ -362,39 +325,6 @@ def random_video(seed):
     return seq_of(frames, video_id=f"r{seed}")
 
 
-class TestPreparedKLTable:
-    """Every score curation gives equals whole kl_div calls. select_target
-    runs the walk's bounded target search, so the first test checks that
-    search against the exhaustive scan at every anchor."""
-
-    @pytest.mark.parametrize("seed", range(16))
-    def test_curve_and_every_target_window(self, seed):
-        seq = random_video(seed)
-        assert kl_curve(seq) == kl_curve_reference(seq)
-        for delta_min in (1, 3):
-            params = CurationParams(delta_min=delta_min, delta_max=delta_min + 9, min_frames=2)
-            # Late anchors have windows that run past the last frame.
-            for anchor in range(len(seq)):
-                got = select_target(seq, anchor, params)
-                assert got == select_target_reference(seq, anchor, params)
-
-    @pytest.mark.parametrize("seed", range(24))
-    def test_every_pair_field(self, seed):
-        seq = random_video(seed)
-        for delta_min in (1, 3):
-            params = CurationParams(delta_min=delta_min, delta_max=delta_min + 9, min_frames=2, top_k=5)
-            pairs = curate_video(seq, params)
-            assert pairs == brute_force_pairs(seq, params)
-            assert pairs  # every random video has a peak with room after it
-
-    def test_corpus(self):
-        seqs = [random_video(seed) for seed in range(6)]
-        params = CurationParams(delta_min=1, delta_max=6, min_frames=20, top_k=3)
-        # Some videos fall under min_frames and give no pairs.
-        got = [curate_video(seq, params) for seq in seqs]
-        assert got == [brute_force_pairs(seq, params) for seq in seqs]
-
-
 def drifting_blob(n, side=64):
     """An attention blob that drifts, and jumps every 97 frames."""
     rng = np.random.default_rng(0)
@@ -411,25 +341,6 @@ def drifting_blob(n, side=64):
 
 class TestStreamedCuration:
     """The one-pass walk over a frame iterator, as the curate command feeds it."""
-
-    @pytest.mark.parametrize("seed", range(24))
-    def test_a_generator_gives_the_brute_force_pairs(self, seed):
-        seq = random_video(seed)
-        # Windows of 10 frames run past the end of every 12-40 frame video,
-        # and a one-frame window scores each anchor as soon as it is decided.
-        # (2, 2) and (3, 3) hold one prediction side, (1, 2) scores at the
-        # frame that decides the anchor, and (2, 60) is bounded by the video.
-        for delta_min, delta_max in ((1, 10), (3, 12), (1, 1), (1, 2), (2, 2), (3, 3), (2, 60)):
-            params = CurationParams(delta_min=delta_min, delta_max=delta_max, min_frames=2, top_k=5)
-            got = _curate_stream(seq.video_id, len(seq), (m for m in seq.maps), params)
-            assert got == brute_force_pairs(seq, params)
-
-    def test_positive_quantized_videos_take_both_shortcuts(self):
-        # Seeds 17, 19, 21 and 23 feed the tests above frames whose KL sides
-        # skip the clamp, some summing to exactly 1 and some not.
-        frames = [m.values for seed in (17, 19, 21, 23) for m in random_video(seed).maps]
-        assert min(f.min() for f in frames) >= DEFAULT_KL_FLOOR
-        assert 0 < sum(f.sum() == 1.0 for f in frames) < len(frames)
 
     def test_memory_does_not_grow_with_the_video(self):
         side = 64
@@ -475,6 +386,43 @@ def near_static(seed, n=80, side=8):
     base = normalize_to_simplex(rng.uniform(0.1, 1.0, size=(side, side))).values
     frames = [base * (1.0 + 1e-13 * rng.standard_normal(base.shape)) for _ in range(n)]
     return seq_of([f / f.sum() for f in frames], video_id=f"n{seed}")
+
+
+# The sequences of the equivalence sweep: random smooth and quantized videos,
+# with and without empty cells; bit-equal targets; and near ties, some
+# clamped to 0.
+SEQUENCES = [
+    *(random_video(seed) for seed in range(24)),
+    identical_windows(False),
+    identical_windows(True),
+    *(near_static(seed) for seed in range(4)),
+]
+
+# More than two pairs fit in one video when anchors need only 9 frames apart.
+RELAXED = CurationParams(delta_min=2, delta_max=9, min_frames=20, top_k=4, peak_floor=0.01)
+
+# The sweep's windows, each with the budget it was first tested with: the
+# defaults; min_frames 20, which some random videos fall under; windows of up
+# to 60 frames, longer than any random video; one-target windows, which hold
+# one prediction side; (1, 2), scored at the frame that decides its anchor;
+# and the near-static windows, where all of a window's targets may clamp to 0.
+WINDOWS = [
+    CurationParams(),
+    RELAXED,
+    CurationParams(delta_min=1, delta_max=6, min_frames=20, top_k=3),
+    *(
+        CurationParams(delta_min=delta_min, delta_max=delta_max, min_frames=2, top_k=5)
+        for delta_min, delta_max in ((1, 10), (3, 12), (1, 1), (1, 2), (2, 2), (3, 3), (2, 60))
+    ),
+    *(
+        CurationParams(delta_min=delta_min, delta_max=delta_max, min_frames=2)
+        for delta_min, delta_max in ((4, 4), (2, 30), (2, 18))
+    ),
+    *(
+        CurationParams(delta_min=delta_min, delta_max=delta_max, min_frames=2, top_k=100)
+        for delta_min, delta_max in ((2, 3), (3, 4), (2, 4), (3, 6), (3, 18))
+    ),
+]
 
 
 def counted_pair_steps(monkeypatch):
@@ -529,42 +477,27 @@ class TestBoundedTargetSearch:
         assert counts["bounded"] == 3 * 16
         assert counts["exact"] == 99 + counts["bounded"]
 
-    def test_near_zero_windows_tie_at_the_clamp(self):
-        zeros = 0
-        for seed in range(4):
-            seq = near_static(seed)
-            for delta_min, delta_max in ((2, 3), (3, 4), (2, 4), (3, 6), (3, 18)):
-                params = CurationParams(delta_min=delta_min, delta_max=delta_max, min_frames=2, top_k=100)
-                pairs = curate_video(seq, params)
-                assert pairs == brute_force_pairs(seq, params)
-                zeros += sum(p.pair_kl == 0.0 for p in pairs)
-        # Some kept pairs are windows whose every target clamped to 0.
-        assert zeros > 0
-
     @pytest.mark.parametrize("shift", ["up", "down", "alternating", "against the winner"])
     def test_pairs_do_not_depend_on_the_dot_products_rounding(self, shift, monkeypatch):
         # Each target's dot product moved by 0.99 of its margin, the winner
         # down and the others up in the worst case: the exact results stay
         # inside the moved intervals, so no BLAS rounding changes a pair.
-        seqs = [random_video(seed) for seed in range(24)]
-        seqs += [identical_windows(False), identical_windows(True), near_static(0), near_static(2)]
         params = [
             CurationParams(delta_min=delta_min, delta_max=delta_max, min_frames=2, top_k=100)
             for delta_min, delta_max in ((1, 10), (2, 3), (3, 18))
         ]
-        expected = [[brute_force_pairs(seq, p) for p in params] for seq in seqs]
+        expected = [[brute_force_pairs(seq, p) for p in params] for seq in SEQUENCES]
         monkeypatch.setattr(curation, "_kl_bounds", moved_bounds(shift))
-        assert [[curate_video(seq, p) for p in params] for seq in seqs] == expected
+        assert [[curate_video(seq, p) for p in params] for seq in SEQUENCES] == expected
 
-    @pytest.mark.parametrize("shift", [None, "against the winner"])
-    def test_select_target_at_every_anchor_of_near_ties(self, shift, monkeypatch):
-        # Targets a few ulps apart, or bit-equal, through select_target: the
-        # margin alone keeps the winner from being pruned.
+    def test_select_target_at_every_anchor_of_near_ties(self, monkeypatch):
+        # Targets a few ulps apart, or bit-equal, through select_target with
+        # the winner's estimate moved down and the others' up: the margin
+        # alone keeps the winner from being pruned.
         seqs = [near_static(0), near_static(1), identical_windows(False), identical_windows(True)]
         params = CurationParams(delta_min=2, delta_max=18, min_frames=2)
         expected = [[select_target_reference(seq, a, params) for a in range(len(seq))] for seq in seqs]
-        if shift:
-            monkeypatch.setattr(curation, "_kl_bounds", moved_bounds(shift))
+        monkeypatch.setattr(curation, "_kl_bounds", moved_bounds("against the winner"))
         assert [[select_target(seq, a, params) for a in range(len(seq))] for seq in seqs] == expected
 
     def test_the_bound_prunes_a_drifting_video(self, monkeypatch):
@@ -576,3 +509,42 @@ class TestBoundedTargetSearch:
         assert curate_video(seq, params) == brute_force_pairs(seq, params)
         assert counts["bounded"] > 0
         assert counts["exact"] - (len(seq) - 1) < counts["bounded"] / 4
+
+
+class TestBruteForceEquivalence:
+    """Every entry point of the walk equals the one brute force, on every
+    sequence and window of the sweep."""
+
+    @pytest.mark.parametrize("seq", SEQUENCES, ids=lambda seq: seq.video_id)
+    def test_every_entry_point_equals_the_brute_force(self, seq):
+        assert kl_curve(seq) == kl_curve_reference(seq)
+        # A video of exactly min_frames frames is scored, and has a peak with
+        # room after it; one frame fewer and it gives no pairs.
+        whole = CurationParams(delta_min=1, delta_max=10, min_frames=len(seq), top_k=5)
+        assert brute_force_pairs(seq, whole)
+        for params in [*WINDOWS, whole, replace(whole, min_frames=len(seq) + 1)]:
+            expected = brute_force_pairs(seq, params)
+            assert curate_video(seq, params) == expected
+            # The curate command's form: the frames come from a generator.
+            assert _curate_stream(seq.video_id, len(seq), (m for m in seq.maps), params) == expected
+        # select_target reads only the window, so each window is checked once,
+        # at every anchor: the late anchors' windows run past the last frame.
+        anchors = range(len(seq))
+        for params in {(p.delta_min, p.delta_max): p for p in WINDOWS}.values():
+            got = [select_target(seq, anchor, params) for anchor in anchors]
+            assert got == [select_target_reference(seq, anchor, params) for anchor in anchors]
+
+    def test_the_sweep_reaches_its_edge_cases(self):
+        # Some video keeps more than two pairs under the relaxed separation,
+        # and some kept near-static pairs are windows whose every target
+        # clamped to 0.
+        assert max(len(curate_video(seq, RELAXED)) for seq in SEQUENCES) > 2
+        near = [near_static(seed) for seed in range(4)]
+        assert any(p.pair_kl == 0.0 for seq in near for params in WINDOWS for p in curate_video(seq, params))
+
+    def test_positive_quantized_videos_take_both_shortcuts(self):
+        # Seeds 17, 19, 21 and 23 feed the sweep frames whose KL sides skip
+        # the clamp, some summing to exactly 1 and some not.
+        frames = [m.values for seed in (17, 19, 21, 23) for m in random_video(seed).maps]
+        assert min(f.min() for f in frames) >= DEFAULT_KL_FLOOR
+        assert 0 < sum(f.sum() == 1.0 for f in frames) < len(frames)
