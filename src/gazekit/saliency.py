@@ -20,9 +20,17 @@ O(T * (P + N)) for T thresholds, and its rates are exactly those of
 the threshold-by-threshold definition ``(values >= t).mean()``: the
 counts are the same integers, divided by the same size. One curve builds
 the thresholds and the true-positive curve once and sorts only each set
-of negatives: AUC-Judd is its one-set case, every non-fixated cell, and
-AUC-Borji passes one sampled set per split. The predictions must hold no
-NaN, which has no place in a ">=" ranking.
+of negatives: AUC-Judd is its one-set case, every non-fixated cell.
+AUC-Borji sorts each split's sampled set and writes its counts into one
+row of a block of bounded size; one pass per block closes every row's
+curve and takes every trapezoid, so its memory does not grow with the
+number of splits. A bare prediction must hold no NaN, which has no place
+in a ">=" ranking; a GazeMap's cells are finite by construction.
+
+``score_maps`` scores a frame in one pass over these pieces: it centers
+the prediction once for CC and NSS, and splits the cells by fixation and
+builds the curve once for both AUCs. Each cell is bit for bit what the
+public function for its metric returns.
 
 Maps are scored exactly as given: nothing here blurs, recenters, or
 rescales its inputs first. NSS and the AUCs only use the ranking or
@@ -39,9 +47,10 @@ from .errors import (
     GazeKitError,
     InsufficientNegatives,
     NoFixations,
+    ShapeMismatch,
     ZeroVariance,
 )
-from .grids import _check_shapes, _fixation_mask, _grid_values
+from .grids import GazeMap, _check_shapes, _fixation_mask, _grid_values
 
 __all__ = [
     "DEFAULT_KL_FLOOR",
@@ -58,6 +67,13 @@ __all__ = [
 DEFAULT_KL_FLOOR = 1e-8
 
 _STD_FLOOR = 1e-12
+
+# AUC-Borji counts its splits in blocks of at most _BLOCK_CELLS counts: 64 KiB,
+# so a block's arrays stay below glibc's default 128 KiB mmap threshold and
+# reuse freed heap memory instead of faulting in fresh pages on every call.
+# The row cap lets a test cross blocks with a few hundred splits.
+_BLOCK_CELLS = 1 << 13
+_SPLIT_ROWS = 128
 
 
 def _paired_values(a, b) -> tuple[np.ndarray, np.ndarray]:
@@ -79,7 +95,12 @@ def cc(pred, gt) -> float:
     falls below 1e-12.
     """
     p, g = _paired_values(pred, gt)
-    dp, sp = _centered(p)
+    return _cc(_centered(p), g)
+
+
+def _cc(centered, g: np.ndarray) -> float:
+    # cc from the prediction's _centered and the ground truth's values.
+    dp, sp = centered
     dg, sg = _centered(g)
     if sp < _STD_FLOOR or sg < _STD_FLOOR:
         raise ZeroVariance("correlation needs non-constant maps")
@@ -250,48 +271,104 @@ def nss(pred, fix) -> float:
     deviation, then averaged over fixated cells.
     """
     p, mask = _fixated_values(pred, fix, "NSS")
-    d, std = _centered(p)
+    return _nss(_centered(p), mask)
+
+
+def _nss(centered, mask: np.ndarray) -> float:
+    # nss from the prediction's _centered and a checked fixation mask.
+    d, std = centered
     if std < _STD_FLOOR:
         raise ZeroVariance("NSS needs a non-constant prediction")
     return float((d[mask] / std).mean())
 
 
-def _trapezoid(xs: np.ndarray, ys: np.ndarray) -> float:
-    return float(((xs[1:] - xs[:-1]) * (ys[1:] + ys[:-1]) * 0.5).sum())
-
-
-def _rate_curve(values: np.ndarray, thresholds: np.ndarray) -> np.ndarray:
-    # Share of ``values`` (never empty) >= each threshold, closed with 0 and 1
-    # before integration. The count n - searchsorted(..., "left") is exact.
-    n = values.size
-    rates = (n - np.searchsorted(np.sort(values), thresholds, side="left")) / n
-    return np.concatenate(([0.0], rates, [1.0]))
-
-
-def _roc_area(pos: np.ndarray, negative_sets) -> list[float]:
-    # One ROC area per negative set, against one shared threshold sweep (the
-    # distinct positive values, descending) and one true-positive curve.
-    thresholds = np.unique(pos)[::-1]
-    tpr = _rate_curve(pos, thresholds)
-    return [_trapezoid(_rate_curve(neg, thresholds), tpr) for neg in negative_sets]
-
-
 def _fixated_values(pred, fix, metric: str) -> tuple[np.ndarray, np.ndarray]:
-    # The prediction and its fixation mask, one shape and >= 1 fixated cell.
+    # The prediction and its fixation mask, checked as _check_fixations does.
     p, mask = _grid_values(pred), _fixation_mask(fix)
-    _check_shapes(p.shape, mask.shape)
-    if not mask.any():
-        raise NoFixations(f"{metric} needs at least one fixated cell")
+    _check_fixations(p, mask, metric)
     return p, mask
 
 
-def _split_by_fixation(pred, fix) -> tuple[np.ndarray, np.ndarray]:
-    p, mask = _fixated_values(pred, fix, "AUC")
+def _check_fixations(p: np.ndarray, mask: np.ndarray, metric: str) -> None:
+    # One shape and at least one fixated cell.
+    _check_shapes(p.shape, mask.shape)
+    if not mask.any():
+        raise NoFixations(f"{metric} needs at least one fixated cell")
+
+
+def _check_splits(n_splits: int) -> None:
+    if n_splits < 1:
+        raise ValueError("n_splits must be positive")
+
+
+def _roc_sweep(pred, p: np.ndarray, mask: np.ndarray):
+    # What both AUCs share, from a checked mask: the negatives, the count of
+    # positives (AUC-Borji's sample size) and the curve every trapezoid reuses.
+    # A GazeMap's cells are finite by construction; a bare grid is checked.
     if mask.all():
         raise AllFixated("AUC needs at least one non-fixated cell")
-    if np.isnan(p).any():
+    if not isinstance(pred, GazeMap) and np.isnan(p).any():
         raise ValueError("AUC needs a prediction without NaN values")
-    return p[mask], p[~mask]
+    pos, neg = p[mask], p[~mask]
+    return (neg, pos.size, *_roc_curve(pos))
+
+
+def _roc_curve(pos: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # The thresholds, the distinct positive values descending, and the
+    # adjacent sums of the closed true-positive curve over them.
+    thresholds = np.unique(pos)[::-1]
+    tpr = _closed_rates(np.searchsorted(np.sort(pos), thresholds, side="left")[None], pos.size)[0]
+    return thresholds, tpr[1:] + tpr[:-1]
+
+
+def _closed_rates(below: np.ndarray, n: int) -> np.ndarray:
+    # Per row of counts below each threshold (of a set of n values, from
+    # searchsorted "left"), the share at or above it, closed with 0 and 1.
+    # The counts are exact integers, so each rate is exactly that of
+    # ``(values >= t).mean()``. ``below`` is the caller's scratch: the
+    # counts at or above are written over it.
+    rates = np.empty((below.shape[0], below.shape[1] + 2))
+    rates[:, 0] = 0.0
+    rates[:, -1] = 1.0
+    np.subtract(n, below, out=below)
+    np.divide(below, n, out=rates[:, 1:-1])
+    return rates
+
+
+def _roc_areas(below: np.ndarray, n: int, tpr_sums: np.ndarray) -> np.ndarray:
+    # The trapezoid area under each row's ROC curve, all rows in one pass.
+    # Each row's terms are a C-ordered row, so its sum is that of the row alone.
+    fpr = _closed_rates(below, n)
+    terms = fpr[:, 1:] - fpr[:, :-1]
+    terms *= tpr_sums
+    terms *= 0.5
+    return terms.sum(axis=1)
+
+
+def _judd(neg: np.ndarray, thresholds: np.ndarray, tpr_sums: np.ndarray) -> float:
+    # The one-set curve: every non-fixated cell is a negative.
+    below = np.searchsorted(np.sort(neg), thresholds, side="left")
+    return float(_roc_areas(below[None], neg.size, tpr_sums)[0])
+
+
+def _borji(neg, n_pos: int, thresholds, tpr_sums, n_splits: int, seed: int) -> float:
+    # Each split's sample is drawn, sorted in place and counted into one row
+    # of the block; each block's areas are taken in one pass, so no array
+    # holds n_splits x thresholds values. The mean is over every split's area.
+    if neg.size < n_pos:
+        raise InsufficientNegatives(f"need at least {n_pos} non-fixated cells, have {neg.size}")
+    rng = np.random.default_rng(seed)
+    rows = max(1, min(n_splits, _SPLIT_ROWS, _BLOCK_CELLS // thresholds.size))
+    block = np.empty((rows, thresholds.size), dtype=np.intp)
+    areas = np.empty(n_splits)
+    for start in range(0, n_splits, rows):
+        below = block[: min(rows, n_splits - start)]
+        for row in below:
+            sample = rng.choice(neg, size=n_pos, replace=False)
+            sample.sort()
+            row[:] = np.searchsorted(sample, thresholds, side="left")
+        areas[start : start + len(below)] = _roc_areas(below, n_pos, tpr_sums)
+    return float(areas.mean())
 
 
 def auc_judd(pred, fix) -> float:
@@ -302,8 +379,8 @@ def auc_judd(pred, fix) -> float:
     the threshold. Only the ordering of values matters, so the score is
     invariant under strictly monotone transforms of the prediction.
     """
-    pos, neg = _split_by_fixation(pred, fix)
-    return _roc_area(pos, [neg])[0]
+    neg, _, thresholds, tpr_sums = _roc_sweep(pred, *_fixated_values(pred, fix, "AUC"))
+    return _judd(neg, thresholds, tpr_sums)
 
 
 def auc_borji(pred, fix, n_splits: int = 100, seed: int = 0) -> float:
@@ -315,43 +392,63 @@ def auc_borji(pred, fix, n_splits: int = 100, seed: int = 0) -> float:
     thresholds and the true-positive curve are shared by every trial.
     Fixed inputs and seed give a bit-identical result.
     """
-    if n_splits < 1:
-        raise ValueError("n_splits must be positive")
-    pos, neg = _split_by_fixation(pred, fix)
-    if neg.size < pos.size:
-        raise InsufficientNegatives(
-            f"need at least {pos.size} non-fixated cells, have {neg.size}"
-        )
-    rng = np.random.default_rng(seed)
-    samples = (rng.choice(neg, size=pos.size, replace=False) for _ in range(n_splits))
-    return float(np.mean(_roc_area(pos, samples)))
+    _check_splits(n_splits)
+    return _borji(*_roc_sweep(pred, *_fixated_values(pred, fix, "AUC")), n_splits, seed)
+
+
+def _cell(metric, *args) -> float | str:
+    # One metrics-table cell: the score, or the name of the GazeKitError raised.
+    try:
+        return float(metric(*args))
+    except GazeKitError as exc:
+        return type(exc).__name__
 
 
 def score_maps(pred, gt, fix=None, n_splits: int = 100, seed: int = 0) -> dict[str, float | str]:
     """Score one frame: the metric cells of its metrics-table row.
 
-    Keys are the metric columns of the metrics table, and the metrics run
-    in the order cc, kl, sim, auc_j, auc_b, nss. A metric that raises a
-    GazeKitError gets the exception's class name as its cell; with no
-    fixation map the three fixation metrics are "skipped".
+    Keys are the metric columns of the metrics table. A metric that raises
+    a GazeKitError gets the exception's class name as its cell; with no
+    fixation map the three fixation metrics are "skipped". Each cell is
+    bit for bit what the metric's public function returns, and any other
+    error is the one calling them in the order cc, kl, sim, auc_j, auc_b,
+    nss raises first. The frame's work is shared: the prediction is
+    centered once for cc and nss, and the fixation split, thresholds and
+    true-positive curve are built once for both AUCs.
     """
-    calls = [
-        ("cc", lambda: cc(pred, gt)),
-        ("kl", lambda: kl_div(gt, pred)),
-        ("sim", lambda: sim(pred, gt)),
-    ]
-    cells: dict[str, float | str] = {}
+    # KL and SIM run before the centering, and NSS before the AUCs, so the
+    # centered frame, kept from CC to NSS, is not alive while the others
+    # allocate their frame-sized temporaries.
+    p, g = _grid_values(pred), _grid_values(gt)
+    paired = p.shape == g.shape
+    kl, overlap = (kl_div(g, p), sim(p, g)) if paired else (ShapeMismatch.__name__,) * 2
+    centered = _centered(p)
+    cells = dict.fromkeys(("auc_j", "auc_b", "nss"), "skipped") if fix is None else {}
+    cells["cc"] = _cell(_cc, centered, g) if paired else ShapeMismatch.__name__
+    cells.update(kl=kl, sim=overlap)
     if fix is None:
-        cells["auc_j"] = cells["auc_b"] = cells["nss"] = "skipped"
+        return cells
+    # A shape or fixation failure labels all three cells, AllFixated only
+    # the AUCs; auc_borji checks its split count before its inputs.
+    mask = _fixation_mask(fix)
+    auc_error = None
+    try:
+        _check_fixations(p, mask, "AUC")
+    except GazeKitError as exc:
+        auc_error = nss_cell = type(exc).__name__
     else:
-        calls += [
-            ("auc_j", lambda: auc_judd(pred, fix)),
-            ("auc_b", lambda: auc_borji(pred, fix, n_splits=n_splits, seed=seed)),
-            ("nss", lambda: nss(pred, fix)),
-        ]
-    for column, call in calls:
+        nss_cell = _cell(_nss, centered, mask)
+        del centered
         try:
-            cells[column] = float(call())
-        except GazeKitError as exc:
-            cells[column] = type(exc).__name__
+            sweep = _roc_sweep(pred, p, mask)
+        except AllFixated as exc:
+            auc_error = type(exc).__name__
+    _check_splits(n_splits)
+    if auc_error is None:
+        neg, n_pos, thresholds, tpr_sums = sweep
+        cells["auc_j"] = _judd(neg, thresholds, tpr_sums)
+        cells["auc_b"] = _cell(_borji, neg, n_pos, thresholds, tpr_sums, n_splits, seed)
+    else:
+        cells["auc_j"] = cells["auc_b"] = auc_error
+    cells["nss"] = nss_cell
     return cells

@@ -35,8 +35,9 @@ from gazekit.saliency import (
     _kl_gt_side,
     _kl_pred_side,
     _kl_sides,
-    _roc_area,
-    _trapezoid,
+    _judd,
+    _roc_curve,
+    _SPLIT_ROWS,
 )
 
 QUARTET = np.array([[0.4, 0.3], [0.2, 0.1]])
@@ -69,6 +70,11 @@ def auc_oracle(pred: np.ndarray, mask: np.ndarray) -> float:
     return area
 
 
+def trapezoid(xs: np.ndarray, ys: np.ndarray) -> float:
+    """The 1-D trapezoid the AUCs once took per curve, kept verbatim."""
+    return float(((xs[1:] - xs[:-1]) * (ys[1:] + ys[:-1]) * 0.5).sum())
+
+
 def roc_points_oracle(pos: np.ndarray, neg: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The per-threshold ROC loop the sorted sweep replaced, kept verbatim."""
     thresholds = np.unique(pos)[::-1]
@@ -87,7 +93,7 @@ def auc_borji_oracle(pos: np.ndarray, neg: np.ndarray, n_splits: int, seed: int)
     areas = []
     for _ in range(n_splits):
         sample = rng.choice(neg, size=pos.size, replace=False)
-        areas.append(_trapezoid(*roc_points_oracle(pos, sample)))
+        areas.append(trapezoid(*roc_points_oracle(pos, sample)))
     return float(np.mean(areas))
 
 
@@ -129,7 +135,9 @@ class TestSortedROCSweep:
         values = roc_values(kind, np.random.default_rng(seed), n_pos + sum(n_negs))
         pos = values[:n_pos]
         negs = np.split(values[n_pos:], np.cumsum(n_negs)[:-1])
-        assert _roc_area(pos, negs) == [_trapezoid(*roc_points_oracle(pos, neg)) for neg in negs]
+        curve = _roc_curve(pos)
+        areas = [_judd(neg, *curve) for neg in negs]
+        assert areas == [trapezoid(*roc_points_oracle(pos, neg)) for neg in negs]
 
     @pytest.mark.parametrize("kind", ROC_VALUE_KINDS)
     @given(
@@ -140,6 +148,7 @@ class TestSortedROCSweep:
     )
     @example(seed=2, side=6, n_splits=1, auc_seed=0)
     @example(seed=3, side=6, n_splits=100, auc_seed=7)
+    @example(seed=4, side=9, n_splits=2 * _SPLIT_ROWS + 1, auc_seed=5)  # two full blocks and one row
     def test_aucs_equal_the_oracle_area(self, kind, seed, side, n_splits, auc_seed):
         gen = np.random.default_rng(seed)
         pred = roc_values(kind, gen, side * side).reshape(side, side)
@@ -148,7 +157,7 @@ class TestSortedROCSweep:
         mask[gen.choice(side * side, size=n_pos, replace=False)] = True
         mask = mask.reshape(side, side)
         pos, neg = pred[mask], pred[~mask]
-        assert auc_judd(pred, mask) == _trapezoid(*roc_points_oracle(pos, neg))
+        assert auc_judd(pred, mask) == trapezoid(*roc_points_oracle(pos, neg))
         assert auc_borji(pred, mask, n_splits=n_splits, seed=auc_seed) == auc_borji_oracle(
             pos, neg, n_splits, auc_seed
         )
@@ -587,38 +596,92 @@ class TestScoreMaps:
         cells = score_maps(random_map(rng, 4, 4), gt, FixationMap(most.reshape(4, 4)))
         assert cells["auc_b"] == "InsufficientNegatives"
 
-    @example(side=4, data_seed=1, constant_pred=True, n_fix="all", n_splits=3, seed=0)
-    @example(side=4, data_seed=2, constant_pred=False, n_fix=0, n_splits=3, seed=0)
-    @example(side=4, data_seed=3, constant_pred=False, n_fix="most", n_splits=3, seed=0)
-    @example(side=4, data_seed=4, constant_pred=True, n_fix=None, n_splits=3, seed=0)
+    @example(shape=(4, 4), data_seed=1, pred_kind="constant", bare=False, n_fix="all", mismatch=None, n_splits=3, seed=0)
+    @example(shape=(4, 4), data_seed=2, pred_kind="random", bare=False, n_fix=0, mismatch=None, n_splits=3, seed=0)
+    @example(shape=(4, 4), data_seed=3, pred_kind="random", bare=False, n_fix="most", mismatch=None, n_splits=3, seed=0)
+    @example(shape=(4, 4), data_seed=4, pred_kind="constant", bare=False, n_fix=None, mismatch=None, n_splits=3, seed=0)
+    @example(shape=(3, 5), data_seed=8, pred_kind="random", bare=True, n_fix="half", mismatch="gt", n_splits=4, seed=0)
+    @example(shape=(3, 5), data_seed=9, pred_kind="pgm", bare=False, n_fix=2, mismatch="fix", n_splits=4, seed=0)
+    # The benchmark's frames: 90x160, a PGM-quantized or constant prediction,
+    # 20 to 400 fixated cells and the default 100 splits.
+    @example(shape=(90, 160), data_seed=5, pred_kind="pgm", bare=False, n_fix=20, mismatch=None, n_splits=100, seed=0)
+    @example(shape=(90, 160), data_seed=6, pred_kind="pgm", bare=False, n_fix=400, mismatch=None, n_splits=100, seed=0)
+    @example(shape=(90, 160), data_seed=7, pred_kind="constant", bare=False, n_fix=400, mismatch=None, n_splits=100, seed=0)
     @given(
-        side=st.integers(2, 7),
+        shape=st.tuples(st.integers(2, 7), st.integers(2, 7)),
         data_seed=st.integers(0, 2**32 - 1),
-        constant_pred=st.booleans(),
+        pred_kind=st.sampled_from(["random", "pgm", "constant"]),
+        bare=st.booleans(),
         n_fix=st.sampled_from([None, 0, 1, 2, 3, "half", "most", "all"]),
+        mismatch=st.sampled_from([None, None, "gt", "fix"]),
         n_splits=st.integers(1, 12),
         seed=st.integers(0, 2**32 - 1),
     )
-    def test_matches_the_evaluate_loop(self, side, data_seed, constant_pred, n_fix, n_splits, seed):
-        # Constant predictions and empty, crowded or full fixation maps
-        # drive every metric into its GazeKitError cell label.
+    def test_matches_the_evaluate_loop(
+        self, shape, data_seed, pred_kind, bare, n_fix, mismatch, n_splits, seed
+    ):
+        # Constant predictions, empty, crowded or full fixation maps, and a
+        # ground truth or fixation map of another shape drive every metric
+        # into its GazeKitError cell label. A bare prediction takes the NaN
+        # check that a GazeMap skips.
         gen = np.random.default_rng(data_seed)
-        cells_n = side * side
-        pred = (
-            normalize_to_simplex(np.ones((side, side)))
-            if constant_pred
-            else random_map(gen, side, side)
-        )
-        gt = random_map(gen, side, side)
+        h, w = shape
+        other = (h, w + 1)
+        if pred_kind == "constant":
+            pred = normalize_to_simplex(np.ones(shape))
+        elif pred_kind == "pgm":
+            pred = GazeMap(pgm_quantized(gen.uniform(size=shape) ** 3))
+        else:
+            pred = random_map(gen, h, w)
+        if bare:
+            pred = pred.values
+        gt = random_map(gen, *(other if mismatch == "gt" else shape))
         fix = None
         if n_fix is not None:
-            count = {"half": cells_n // 2, "most": cells_n - 1, "all": cells_n}.get(n_fix, n_fix)
-            mask = np.zeros(cells_n, dtype=bool)
-            mask[gen.choice(cells_n, size=min(count, cells_n), replace=False)] = True
-            fix = FixationMap(mask.reshape(side, side))
+            fh, fw = other if mismatch == "fix" else shape
+            count = {"half": fh * fw // 2, "most": fh * fw - 1, "all": fh * fw}.get(n_fix, n_fix)
+            mask = np.zeros(fh * fw, dtype=bool)
+            mask[gen.choice(fh * fw, size=min(count, fh * fw), replace=False)] = True
+            fix = FixationMap(mask.reshape(fh, fw))
         got = score_maps(pred, gt, fix, n_splits=n_splits, seed=seed)
         want = score_maps_oracle(pred, gt, fix, n_splits, seed)
         assert_same_cells(got, want)
+        if mismatch == "gt":
+            assert [got[c] for c in ("cc", "kl", "sim")] == ["ShapeMismatch"] * 3
+        if mismatch == "fix" and fix is not None:
+            assert [got[c] for c in ("auc_j", "auc_b", "nss")] == ["ShapeMismatch"] * 3
+
+    @pytest.mark.parametrize(
+        "nan, fixated, n_splits, raised",
+        [
+            (True, "some", 5, "AUC needs a prediction without NaN values"),
+            (True, "some", 0, "AUC needs a prediction without NaN values"),
+            (False, "some", 0, "n_splits must be positive"),
+            (True, "none", 0, "n_splits must be positive"),
+            (True, "all", 5, None),
+        ],
+    )
+    def test_raises_what_the_evaluate_loop_raises(self, rng, nan, fixated, n_splits, raised):
+        # A bare prediction holding NaN has no ">=" ranking: once the AUCs'
+        # fixation checks pass, the first AUC raises ValueError, ahead of
+        # AUC-Borji's refusal of fewer than one split. With every cell or no
+        # cell fixated the AUCs get their labels, and NaN scores pass through.
+        pred = rng.uniform(size=(5, 6))
+        if nan:
+            pred[2, 3] = np.nan
+        gt = random_map(rng, 5, 6)
+        mask = np.full((5, 6), fixated == "all")
+        if fixated == "some":
+            mask[0, :4] = True
+        if raised is None:
+            want = score_maps_oracle(pred, gt, mask, n_splits, 1)
+            assert_same_cells(score_maps(pred, gt, mask, n_splits=n_splits, seed=1), want)
+            return
+        with pytest.raises(ValueError) as want:
+            score_maps_oracle(pred, gt, mask, n_splits, 1)
+        with pytest.raises(ValueError) as got:
+            score_maps(pred, gt, mask, n_splits=n_splits, seed=1)
+        assert str(got.value) == str(want.value) == raised
 
 
 class TestPairedInputChecks:
