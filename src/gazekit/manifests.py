@@ -94,21 +94,22 @@ def write_manifest_rows(path, rows, extra_columns=()) -> None:
     _write_csv(path, [header] + [[row.get(col, "") for col in header] for row in rows])
 
 
-def _read_text(path, encoding: str) -> str:
-    # Every text file is read here: the file's bytes decoded whole, with no
-    # newline translation. A byte the encoding refuses is named by its offset.
+def _read_text(path, encoding: str, data: bytes | None = None) -> str:
+    # Every text file is read here: the file's bytes (``data``, when the caller
+    # has read them already) decoded whole, with no newline translation. A byte
+    # the encoding refuses is named by its offset.
     try:
-        return Path(path).read_bytes().decode(encoding)
+        return (Path(path).read_bytes() if data is None else data).decode(encoding)
     except UnicodeDecodeError as exc:
         raise ValueError(
             f"{path}: not {exc.encoding.upper()} text ({exc.reason} at byte {exc.start})"
         ) from None
 
 
-def _read_lines(path, encoding: str) -> list[str]:
+def _read_lines(path, encoding: str, data: bytes | None = None) -> list[str]:
     # Lines end only at "\n", "\r\n" or "\r", not also at "\v", "\f", "\x1c" to
     # "\x1e", U+0085 or U+2028 as with str.splitlines. Most hold no "\r".
-    text = _read_text(path, encoding)
+    text = _read_text(path, encoding, data)
     if "\r" in text:
         text = text.replace("\r\n", "\n").replace("\r", "\n")
     return text.removesuffix("\n").split("\n") if text else []

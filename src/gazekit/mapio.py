@@ -27,13 +27,21 @@ Two on-disk map formats are supported, chosen by file suffix:
 Loaded maps are always normalized to the simplex; a file with no mass
 raises AllZeroGrid, and one whose cells sum past the float64 range
 raises ValueError. Fixation grids use the CSV format with the rule
-that any cell strictly greater than 0.5 is fixated.
+that any cell strictly greater than 0.5 is fixated. A fixation file in
+the canonical form that ``save_fixations`` writes (every row
+``c,c,...,c`` with each cell ``0`` or ``1``, all rows of one width, each
+row ending in LF, the last one too) is read as bytes, with no float
+parsing. Any other file (CRLF or CR line ends, a blank or missing last
+line, ``1.0``, spaces, another digit, a ragged row, a non-ASCII byte, an
+empty file) falls back to the CSV reader on the bytes already read, so
+its mask or its error is the CSV reader's.
 """
 
 from __future__ import annotations
 
 import os
 import re
+from pathlib import Path
 
 import numpy as np
 
@@ -121,8 +129,8 @@ def _write_pgm16(path, values: np.ndarray) -> None:
     _write_file(path, header + samples.tobytes())
 
 
-def _read_csv_grid(path) -> np.ndarray:
-    lines = [line for line in _read_lines(path, "ascii") if line.strip()]
+def _read_csv_grid(path, data: bytes | None = None) -> np.ndarray:
+    lines = [line for line in _read_lines(path, "ascii", data) if line.strip()]
     if not lines:
         raise ValueError(f"{path}: no rows")
     commas = lines[0].count(",")
@@ -168,8 +176,34 @@ def save_map(path, gaze: GazeMap) -> None:
 
 
 def load_fixations(path) -> FixationMap:
-    """Read a CSV grid and mark every cell above 0.5 as fixated."""
-    return FixationMap(_read_csv_grid(path) > 0.5)
+    """Read a fixation grid and mark every cell above 0.5 as fixated.
+
+    The file is read once. One in the canonical form ``save_fixations``
+    writes (rows of ``0`` and ``1`` cells joined by commas, all of one
+    width, each ending in LF) is taken as bytes; any other is parsed as a
+    CSV grid, with the same mask or the same error either way.
+    """
+    data = Path(path).read_bytes()
+    cells = _canonical_cells(data)
+    if cells is None:
+        return FixationMap(_read_csv_grid(path, data) > 0.5)
+    return FixationMap(cells == ord("1"))
+
+
+def _canonical_cells(data: bytes) -> np.ndarray | None:
+    # The cell bytes of a canonical fixation file as a (rows, cols) view of
+    # ``data``, or None for any other file. A row of n cells is 2n bytes, each
+    # cell followed by a comma or, after the last, LF. Read as little-endian
+    # 16-bit (cell, separator) pairs with the cell's lowest bit set, the one
+    # bit in which "0" and "1" differ, every row must read "1," ... "1," "1\n".
+    width = data.find(b"\n") + 1  # 0 when there is no LF at all
+    if width == 0 or width % 2 or len(data) % width:
+        return None
+    row = np.full(width // 2, ord("1") | ord(",") << 8, np.uint16)
+    row[-1] = ord("1") | ord("\n") << 8
+    if ((np.frombuffer(data, "<u2").reshape(-1, width // 2) | 1) == row).all():
+        return np.frombuffer(data, np.uint8).reshape(-1, width)[:, ::2]
+    return None
 
 
 def save_fixations(path, fix: FixationMap) -> None:

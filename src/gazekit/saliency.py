@@ -366,7 +366,7 @@ def _borji(neg, n_pos: int, thresholds, tpr_sums, n_splits: int, seed: int) -> f
         for row in below:
             sample = rng.choice(neg, size=n_pos, replace=False)
             sample.sort()
-            row[:] = np.searchsorted(sample, thresholds, side="left")
+            row[:] = sample.searchsorted(thresholds, side="left")
         areas[start : start + len(below)] = _roc_areas(below, n_pos, tpr_sums)
     return float(areas.mean())
 

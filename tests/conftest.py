@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings, strategies as st
@@ -36,6 +38,21 @@ def rng():
 def random_map(rng, height, width, low=0.05, high=1.0) -> GazeMap:
     """A strictly positive random map; every cell clears typical KL floors."""
     return normalize_to_simplex(rng.uniform(low, high, size=(height, width)))
+
+
+def traced_peak(call) -> int:
+    """Bytes above the traced level at the start, at the peak of one call."""
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        call()
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if started:
+            tracemalloc.stop()
 
 
 @st.composite

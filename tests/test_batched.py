@@ -15,7 +15,6 @@ traced allocation peak within a fixed budget.
 
 from __future__ import annotations
 
-import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -30,6 +29,7 @@ from conftest import (
     kl_div_reference,
     loss_caption_reference,
     loss_gaze_reference,
+    traced_peak,
 )
 from hypothesis import given, strategies as st
 
@@ -442,21 +442,6 @@ class TestTheCoresLeaveTheirArgumentsAlone:
         again = [_kl_from_sides(table[a][0], table[target][1]) for a in reversed(anchors)]
         assert first == again[::-1]
         assert first == [kl_div_reference(seq.maps[a].values, seq.maps[target].values) for a in anchors]
-
-
-def traced_peak(call) -> int:
-    # Bytes above the traced level at the start, at the peak of one call.
-    started = not tracemalloc.is_tracing()
-    if started:
-        tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
-        tracemalloc.reset_peak()
-        call()
-        return tracemalloc.get_traced_memory()[1] - base
-    finally:
-        if started:
-            tracemalloc.stop()
 
 
 class TestSpentKL:

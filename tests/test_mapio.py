@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from conftest import random_map
+from conftest import random_map, traced_peak
 from gazekit import (
     AllZeroGrid,
     FixationMap,
@@ -38,6 +38,7 @@ from gazekit import (
     write_manifest_rows,
     write_metrics_table,
 )
+from gazekit.mapio import _canonical_cells
 
 
 _PGM_MAXVAL = 65535
@@ -431,6 +432,101 @@ class TestCSVDeclaredDifferences:
         with pytest.raises(ValueError) as info:
             load_fixations(path)
         assert str(info.value) == f"{path}: could not convert string 'y' to float64 at row 1, column 2."
+
+
+def fixation_bytes(rows, newline: str = "\n") -> bytes:
+    """A fixation file: each row's cells joined by commas, each row ended."""
+    return "".join(",".join(row) + newline for row in rows).encode("utf-8")
+
+
+#: Each takes a fixation file out of the form ``save_fixations`` writes.
+FIXATION_DEFECTS = [
+    "crlf", "cr", "no final LF", "blank last line", "float cell", "padded cell",
+    "other digit", "ragged row", "trailing comma", "non-ASCII", "empty",
+]
+
+
+@st.composite
+def fixation_files(draw):
+    """A canonical grid of 0/1 cells, 1x1 to 6x6, or one with a single defect.
+
+    Returns the file's bytes and whether they are canonical.
+    """
+    height, width = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    rows = [draw(st.lists(st.sampled_from("01"), min_size=width, max_size=width)) for _ in range(height)]
+    defect = draw(st.sampled_from([None, *FIXATION_DEFECTS]))
+    r, c = draw(st.integers(0, height - 1)), draw(st.integers(0, width - 1))
+    if defect == "float cell":
+        rows[r][c] = draw(st.sampled_from(["1.0", "0.0", "0.5", "0.6", "00", "01", "-0", "+1", "1e0"]))
+    elif defect == "padded cell":
+        pad = draw(st.sampled_from([" ", "\t"]))
+        rows[r][c] = pad + rows[r][c] if draw(st.booleans()) else rows[r][c] + pad
+    elif defect == "other digit":
+        rows[r][c] = draw(st.sampled_from("23456789"))
+    elif defect == "ragged row":
+        rows.insert(r, rows[r][:-1] or ["0", "1"])
+    elif defect == "trailing comma":
+        rows[r].append("")
+    elif defect == "non-ASCII":
+        rows[r][c] = draw(st.sampled_from(["\u00e9", "\u00b9", "\u0661"]))
+    data = fixation_bytes(rows, {"crlf": "\r\n", "cr": "\r"}.get(defect, "\n"))
+    if defect == "no final LF":
+        data = data[:-1]
+    elif defect == "blank last line":
+        data += b"\n"
+    elif defect == "empty":
+        data = draw(st.sampled_from([b"", b"\n"]))
+    return data, defect is None
+
+
+#: A benchmark-size fixation grid: 90x160 with about 2 % of its cells fixated.
+BENCHMARK_FIXATIONS = fixation_bytes(
+    [["01"[cell] for cell in row] for row in (np.random.default_rng(0).random((90, 160)) < 0.02).tolist()]
+)
+
+
+class TestCanonicalFixations:
+    """``load_fixations`` reads a file in the form ``save_fixations`` writes
+    as bytes and hands any other file to the CSV reader, on the bytes it
+    read: either way the mask or the error is the CSV reader's."""
+
+    @settings(max_examples=300)
+    @given(case=fixation_files())
+    @example(case=(BENCHMARK_FIXATIONS, True))
+    @example(case=(b"1\n", True))
+    @example(case=(b"0,1,1,0,1,0\n", True))
+    @example(case=(b"1\n0\n1\n", True))
+    @example(case=(b"0,1\r\n1,0\r\n", False))
+    @example(case=(b"0,1\n1,0", False))
+    @example(case=(b"0,1\n" * 2000 + "\u00e90,1\n".encode("utf-8"), False))
+    def test_byte_path_matches_the_csv_path(self, tmp_path_factory, case):
+        data, canonical = case
+        path = tmp_path_factory.mktemp("fix") / "f.csv"
+        path.write_bytes(data)
+        assert (_canonical_cells(data) is not None) == canonical
+        assert outcome(lambda p: load_fixations(p).fixated, path) == outcome(lambda p: load_grid(p) > 0.5, path)
+
+    @pytest.mark.parametrize("data", [b"0,1\n1,0\n", b"0,1\r\n1,0\r\n", b"0.0,1\n1,0\n"])
+    def test_each_file_is_read_once(self, tmp_path, monkeypatch, data):
+        path = tmp_path / "f.csv"
+        path.write_bytes(data)
+        reads = []
+        read_bytes = Path.read_bytes
+        monkeypatch.setattr(Path, "read_bytes", lambda self: reads.append(self) or read_bytes(self))
+        assert load_fixations(path).fixated.tolist() == [[False, True], [True, False]]
+        assert reads == [path]
+
+    def test_camera_frame_allocates_no_float_frame(self, tmp_path):
+        # A 540x960 float64 frame is 4.1 MB. Parsing the grid as floats peaked
+        # at 5.7 MB; the byte path holds the file and arrays of at most two
+        # bytes a cell, 2.6 MB.
+        h, w = 540, 960
+        mask = np.zeros(h * w, dtype=bool)
+        mask[np.random.default_rng(0).choice(mask.size, 800, replace=False)] = True
+        path = tmp_path / "f.csv"
+        save_fixations(path, FixationMap(mask.reshape(h, w)))
+        assert traced_peak(lambda: load_fixations(path)) < 8 * h * w
+        np.testing.assert_array_equal(load_fixations(path).fixated, mask.reshape(h, w))
 
 
 class TestSuffixRule:

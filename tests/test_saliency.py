@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from conftest import kl_div_reference, map_pairs, pgm_quantized, random_map
+from conftest import kl_div_reference, map_pairs, pgm_quantized, random_map, traced_peak
 from gazekit import (
     FixationMap,
     GazeKitError,
@@ -682,6 +682,18 @@ class TestScoreMaps:
         with pytest.raises(ValueError) as got:
             score_maps(pred, gt, mask, n_splits=n_splits, seed=1)
         assert str(got.value) == str(want.value) == raised
+
+    def test_camera_frame_peaks_at_three_float_frames(self):
+        # At 540x960 with 800 fixations: at most three frame-sized float64
+        # arrays live at once, plus one 64 KiB AUC-Borji count block.
+        h, w = 540, 960
+        gen = np.random.default_rng(0)
+        pred = normalize_to_simplex(gen.uniform(size=(h, w)) ** 3)
+        gt = normalize_to_simplex(gen.uniform(size=(h, w)))
+        mask = np.zeros(h * w, dtype=bool)
+        mask[gen.choice(mask.size, 800, replace=False)] = True
+        fix = FixationMap(mask.reshape(h, w))
+        assert traced_peak(lambda: score_maps(pred, gt, fix)) <= 3 * 8 * h * w + 65536
 
 
 class TestPairedInputChecks:
