@@ -168,19 +168,29 @@ def normalize_to_simplex(grid) -> GazeMap:
 
     Raises AllZeroGrid when total mass is below 1e-12, the signal for an
     empty or blank input map, and ValueError when finite cells sum past
-    the float64 range.
+    the float64 range. An unsigned-integer array (such as a PGM's
+    samples) is finite and nonnegative by type and its sum cannot
+    overflow, so it skips both checks and is divided in place in its
+    float64 copy.
     """
     v = _grid_values(grid)
-    if not (isinstance(grid, np.ndarray) and grid.dtype.kind == "u"):
-        _check_cells(v, "grid")
-    with np.errstate(over="ignore"):
+    unsigned = isinstance(grid, np.ndarray) and grid.dtype.kind == "u"
+    if unsigned:
         total = float(v.sum())
-    if total == math.inf:
-        raise ValueError("grid mass overflows the float64 range")
+    else:
+        _check_cells(v, "grid")
+        with np.errstate(over="ignore"):
+            total = float(v.sum())
+        if total == math.inf:
+            raise ValueError("grid mass overflows the float64 range")
     if total < MASS_FLOOR:
         raise AllZeroGrid(f"grid mass {total} is below {MASS_FLOOR}")
     # Finite, nonnegative cells over a finite total of at least 1e-12 sum
     # to 1 within rounding, so the map needs no second check.
+    if unsigned:
+        # v is the fresh float64 copy _grid_values made, so it is divided in place.
+        v /= total
+        return _checked_gaze_map(v)
     return _checked_gaze_map(v / total)
 
 

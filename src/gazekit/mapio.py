@@ -7,8 +7,13 @@ Two on-disk map formats are supported, chosen by file suffix:
   peak cell hits 65535; loading renormalizes to the simplex, so a
   save/load round trip is exact up to the 16-bit quantization step.
   A header field that ``int()`` refuses is named with the path. The
-  samples are unsigned by type, so loading skips the finite and sign
-  check that CSV cells get.
+  header is parsed once per run of files that start with the same
+  header bytes: the reader keeps the last header that passed every
+  check, through the one byte after maxval, and a file that starts
+  with those bytes has the same width and height, so only its raster
+  length is checked. The samples are unsigned by type, so loading
+  skips the finite and sign check that CSV cells get and divides them
+  in place in their float64 copy.
 * ``.csv``: comma-separated decimal floats, one row per line ("CSVF").
   Values round-trip exactly. The file must be ASCII (another byte is
   refused with the path and its offset). Lines end only at LF, CRLF or
@@ -78,36 +83,56 @@ def is_map_file(path) -> bool:
 _PGM_SEPARATOR = re.compile(rb"(?:[ \t\r\n]|#[^\r\n]*)*")
 _PGM_TOKEN = re.compile(rb"[^ \t\r\n#]+")
 
+# The last PGM header that parsed and passed every check: its bytes through
+# the one byte after maxval, its width and its height. The walk reads nothing
+# past that byte, so a file that starts with the same bytes has the same
+# fields. The tuple is read and replaced whole, so a thread sees one valid
+# entry or the next. It starts as the smallest valid header.
+_last_pgm_header = (b"P5\n1 1\n65535\n", 1, 1)
+
 
 def _read_pgm16(path) -> np.ndarray:
     # The raster's big-endian 16-bit samples, as a read-only view of the file's
     # bytes: unsigned by type, so ``normalize_to_simplex`` needs no cell check.
+    # A file that starts with the last validated header's bytes takes its
+    # fields from ``_last_pgm_header`` and skips the header walk.
+    global _last_pgm_header
     with open(path, "rb", buffering=0) as f:
         data = f.readall()
 
-    pos = 0
-    tokens = []
-    while len(tokens) < 4:
-        pos = _PGM_SEPARATOR.match(data, pos).end()
-        if pos >= len(data):
-            raise ValueError(f"{path}: truncated header")
-        token = _PGM_TOKEN.match(data, pos)
-        tokens.append(token.group())
-        pos = token.end()
-    pos += 1  # exactly one whitespace byte follows the maxval
+    header, width, height = _last_pgm_header
+    hit = data.startswith(header)
+    if hit:
+        pos = len(header)
+    else:
+        pos = 0
+        tokens = []
+        while len(tokens) < 4:
+            pos = _PGM_SEPARATOR.match(data, pos).end()
+            if pos >= len(data):
+                raise ValueError(f"{path}: truncated header")
+            token = _PGM_TOKEN.match(data, pos)
+            tokens.append(token.group())
+            pos = token.end()
+        pos += 1  # exactly one whitespace byte follows the maxval
 
-    magic, *fields = tokens
-    if magic != b"P5":
-        raise ValueError(f"{path}: not a binary PGM file (magic {magic!r})")
-    width, height, maxval = (_header_int(path, token) for token in fields)
-    if width < 1 or height < 1:
-        raise ValueError(f"{path}: bad dimensions {width}x{height}")
-    if maxval != _PGM_MAXVAL:
-        raise ValueError(f"{path}: expected maxval {_PGM_MAXVAL}, got {maxval}")
+        magic, *fields = tokens
+        if magic != b"P5":
+            raise ValueError(f"{path}: not a binary PGM file (magic {magic!r})")
+        width, height, maxval = (_header_int(path, token) for token in fields)
+        if width < 1 or height < 1:
+            raise ValueError(f"{path}: bad dimensions {width}x{height}")
+        if maxval != _PGM_MAXVAL:
+            raise ValueError(f"{path}: expected maxval {_PGM_MAXVAL}, got {maxval}")
     expected = width * height * 2
     held = len(data) - pos
     if held < expected:
         raise ValueError(f"{path}: raster holds {max(held, 0)} bytes, expected {expected}")
+    if not hit:
+        # A raster of at least two bytes follows, so the byte after maxval
+        # is in the file. A bytes slice is a copy: the entry holds no view
+        # that would keep the whole file alive.
+        _last_pgm_header = (data[:pos], width, height)
     samples = np.frombuffer(data, ">u2", count=width * height, offset=pos)
     return samples.reshape(height, width)
 

@@ -26,7 +26,7 @@ from xml.etree import ElementTree
 import numpy as np
 import pytest
 
-from conftest import gaussian_blur_reference, gaze_map_reference, spatial_softmax_reference
+from conftest import gaussian_blur_reference, gaze_map_reference, pgm_quantized, spatial_softmax_reference
 from gazekit import (
     MANIFEST_HEADER,
     CurationParams,
@@ -524,6 +524,49 @@ class TestCurate:
         assert captured.err == "v0: all frames in a sequence must share dimensions, skipped\n"
         _, rows = read_manifest_rows(out)
         assert rows == []
+
+    def test_videos_of_mixed_frame_sizes_and_headers(self, tmp_path, capsys):
+        # PGM videos alternate between 12x12 and 16x16 frames, so the header
+        # the reader last parsed changes from one video to the next; v1's
+        # frames carry a comment in theirs. v1b's frames change size partway,
+        # and it is the one video skipped.
+        rng = np.random.default_rng(37)
+        root = tmp_path / "corpus"
+        layouts = {"v0": (10, 50, 12), "v1": (15, 45, 16), "v1b": (30, 30, 12), "v2": (20, 40, 12), "v3": (25, 35, 16)}
+        maps = {}
+        for video, (n_first, n_second, side) in layouts.items():
+            arrays = two_segment_arrays(n_first, n_second, side)
+            if video == "v1b":
+                arrays[n_first:] = two_segment_arrays(0, n_second, 16)
+            maps[video] = [normalize_to_simplex(a + rng.uniform(0.0, 0.01, a.shape)) for a in arrays]
+            (root / video).mkdir(parents=True)
+            for i, gaze in enumerate(maps[video]):
+                frame = root / video / f"frame_{i:03d}.pgm"
+                save_map(frame, gaze)
+                if video == "v1":
+                    frame.write_bytes(frame.read_bytes().replace(b"P5\n", b"P5\n# camera 1\n", 1))
+        out = tmp_path / "pairs.csv"
+        assert main(["curate", str(root), "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "v1b: all frames in a sequence must share dimensions, skipped\n"
+
+        # Each good video loaded on its own, every frame checked against its
+        # 16-bit quantization, and curated whole.
+        pairs, frame_paths, counts = [], {}, ""
+        for video in ("v0", "v1", "v2", "v3"):
+            files = sorted((root / video).iterdir())
+            frames = tuple(load_map(f) for f in files)
+            for gaze, original in zip(frames, maps[video]):
+                assert gaze.values.tobytes() == pgm_quantized(original.values).tobytes()
+            selected = curate_video(GazeSequence(video, frames))
+            assert selected
+            pairs.extend(selected)
+            frame_paths[video] = [f"{video}/{f.name}" for f in files]
+            counts += f"{video}: {len(selected)}\n"
+        expected = tmp_path / "expected.csv"
+        write_manifest(expected, pairs, frame_paths)
+        assert captured.out == counts
+        assert out.read_bytes() == expected.read_bytes()
 
     def test_reruns_are_byte_identical(self, tmp_path):
         root = tmp_path / "corpus"

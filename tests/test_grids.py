@@ -33,6 +33,7 @@ from gazekit import (
 from gazekit.grids import (
     _BLUR_CACHE_SIZE, MASS_FLOOR, SIMPLEX_TOL, _blur_matrix, _gaussian_kernel_1d, _grid_values,
 )
+from gazekit.mapio import _read_pgm16
 
 
 def normalize_to_simplex_reference(grid) -> GazeMap:
@@ -92,6 +93,28 @@ def raw_grids(draw, pools=(valid_cells, valid_cells, any_cells), scale=False):
         grid.setflags(write=False)
         return grid
     return grid.tolist() if layout == "list" else grid
+
+
+#: Every unsigned width, and the big-endian 16-bit samples of a PGM.
+UNSIGNED_DTYPES = [np.uint8, np.uint16, np.uint32, np.uint64, ">u2"]
+
+
+@st.composite
+def unsigned_grids(draw):
+    """Unsigned grids of every width, in C, F, strided and read-only layouts;
+    one in ten all zero."""
+    dtype = np.dtype(draw(st.sampled_from(UNSIGNED_DTYPES)))
+    h, w = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    cells = st.integers(0, int(np.iinfo(dtype).max)) if draw(st.integers(0, 9)) else st.just(0)
+    grid = np.array(draw(st.lists(cells, min_size=h * w, max_size=h * w)), dtype=dtype).reshape(h, w)
+    layout = draw(st.sampled_from(["c", "f", "strided", "read-only"]))
+    if layout == "f":
+        return np.asfortranarray(grid)
+    if layout == "strided":
+        return np.repeat(grid, 2, axis=1)[:, ::2]
+    if layout == "read-only":
+        grid.setflags(write=False)
+    return grid
 
 
 def fold(t: int, n: int) -> int:
@@ -195,6 +218,42 @@ class TestNormalize:
         raw[0, 0] = 0.0
         m = normalize_to_simplex(raw)
         np.testing.assert_allclose(m.values, raw / raw.sum(), rtol=0, atol=1e-15)
+
+
+class TestUnsignedGrids:
+    """An unsigned grid skips the cell and overflow checks and is divided in
+    place in the float64 copy that normalize_to_simplex makes of it."""
+
+    @staticmethod
+    def assert_plain_quotient(grid) -> None:
+        before, writeable = grid.copy(), grid.flags.writeable
+        cells = grid.astype(np.float64)
+        total = float(cells.sum())
+        assert normalized(normalize_to_simplex, grid) == normalized(normalize_to_simplex_reference, grid)
+        if total < MASS_FLOOR:
+            with pytest.raises(AllZeroGrid) as info:
+                normalize_to_simplex(grid)
+            assert str(info.value) == "grid mass 0.0 is below 1e-12"
+        else:
+            values = normalize_to_simplex(grid).values
+            assert values.shape == grid.shape and values.dtype == np.float64
+            assert values.tobytes() == (cells / total).tobytes()
+            assert values.flags.c_contiguous and not values.flags.writeable
+            assert not np.shares_memory(values, grid)
+        assert grid.dtype == before.dtype and grid.flags.writeable == writeable
+        assert grid.tobytes() == before.tobytes()
+
+    @given(grid=unsigned_grids())
+    def test_matches_the_plain_quotient(self, grid):
+        self.assert_plain_quotient(grid)
+
+    @pytest.mark.parametrize("samples", [[1, 2, 3, 65535, 300, 7], [0] * 6, [0, 0, 0, 0, 0, 1]])
+    def test_pgm_samples_match_the_plain_quotient(self, tmp_path, samples):
+        path = tmp_path / "m.pgm"
+        path.write_bytes(b"P5 3 2 65535\n" + np.array(samples, ">u2").tobytes())
+        grid = _read_pgm16(path)
+        assert grid.dtype == np.dtype(">u2") and not grid.flags.writeable
+        self.assert_plain_quotient(grid)
 
 
 #: Every cell value whose check outcome a one-pass check could get wrong.

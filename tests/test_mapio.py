@@ -7,6 +7,7 @@ from __future__ import annotations
 import math
 import re
 import struct
+import tracemalloc
 from pathlib import Path, PurePosixPath
 from xml.etree import ElementTree
 
@@ -304,8 +305,9 @@ _SEPARATORS = st.lists(
 
 
 @st.composite
-def pgm_files(draw):
-    """A PGM with comments, tabs and CRLF in its header, mostly valid."""
+def pgm_parts(draw):
+    """A PGM with comments, tabs and CRLF in its header, mostly valid, as
+    its bytes through the maxval token and the bytes after them."""
     width = draw(st.integers(1, 4))
     height = draw(st.integers(1, 3))
     tokens = [b"P5", str(width).encode(), str(height).encode(), b"65535"]
@@ -313,10 +315,43 @@ def pgm_files(draw):
         index = draw(st.integers(0, 3))
         tokens[index] = draw(st.sampled_from([b"P2", b"0", b"-1", b"255", b"x", b"07"]))
     header = draw(st.sampled_from([b"", b"# lead\n"]))
-    for token in tokens:
+    for token in tokens[:-1]:
         header += token + draw(_SEPARATORS)
     raster = draw(st.binary(min_size=2 * width * height, max_size=2 * width * height))
-    return header + raster + draw(st.sampled_from([b"", b"\x00\x01"]))
+    rest = draw(_SEPARATORS) + raster + draw(st.sampled_from([b"", b"\x00\x01"]))
+    return header + tokens[-1], rest
+
+
+def pgm_files():
+    """A PGM with comments, tabs and CRLF in its header, mostly valid."""
+    return pgm_parts().map(b"".join)
+
+
+@st.composite
+def pgm_file_pairs(draw):
+    """Two PGM files to read one after the other. The second is drawn on its
+    own, or is the first with a byte changed or inserted just before, at or
+    just after its header's end (the byte after maxval), or cut short."""
+    head, rest = draw(pgm_parts())
+    first = head + rest
+    end = len(head) + 1
+    kind = draw(st.sampled_from(["other", "changed", "inserted", "cut"]))
+    if kind == "other":
+        return first, draw(pgm_files())
+    if kind == "cut":
+        return first, first[: draw(st.integers(end, len(first) - 1))]
+    at = draw(st.integers(end - 3, end + 1))
+    byte = draw(st.one_of(st.sampled_from([b"0", b"5", b" ", b"\n", b"#"]), st.binary(min_size=1, max_size=1)))
+    return first, first[:at] + byte + first[at + (kind == "changed") :]
+
+
+def pgm_map_outcome_reference(path):
+    """``load_map``'s expected outcome: ``pgm_outcome_reference``'s error, or
+    the reference reader's grid normalized to the simplex."""
+    result = pgm_outcome_reference(path)
+    if len(result) == 2:
+        return result
+    return outcome(lambda p: normalize_to_simplex(read_pgm16_reference(p)).values, path)
 
 
 class TestReadersMatchTheirOracles:
@@ -389,6 +424,46 @@ class TestReadersMatchTheirOracles:
         path.write_bytes(b"P5#c\n2#c\n1#c\n65535#" + bytes([0, 1, 0, 2]))
         assert outcome(load_grid, path) == outcome(read_pgm16_reference, path)
         np.testing.assert_array_equal(load_grid(path), [[1.0, 2.0]])
+
+
+class TestHeaderCache:
+    """The reader keeps the last header that passed every check and reuses
+    it for a file that starts with the same bytes; every read must still
+    give what that file gives read alone."""
+
+    @settings(max_examples=300)
+    @given(pair=pgm_file_pairs())
+    @example(pair=(b"P5\n2 1\n65535\n\0\1\0\2", b"P5\n2 1\n655350\n\0\1\0\2"))
+    @example(pair=(b"P5 2 1 65535#\0\1\0\2", b"P5 2 1 65535#c\n\0\3\0\4"))
+    @example(pair=(b"P5 2 1 65535\n\0\1\0\2", b"P5 2 1 65535#\0\3\0\4"))
+    @example(pair=(b"P5 # a\n2 1\n65535\n\0\1\0\2", b"P5 # b\n2 1\n65535\n\0\3\0\4"))
+    @example(pair=(b"P5\n2 2\n65535\n" + bytes(range(1, 9)), b"P5\n2 2\n65535\n" + bytes(range(1, 8))))
+    @example(pair=(b"P5\n2 1\n255\n\0\1\0\2", b"P5\n2 1\n255\n\0\1\0\2"))
+    def test_a_file_reads_as_it_would_alone(self, tmp_path_factory, pair):
+        directory = tmp_path_factory.mktemp("pgm")
+        paths = [directory / "first.pgm", directory / "second.pgm"]
+        for path, data in zip(paths, pair):
+            path.write_bytes(data)
+        readers = [(load_grid, pgm_outcome_reference), (lambda p: load_map(p).values, pgm_map_outcome_reference)]
+        for read, reference in readers:
+            for path in paths:
+                assert outcome(read, path) == reference(path), path.name
+
+    def test_the_cache_keeps_no_file_alive(self, tmp_path):
+        # The cached header is a copy of the file's first bytes, not a view
+        # that would keep the whole 128 KiB file in memory after the read.
+        other, path = tmp_path / "other.pgm", tmp_path / "m.pgm"
+        other.write_bytes(b"P5 1 1 65535\n\0\1")
+        path.write_bytes(b"P5 # large\n256 256\n65535\n" + bytes(range(256)) * 512)
+        load_map(other)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            load_map(path)
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert retained < 4096
 
 
 class TestCSVDeclaredDifferences:
