@@ -8,7 +8,9 @@ import math
 import re
 import struct
 import tracemalloc
+from fractions import Fraction
 from pathlib import Path, PurePosixPath
+from unittest import mock
 from xml.etree import ElementTree
 
 import numpy as np
@@ -39,6 +41,7 @@ from gazekit import (
     write_manifest_rows,
     write_metrics_table,
 )
+from gazekit import mapio
 from gazekit.mapio import _canonical_cells
 
 
@@ -509,8 +512,8 @@ class TestCSVDeclaredDifferences:
         assert str(info.value) == f"{path}: could not convert string 'y' to float64 at row 1, column 2."
 
 
-def fixation_bytes(rows, newline: str = "\n") -> bytes:
-    """A fixation file: each row's cells joined by commas, each row ended."""
+def grid_bytes(rows, newline: str = "\n") -> bytes:
+    """A CSV grid file: each row's cells joined by commas, each row ended."""
     return "".join(",".join(row) + newline for row in rows).encode("utf-8")
 
 
@@ -544,7 +547,7 @@ def fixation_files(draw):
         rows[r].append("")
     elif defect == "non-ASCII":
         rows[r][c] = draw(st.sampled_from(["\u00e9", "\u00b9", "\u0661"]))
-    data = fixation_bytes(rows, {"crlf": "\r\n", "cr": "\r"}.get(defect, "\n"))
+    data = grid_bytes(rows, {"crlf": "\r\n", "cr": "\r"}.get(defect, "\n"))
     if defect == "no final LF":
         data = data[:-1]
     elif defect == "blank last line":
@@ -555,7 +558,7 @@ def fixation_files(draw):
 
 
 #: A benchmark-size fixation grid: 90x160 with about 2 % of its cells fixated.
-BENCHMARK_FIXATIONS = fixation_bytes(
+BENCHMARK_FIXATIONS = grid_bytes(
     [["01"[cell] for cell in row] for row in (np.random.default_rng(0).random((90, 160)) < 0.02).tolist()]
 )
 
@@ -602,6 +605,202 @@ class TestCanonicalFixations:
         save_fixations(path, FixationMap(mask.reshape(h, w)))
         assert traced_peak(lambda: load_fixations(path)) < 8 * h * w
         np.testing.assert_array_equal(load_fixations(path).fixated, mask.reshape(h, w))
+
+
+#: A float cell as save_map (%.17g), repr, np.savetxt (%.18e) and a short
+#: format write it.
+FLOAT_FORMATS = {
+    "%.17g": lambda x: f"{x:.17g}",
+    "repr": repr,
+    "%.18e": lambda x: f"{x:.18e}",
+    "%.3g": lambda x: f"{x:.3g}",
+}
+
+_CANONICAL_CELL = re.compile(rb"-?([0-9])(?:\.([0-9]+))?(?:e[+-][0-9]{2,3})?")
+
+
+def is_canonical_float_grid(data: bytes) -> bool:
+    """The canonical float form, written out: rows of cells joined by
+    commas, all of one width, each row ending in LF; every cell one digit
+    with an optional fraction of at most 24 digits and an optional exponent
+    of two or three digits, with at most 19 significant digits."""
+    if not data.endswith(b"\n"):
+        return False
+    widths = set()
+    for row in data[:-1].split(b"\n"):
+        cells = row.split(b",")
+        widths.add(len(cells))
+        for cell in cells:
+            match = _CANONICAL_CELL.fullmatch(cell)
+            if match is None:
+                return False
+            digits = match.group(2) or b""
+            if len(digits) > 24 or len((match.group(1) + digits).lstrip(b"0")) > 19:
+                return False
+    return len(widths) == 1
+
+
+#: Each takes a canonical float file out of the canonical form.
+FLOAT_DEFECTS = {
+    "crlf": None,
+    "no final LF": None,
+    "space": lambda cell: cell + " ",
+    "plus": lambda cell: "+" + cell.lstrip("-"),
+    "leading point": lambda cell: ".5",
+    "trailing point": lambda cell: "5.",
+    "bare exponent": lambda cell: "1e5",
+    "one-digit exponent": lambda cell: "1e+5",
+    "junk after exponent": lambda cell: "1.0e+05x",
+    "ragged row": None,
+    "moved cell": None,
+    "20 digits": lambda cell: "1.2345678901234567890",
+    "non-ASCII": lambda cell: cell + "\u00e9",
+}
+
+_FLOAT_EDGES = [0.0, -0.0, 5e-324, 2.2250738585072014e-308, 1e308, -1.7976931348623157e308, 1e-30, 1e20, 0.1, 1 / 14400]
+
+
+@st.composite
+def float_grid_files(draw):
+    """A grid of 1x1 to 6x6 finite floats in one of FLOAT_FORMATS, or the
+    same with one defect. Returns the file's bytes."""
+    height, width = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    cell = FLOAT_FORMATS[draw(st.sampled_from(sorted(FLOAT_FORMATS)))]
+    values = st.one_of(st.floats(allow_nan=False, allow_infinity=False), st.sampled_from(_FLOAT_EDGES))
+    rows = [[cell(draw(values)) for _ in range(width)] for _ in range(height)]
+    defect = draw(st.sampled_from([None, *FLOAT_DEFECTS]))
+    r, c = draw(st.integers(0, height - 1)), draw(st.integers(0, width - 1))
+    if defect == "ragged row":
+        rows[r] = rows[r][:-1] or ["1", "2"]
+    elif defect == "moved cell":  # ragged rows, but as many cells as a full grid
+        rows[(r + 1) % height].append(rows[r].pop(0))
+    elif FLOAT_DEFECTS.get(defect):
+        rows[r][c] = FLOAT_DEFECTS[defect](rows[r][c])
+    data = grid_bytes(rows, "\r\n" if defect == "crlf" else "\n")
+    if defect == "no final LF":
+        data = data[:-1]
+    return data
+
+
+def loadtxt_outcome(read, path):
+    """``read``'s outcome with the canonical float path switched off, as on
+    a platform without x87 extended precision: the np.loadtxt reader's."""
+    with mock.patch.object(mapio, "_EXTENDED", False):
+        return outcome(read, path)
+
+
+def round_to_bits(q: Fraction, bits: int) -> Fraction:
+    """A positive rational rounded to nearest, ties to even, at ``bits``
+    significant bits."""
+    e = q.numerator.bit_length() - q.denominator.bit_length()
+    if Fraction(2) ** e > q:
+        e -= 1
+    scaled = q * Fraction(2) ** (bits - 1 - e)
+    n, r = divmod(scaled.numerator, scaled.denominator)
+    n += 2 * r > scaled.denominator or (2 * r == scaled.denominator and n % 2)
+    return n / Fraction(2) ** (bits - 1 - e)
+
+
+def _gaussian_map(height: int, width: int, tail: float) -> GazeMap:
+    """A Gaussian bump whose far corner is ``tail`` times its peak."""
+    rows, cols = np.mgrid[:height, :width]
+    d2 = ((rows - height / 3) ** 2 + (cols - width / 4) ** 2) / ((height * 2 / 3) ** 2 + (width * 3 / 4) ** 2)
+    return normalize_to_simplex(np.exp(d2 * math.log(tail)) + np.random.default_rng(0).uniform(0, 1e-6, (height, width)) * (d2 < 0.1))
+
+
+class TestCanonicalFloatGrid:
+    """A file in the canonical float form is parsed in numpy blocks with
+    one exact rounding; any other file takes the np.loadtxt reader. Either
+    way every value, mask and error is the np.loadtxt reader's, and the
+    values are ``float()``'s."""
+
+    @settings(max_examples=500)
+    @given(data=float_grid_files())
+    @example(data=b"0\n")
+    @example(data=b"-0\n")
+    @example(data=b"1e+05,-0.0,5e-324\n")
+    @example(data=b"\n")
+    @example(data=b"1,2\n\n")
+    @example(data=b"1,2\n3\n4,5,6\n")
+    @example(data=b"1e-999,1e+999\n")
+    def test_fast_path_matches_the_reference(self, tmp_path_factory, data):
+        path = tmp_path_factory.mktemp("csv") / "g.csv"
+        path.write_bytes(data)
+        with mock.patch.object(mapio, "_read_lines", wraps=mapio._read_lines) as fallback:
+            result = outcome(load_grid, path)
+        assert fallback.called != is_canonical_float_grid(data)
+        assert result == loadtxt_outcome(load_grid, path)
+        if not fallback.called:
+            assert result == outcome(read_csv_grid_reference, path)
+
+    @pytest.mark.parametrize(
+        "cell",
+        [
+            # Exact float64 ties: 2**53 + 1 and 2**53 + 3, and 2**63 + 2**10.
+            "9.007199254740993e+15",
+            "-9.007199254740995e+15",
+            "9.223372036854776832e+18",
+            # The extended-precision quotient lands on a float64 midpoint that
+            # the exact value is just above (first three) or just below; the
+            # midpoints lie just above and just below a power of two.
+            "2.980232238769531581e-08",
+            "3.125000000000000347e-02",
+            "4.294967296000000477e+09",
+            "5.960464477539062169e-08",
+            "6.249999999999999653e-02",
+            "8.589934591999999523e+09",
+        ],
+    )
+    def test_a_midpoint_after_the_first_rounding_is_parsed_exactly(self, tmp_path, cell):
+        mantissa, exponent = cell.lstrip("-").split("e")
+        exact = Fraction(int(mantissa.replace(".", ""))) * Fraction(10) ** (int(exponent) - len(mantissa) + 2)
+        extended = round_to_bits(exact, 64)  # M / 10**k or M * 10**k in x87 extended precision
+        assert round_to_bits(extended, 54) == extended != round_to_bits(extended, 53)  # a float64 midpoint
+        path = tmp_path / "t.csv"
+        path.write_text(f"{cell},1\n{cell},0.5\n")
+        assert float(cell) == math.copysign(float(round_to_bits(exact, 53)), float(cell))
+        with mock.patch.object(mapio, "_read_lines") as fallback:
+            grid = load_grid(path)
+        assert not fallback.called
+        assert grid.tolist() == [[float(cell), 1.0], [float(cell), 0.5]]
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda p: save_map(p, _gaussian_map(90, 160, 1e-30)),
+            lambda p: np.savetxt(p, _gaussian_map(90, 160, 1e-30).values, fmt="%.18e", delimiter=","),
+            lambda p: save_map(p, GazeMap(np.full((7, 3), 1 / 21))),
+            lambda p: save_fixations(p, FixationMap(np.random.default_rng(1).random((200, 200)) < 0.5)),
+        ],
+        ids=["save_map", "savetxt", "constant", "short cells"],
+    )
+    def test_files_of_many_blocks(self, tmp_path, make):
+        path = tmp_path / "m.csv"
+        make(path)
+        with mock.patch.object(mapio, "_read_lines") as fallback:
+            result = outcome(load_grid, path)
+        assert not fallback.called
+        assert result == outcome(read_csv_grid_reference, path)
+
+    def test_a_frame_holds_its_file_its_grid_and_bounded_blocks(self, tmp_path):
+        # Each block's temporaries are each at most 64 KiB, and no more than
+        # four 64 KiB arrays' worth are live at once; the whole-file parse
+        # held about 2 MB.
+        path = tmp_path / "m.csv"
+        save_map(path, _gaussian_map(90, 160, 1e-30))
+        bound = path.stat().st_size + 8 * 90 * 160 + 4 * 65536
+        assert traced_peak(lambda: load_grid(path)) < bound
+
+    @pytest.mark.parametrize("data", [b"0.5,0.25\n0.125,0.125\n", b"0.5,0.25\r\n0.125,0.125\r\n"])
+    def test_each_file_is_read_once(self, tmp_path, monkeypatch, data):
+        path = tmp_path / "m.csv"
+        path.write_bytes(data)
+        reads = []
+        read_bytes = Path.read_bytes
+        monkeypatch.setattr(Path, "read_bytes", lambda self: reads.append(self) or read_bytes(self))
+        assert load_map(path).values.tolist() == [[0.5, 0.25], [0.125, 0.125]]
+        assert load_grid(path).tolist() == [[0.5, 0.25], [0.125, 0.125]]
+        assert reads == [path, path]
 
 
 class TestSuffixRule:
