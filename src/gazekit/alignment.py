@@ -75,7 +75,8 @@ class ProjectionHead:
 
 
 def _unit_rows(m: np.ndarray, label: str) -> tuple[np.ndarray, np.ndarray]:
-    norms = np.linalg.norm(m, axis=-1)
+    # What np.linalg.norm(m, axis=-1) evaluates for real input, without its wrapper.
+    norms = np.sqrt((m * m).sum(axis=-1))
     if norms.min() < _NORM_FLOOR:
         raise DegenerateNorm(f"{label} embedding with near-zero norm")
     return m / norms[..., None], norms
@@ -94,7 +95,7 @@ def _unit_pairs(u_vis, u_txt, tau: float):
     for m in (v, t):
         if m.ndim not in (2, 3) or m.size == 0:
             raise ShapeMismatch("embeddings must form a non-empty (batch, dim) matrix")
-        if not np.all(np.isfinite(m)):
+        if not np.isfinite(m).all():
             raise ValueError("embeddings must be finite")
     if v.shape[-2:] != t.shape[-2:]:
         raise ShapeMismatch(f"batch shapes differ: {v.shape[-2:]} vs {t.shape[-2:]}")
@@ -124,7 +125,7 @@ def info_nce(u_vis, u_txt, tau: float = DEFAULT_TEMPERATURE):
     # Mean over rows of logsumexp(row) - diagonal, max-shifted for stability.
     e, shift = _exp_shifted(scores, -1)
     lse = np.log(e.sum(axis=-1)) + shift[..., 0]
-    losses = (lse - np.diagonal(scores, axis1=-2, axis2=-1)).mean(axis=-1)
+    losses = (lse - np.diagonal(scores, axis1=-2, axis2=-1)).sum(axis=-1) / scores.shape[-1]
     return losses if losses.ndim else float(losses)
 
 

@@ -84,7 +84,8 @@ def central_difference(fn, x: np.ndarray) -> np.ndarray:
     """
     base = x.astype(np.float64).ravel()
     n = base.size
-    points = np.tile(base, (2 * n, 1))
+    points = np.empty((2 * n, n))
+    points[:] = base
     cell = np.arange(n)
     points[cell, cell] = base + _FD_STEP
     points[n + cell, cell] = base - _FD_STEP

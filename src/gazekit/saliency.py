@@ -24,8 +24,12 @@ of negatives: AUC-Judd is its one-set case, every non-fixated cell.
 AUC-Borji sorts each split's sampled set and writes its counts into one
 row of a block of bounded size; one pass per block closes every row's
 curve and takes every trapezoid, so its memory does not grow with the
-number of splits. A bare prediction must hold no NaN, which has no place
-in a ">=" ranking; a GazeMap's cells are finite by construction.
+number of splits. When no threshold t has min < t <= max over the
+negatives, as for a constant prediction, every negative lies below exactly
+the thresholds above their maximum: both AUCs take those same counts, so
+the same bits, with no sort and no draws. A bare prediction must hold no
+NaN, which has no place in a ">=" ranking; a GazeMap's cells are finite by
+construction.
 
 ``score_maps`` scores a frame in one pass over these pieces: it centers
 the prediction once for CC and NSS, and splits the cells by fixation and
@@ -303,14 +307,27 @@ def _check_splits(n_splits: int) -> None:
 
 def _roc_sweep(pred, p: np.ndarray, mask: np.ndarray):
     # What both AUCs share, from a checked mask: the negatives, the count of
-    # positives (AUC-Borji's sample size) and the curve every trapezoid reuses.
-    # A GazeMap's cells are finite by construction; a bare grid is checked.
+    # positives (AUC-Borji's sample size), the curve every trapezoid reuses
+    # and the negatives' tie mask. A GazeMap's cells are finite by
+    # construction; a bare grid is checked.
     if mask.all():
         raise AllFixated("AUC needs at least one non-fixated cell")
     if not isinstance(pred, GazeMap) and np.isnan(p).any():
         raise ValueError("AUC needs a prediction without NaN values")
     pos, neg = p[mask], p[~mask]
-    return (neg, pos.size, *_roc_curve(pos))
+    thresholds, tpr_sums = _roc_curve(pos)
+    return neg, pos.size, thresholds, tpr_sums, _tied_above(neg, thresholds)
+
+
+def _tied_above(neg: np.ndarray, thresholds: np.ndarray) -> np.ndarray | None:
+    # When no threshold t has lo < t <= hi over the negatives, every negative
+    # lies below exactly the thresholds above hi, so any k of them count
+    # k * (thresholds > hi) below the thresholds: that mask, or None when some
+    # threshold separates the negatives.
+    lo, hi = neg.min(), neg.max()
+    if ((thresholds > lo) & (thresholds <= hi)).any():
+        return None
+    return thresholds > hi
 
 
 def _roc_curve(pos: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -345,19 +362,29 @@ def _roc_areas(below: np.ndarray, n: int, tpr_sums: np.ndarray) -> np.ndarray:
     return terms.sum(axis=1)
 
 
-def _judd(neg: np.ndarray, thresholds: np.ndarray, tpr_sums: np.ndarray) -> float:
-    # The one-set curve: every non-fixated cell is a negative.
-    below = np.searchsorted(np.sort(neg), thresholds, side="left")
+def _judd(neg: np.ndarray, thresholds: np.ndarray, tpr_sums: np.ndarray, tied: np.ndarray | None) -> float:
+    # The one-set curve: every non-fixated cell is a negative. Tied negatives
+    # are counted from their tie mask, without a sort.
+    if tied is None:
+        below = np.searchsorted(np.sort(neg), thresholds, side="left")
+    else:
+        below = tied * neg.size
     return float(_roc_areas(below[None], neg.size, tpr_sums)[0])
 
 
-def _borji(neg, n_pos: int, thresholds, tpr_sums, n_splits: int, seed: int) -> float:
+def _borji(neg, n_pos: int, thresholds, tpr_sums, tied, n_splits: int, seed: int) -> float:
     # Each split's sample is drawn, sorted in place and counted into one row
     # of the block; each block's areas are taken in one pass, so no array
     # holds n_splits x thresholds values. The mean is over every split's area.
+    # Tied negatives give every split the same counts, so nothing is drawn and
+    # the mean is that of n_splits equal areas (it may differ from the area in
+    # its last bit). The generator is still built, so a bad seed raises.
     if neg.size < n_pos:
         raise InsufficientNegatives(f"need at least {n_pos} non-fixated cells, have {neg.size}")
     rng = np.random.default_rng(seed)
+    if tied is not None:
+        area = _roc_areas((tied * n_pos)[None], n_pos, tpr_sums)[0]
+        return float(np.full(n_splits, area).mean())
     rows = max(1, min(n_splits, _SPLIT_ROWS, _BLOCK_CELLS // thresholds.size))
     block = np.empty((rows, thresholds.size), dtype=np.intp)
     areas = np.empty(n_splits)
@@ -379,8 +406,8 @@ def auc_judd(pred, fix) -> float:
     the threshold. Only the ordering of values matters, so the score is
     invariant under strictly monotone transforms of the prediction.
     """
-    neg, _, thresholds, tpr_sums = _roc_sweep(pred, *_fixated_values(pred, fix, "AUC"))
-    return _judd(neg, thresholds, tpr_sums)
+    neg, _, thresholds, tpr_sums, tied = _roc_sweep(pred, *_fixated_values(pred, fix, "AUC"))
+    return _judd(neg, thresholds, tpr_sums, tied)
 
 
 def auc_borji(pred, fix, n_splits: int = 100, seed: int = 0) -> float:
@@ -445,9 +472,9 @@ def score_maps(pred, gt, fix=None, n_splits: int = 100, seed: int = 0) -> dict[s
             auc_error = type(exc).__name__
     _check_splits(n_splits)
     if auc_error is None:
-        neg, n_pos, thresholds, tpr_sums = sweep
-        cells["auc_j"] = _judd(neg, thresholds, tpr_sums)
-        cells["auc_b"] = _cell(_borji, neg, n_pos, thresholds, tpr_sums, n_splits, seed)
+        neg, n_pos, thresholds, tpr_sums, tied = sweep
+        cells["auc_j"] = _judd(neg, thresholds, tpr_sums, tied)
+        cells["auc_b"] = _cell(_borji, neg, n_pos, thresholds, tpr_sums, tied, n_splits, seed)
     else:
         cells["auc_j"] = cells["auc_b"] = auc_error
     cells["nss"] = nss_cell

@@ -13,6 +13,7 @@ from gazekit import (
     FixationMap,
     GazeKitError,
     GazeMap,
+    InsufficientNegatives,
     METRICS_HEADER,
     NoFixations,
     ShapeMismatch,
@@ -38,6 +39,7 @@ from gazekit.saliency import (
     _judd,
     _roc_curve,
     _SPLIT_ROWS,
+    _tied_above,
 )
 
 QUARTET = np.array([[0.4, 0.3], [0.2, 0.1]])
@@ -97,7 +99,10 @@ def auc_borji_oracle(pos: np.ndarray, neg: np.ndarray, n_splits: int, seed: int)
     return float(np.mean(areas))
 
 
-ROC_VALUE_KINDS = ("random", "small_ints", "rounded", "signed_zeros", "constant", "pgm")
+ROC_VALUE_KINDS = (
+    "random", "small_ints", "rounded", "signed_zeros", "constant", "pgm",
+    "fix_above", "fix_below", "fix_at_top", "between",
+)
 
 
 def roc_values(kind: str, gen: np.random.Generator, n: int) -> np.ndarray:
@@ -118,6 +123,50 @@ def roc_values(kind: str, gen: np.random.Generator, n: int) -> np.ndarray:
     return samples / samples.sum()
 
 
+def roc_sets(kind: str, gen: np.random.Generator, n_pos: int, n_neg: int):
+    """Fixated and non-fixated values of one kind.
+
+    The kinds after "pgm" place the fixated values against the others:
+    every fixated value above every other; at or below, one at the
+    minimum; at or above, one at the maximum; or on both sides of constant
+    negatives. Only "fix_at_top" has a threshold in (min, max] of the
+    negatives, when they are not all equal: the negatives of the others are
+    tied, so each set of them is counted without a sort or a draw.
+    """
+    if kind in ("fix_above", "fix_below", "fix_at_top"):
+        neg = gen.integers(0, 4, size=n_neg).astype(np.float64)
+        step = gen.integers(0, 3, size=n_pos).astype(np.float64)
+        if kind == "fix_above":
+            return neg.max() + 1.0 + step, neg
+        step[0] = 0.0
+        return (neg.min() - step, neg) if kind == "fix_below" else (neg.max() + step, neg)
+    if kind == "between":
+        pos = gen.choice(np.array([0.25, 0.5, 0.75]), size=n_pos)
+        return pos, np.full(n_neg, 0.5)
+    values = roc_values(kind, gen, n_pos + n_neg)
+    return values[:n_pos], values[n_pos:]
+
+
+def roc_frame(kind: str, gen: np.random.Generator, side: int, n_pos: int):
+    """A side x side prediction of one kind and its mask of n_pos fixated cells."""
+    mask = np.zeros(side * side, dtype=bool)
+    mask[gen.choice(side * side, size=n_pos, replace=False)] = True
+    pred = np.empty(side * side)
+    pred[mask], pred[~mask] = roc_sets(kind, gen, n_pos, side * side - n_pos)
+    return pred.reshape(side, side), mask.reshape(side, side)
+
+
+def assert_aucs_equal_the_oracle(pred, mask, n_splits: int, seed: int):
+    # auc_judd, auc_borji and score_maps' two AUC cells, bit for bit.
+    pos, neg = pred[mask], pred[~mask]
+    judd = trapezoid(*roc_points_oracle(pos, neg))
+    borji = auc_borji_oracle(pos, neg, n_splits, seed)
+    assert auc_judd(pred, mask) == judd
+    assert auc_borji(pred, mask, n_splits=n_splits, seed=seed) == borji
+    cells = score_maps(pred, np.ones(pred.shape), mask, n_splits=n_splits, seed=seed)
+    assert (cells["auc_j"].hex(), cells["auc_b"].hex()) == (judd.hex(), borji.hex())
+
+
 class TestSortedROCSweep:
     """The sorted sweep against the per-threshold loop, bit for bit."""
 
@@ -131,13 +180,14 @@ class TestSortedROCSweep:
     @example(seed=1, n_pos=12, n_negs=[1, 60, 7])  # sets of several sizes
     def test_roc_points_match_the_loop(self, kind, seed, n_pos, n_negs):
         # The shared curve scores each negative set against one threshold
-        # sweep and one true-positive curve: every area is the loop's.
-        values = roc_values(kind, np.random.default_rng(seed), n_pos + sum(n_negs))
-        pos = values[:n_pos]
-        negs = np.split(values[n_pos:], np.cumsum(n_negs)[:-1])
+        # sweep and one true-positive curve: every area is the loop's, with
+        # the set's tie mask and with the sort that the mask replaces.
+        pos, rest = roc_sets(kind, np.random.default_rng(seed), n_pos, sum(n_negs))
+        negs = np.split(rest, np.cumsum(n_negs)[:-1])
         curve = _roc_curve(pos)
-        areas = [_judd(neg, *curve) for neg in negs]
-        assert areas == [trapezoid(*roc_points_oracle(pos, neg)) for neg in negs]
+        want = [trapezoid(*roc_points_oracle(pos, neg)) for neg in negs]
+        assert [_judd(neg, *curve, _tied_above(neg, curve[0])) for neg in negs] == want
+        assert [_judd(neg, *curve, None) for neg in negs] == want
 
     @pytest.mark.parametrize("kind", ROC_VALUE_KINDS)
     @given(
@@ -151,16 +201,54 @@ class TestSortedROCSweep:
     @example(seed=4, side=9, n_splits=2 * _SPLIT_ROWS + 1, auc_seed=5)  # two full blocks and one row
     def test_aucs_equal_the_oracle_area(self, kind, seed, side, n_splits, auc_seed):
         gen = np.random.default_rng(seed)
-        pred = roc_values(kind, gen, side * side).reshape(side, side)
-        mask = np.zeros(side * side, dtype=bool)
-        n_pos = int(gen.integers(1, side * side // 2 + 1))
-        mask[gen.choice(side * side, size=n_pos, replace=False)] = True
-        mask = mask.reshape(side, side)
-        pos, neg = pred[mask], pred[~mask]
-        assert auc_judd(pred, mask) == trapezoid(*roc_points_oracle(pos, neg))
-        assert auc_borji(pred, mask, n_splits=n_splits, seed=auc_seed) == auc_borji_oracle(
-            pos, neg, n_splits, auc_seed
-        )
+        pred, mask = roc_frame(kind, gen, side, int(gen.integers(1, side * side // 2 + 1)))
+        assert_aucs_equal_the_oracle(pred, mask, n_splits, auc_seed)
+
+    @pytest.mark.parametrize("kind", ["constant", "signed_zeros", "fix_above", "fix_below", "between"])
+    @pytest.mark.parametrize("n_splits", [1, 100, 2 * _SPLIT_ROWS + 1])
+    def test_tied_negatives_equal_the_oracle_area(self, kind, n_splits):
+        # Negatives that no threshold separates are counted from their tie
+        # mask. -0.0 and 0.0 are one tie; "between" gives counts of 0 and of
+        # every negative, and at seed 3 an AUC-Borji area whose mean over 100
+        # equal splits is not the area itself.
+        pred, mask = roc_frame(kind, np.random.default_rng(3), 9, 20)
+        if kind == "signed_zeros":
+            pred[~mask] = np.where(pred[~mask] == 0.25, -0.0, pred[~mask])
+        assert _tied_above(pred[~mask], _roc_curve(pred[mask])[0]) is not None
+        assert_aucs_equal_the_oracle(pred, mask, n_splits, 7)
+
+    def test_tied_negatives_draw_nothing(self, monkeypatch):
+        # The generator is built, so its seed is checked, but never drawn from.
+        class NoDraws:
+            def __init__(self, seed):
+                self.rng = real_rng(seed)
+
+            def choice(self, *args, **kwargs):
+                raise AssertionError("a split was drawn")
+
+        real_rng = np.random.default_rng
+        frames = [roc_frame(kind, real_rng(3), 9, 20) for kind in ("constant", "fix_below", "between")]
+        want = [auc_borji(pred, mask, seed=5) for pred, mask in frames]
+        monkeypatch.setattr(np.random, "default_rng", NoDraws)
+        assert [auc_borji(pred, mask, seed=5) for pred, mask in frames] == want
+        assert [score_maps(pred, pred, mask, seed=5)["auc_b"] for pred, mask in frames] == want
+        with pytest.raises(AssertionError, match="drawn"):
+            auc_borji(*roc_frame("fix_at_top", real_rng(3), 9, 20), seed=5)
+
+    def test_tied_negatives_check_the_seed_and_the_sample_size(self):
+        constant = np.full((4, 4), 0.125)
+        mask = np.zeros((4, 4), dtype=bool)
+        mask[0] = True
+        with pytest.raises(ValueError, match="non-negative"):
+            auc_borji(constant, mask, seed=-1)
+        with pytest.raises(ValueError, match="non-negative"):
+            score_maps(constant, constant, mask, seed=-1)
+        with pytest.raises(TypeError):
+            auc_borji(constant, mask, seed=0.5)
+        mask[1:3] = True
+        with pytest.raises(InsufficientNegatives):
+            auc_borji(constant, mask)
+        assert score_maps(constant, constant, mask)["auc_b"] == "InsufficientNegatives"
 
     def test_nan_prediction_is_rejected(self):
         # NaN sorts last but fails every ">=", so the loop and the sorted
